@@ -64,11 +64,12 @@ def _entry_lsta_step(rng) -> Entry:
     c, d, h, w = 3, 3, 4, 4
     base = LstaParams.create(c, d, int(rng.integers(1 << 30)), "g")
     params = {
-        "x": _param(rng, (c, h, w)), "c0": _param(rng, (d, h, w)), "h0": _param(rng, (d, h, w)),
+        "x": _param(rng, (1, c, h, w)),
+        "c0": _param(rng, (1, d, h, w)), "h0": _param(rng, (1, d, h, w)),
         "attn": base.attn_kernel, "gates": base.gate_kernel,
         "gbias": base.gate_bias, "pool": base.pool_kernel,
     }
-    pc, ph = rng.normal(size=(d, h, w)), rng.normal(size=(d, h, w))
+    pc, ph = rng.normal(size=(1, d, h, w)), rng.normal(size=(1, d, h, w))
 
     def forward(p):
         lp = LstaParams(attn_kernel=p["attn"], gate_kernel=p["gates"],
@@ -83,10 +84,11 @@ def _entry_convlstm_step(rng) -> Entry:
     c, d, h, w = 3, 2, 4, 4
     base = ConvLstmParams.create(c, d, int(rng.integers(1 << 30)), "g")
     params = {
-        "x": _param(rng, (c, h, w)), "c0": _param(rng, (d, h, w)), "h0": _param(rng, (d, h, w)),
+        "x": _param(rng, (1, c, h, w)),
+        "c0": _param(rng, (1, d, h, w)), "h0": _param(rng, (1, d, h, w)),
         "gates": base.gate_kernel, "gbias": base.gate_bias,
     }
-    pc, ph = rng.normal(size=(d, h, w)), rng.normal(size=(d, h, w))
+    pc, ph = rng.normal(size=(1, d, h, w)), rng.normal(size=(1, d, h, w))
 
     def forward(p):
         lp = ConvLstmParams(gate_kernel=p["gates"], gate_bias=p["gbias"])
@@ -99,9 +101,9 @@ def _entry_convlstm_step(rng) -> Entry:
 def _entry_gru_step(rng) -> Entry:
     cin, d = 5, 4
     base = GruParams.create(cin, d, int(rng.integers(1 << 30)), "g")
-    params = {"x": _param(rng, (cin,)), "h": _param(rng, (d,))}
+    params = {"x": _param(rng, (1, cin)), "h": _param(rng, (1, d))}
     params.update({k.split(".")[1]: v for k, v in base.as_dict("g").items()})
-    probe = rng.normal(size=(d,))
+    probe = rng.normal(size=(1, d))
 
     def forward(p):
         gp = GruParams(w_update=p["w_update"], b_update=p["b_update"], w_reset=p["w_reset"],
@@ -113,8 +115,8 @@ def _entry_gru_step(rng) -> Entry:
 
 def _entry_hf_block(rng) -> Entry:
     t, c, h, w = 4, 3, 3, 3
-    params = {"f": _param(rng, (t, c, h, w)), "w0": _param(rng, (c,)), "w1": _param(rng, (c,))}
-    probe = rng.normal(size=(t, c, h, w))
+    params = {"f": _param(rng, (1, t, c, h, w)), "w0": _param(rng, (c,)), "w1": _param(rng, (c,))}
+    probe = rng.normal(size=(1, t, c, h, w))
 
     def forward(p):
         return _probe_loss(hf_block(p["f"], HfBlockParams(w0=p["w0"], w1=p["w1"])), probe)
@@ -123,8 +125,8 @@ def _entry_hf_block(rng) -> Entry:
 
 
 def _entry_consensus(rng) -> Entry:
-    params = {"s": _param(rng, (5, 7))}
-    probe = rng.normal(size=(7,))
+    params = {"s": _param(rng, (1, 5, 7))}
+    probe = rng.normal(size=(1, 7))
     return "consensus", lambda p: _probe_loss(consensus(p["s"]), probe), params
 
 
@@ -152,8 +154,8 @@ def _entry_structured(rng, seed) -> Entry:
 
 def _entry_motion_attention(rng) -> Entry:
     c, h, w = 3, 4, 4
-    params = {"feat": _param(rng, (c, h, w)), "kernel": _param(rng, (1, c, 1, 1))}
-    probe = rng.normal(size=(c, h, w))
+    params = {"feat": _param(rng, (1, c, h, w)), "kernel": _param(rng, (1, c, 1, 1))}
+    probe = rng.normal(size=(1, c, h, w))
 
     def forward(p):
         return _probe_loss(
@@ -167,12 +169,12 @@ def _entry_cross_modal(rng, seed) -> Entry:
     lsta = LstaParams.create(ca, da, seed, "a")
     clstm = ConvLstmParams.create(cm, dm, seed, "m")
     params = {
-        "app": _param(rng, (t, ca, h, w)), "mot": _param(rng, (t, cm, h, w)),
+        "app": _param(rng, (1, t, ca, h, w)), "mot": _param(rng, (1, t, cm, h, w)),
         "a2m": _param(rng, (4 * dm, ca, 3, 3, 3)), "m2a": _param(rng, (4 * da, cm, 3, 3)),
     }
     params.update({"l_" + k.split(".")[1]: v for k, v in lsta.as_dict("a").items()})
     params.update({"c_" + k.split(".")[1]: v for k, v in clstm.as_dict("m").items()})
-    pa, pm = rng.normal(size=(da,)), rng.normal(size=(dm,))
+    pa, pm = rng.normal(size=(1, da)), rng.normal(size=(1, dm))
 
     def forward(p):
         lp = LstaParams(attn_kernel=p["l_attn_kernel"], gate_kernel=p["l_gate_kernel"],
@@ -203,12 +205,12 @@ def _entry_family(family: str, seed: int) -> Entry:
     t, h, w = 2, 4, 4
     inputs = {}
     if family != "motion":
-        inputs["frames"] = rng.normal(size=(t, 2, h, w))
+        inputs["frames"] = rng.normal(size=(1, t, 2, h, w))
     if family in ("motion", "two_stream"):
-        inputs["flow"] = rng.normal(size=(t, 2, h, w))
+        inputs["flow"] = rng.normal(size=(1, t, 2, h, w))
     actions = rng.integers(0, space.num_actions, size=1)
     pairs = np.asarray(space.actions)
-    labels = (int(pairs[actions[0], 0]), int(pairs[actions[0], 1]), int(actions[0]))
+    labels = (pairs[actions, 0], pairs[actions, 1], actions)
     # Zero-initialized fusion/attention kernels sit at softmax saddle points
     # where finite differences are fine but uninformative; nudge them.
     params = model.params()

@@ -41,11 +41,7 @@ class GateBias:
 
     @classmethod
     def from_stacked(cls, stacked: Tensor, memory: int) -> "GateBias":
-        if stacked.shape[-3] != 4 * memory:
-            raise ShapeError(
-                f"stacked gate bias has {stacked.shape[-3]} channels, expected {4 * memory}")
-        parts = [narrow(stacked, -3, k * memory, memory) for k in range(4)]
-        return cls(*parts)
+        return cls(*_split_gates(stacked, memory))
 
 
 def _split_gates(z: Tensor, memory: int):
@@ -90,12 +86,12 @@ class LstaParams:
 
     @classmethod
     def create(cls, input_channels: int, memory: int, seed: int,
-               name: str = "lsta", kernel_size: int = 3) -> "LstaParams":
+               name: str = "lsta") -> "LstaParams":
         cin = input_channels + memory
-        fan = cin * kernel_size * kernel_size
+        fan = cin * 9
         return cls(
-            attn_kernel=uniform_fan_in((1, cin, kernel_size, kernel_size), fan, seed, f"{name}.attn_kernel"),
-            gate_kernel=uniform_fan_in((4 * memory, cin, kernel_size, kernel_size), fan, seed, f"{name}.gate_kernel"),
+            attn_kernel=uniform_fan_in((1, cin, 3, 3), fan, seed, f"{name}.attn_kernel"),
+            gate_kernel=uniform_fan_in((4 * memory, cin, 3, 3), fan, seed, f"{name}.gate_kernel"),
             gate_bias=_forget_one_bias(memory),
             pool_kernel=uniform_fan_in((memory, memory, 1, 1), memory, seed, f"{name}.pool_kernel"),
         )
@@ -114,6 +110,22 @@ class LstaParams:
             "attn_kernel", "gate_kernel", "gate_bias", "pool_kernel")))
 
 
+def _gate_update(z: Tensor, gate_bias: Tensor, c: Tensor, bias: Optional[GateBias]):
+    """The four-gate update shared by both cells.
+
+    Adds the per-gate bias vector and any external bias maps to the gate
+    pre-activations z (..., 4D, H, W), applies the gate nonlinearities and
+    returns the next memory and the output gate.
+    """
+    d = gate_bias.shape[0] // 4
+    z = add(z, reshape(gate_bias, (4 * d, 1, 1)))
+    zi, zf, zg, zo = _split_gates(z, d)
+    if bias is not None:
+        zi, zf, zg, zo = add(zi, bias.i), add(zf, bias.f), add(zg, bias.g), add(zo, bias.o)
+    i, f, g, o = sigmoid(zi), sigmoid(zf), tanh(zg), sigmoid(zo)
+    return add(hadamard(f, c), hadamard(i, g)), o
+
+
 def lsta_step(
     x: Tensor,
     state: LstaState,
@@ -126,16 +138,10 @@ def lsta_step(
     input. The hidden output passes the memory through a 1x1 mixing
     convolution before the output gate, so h and c can decouple.
     """
-    d = params.memory
     alpha = softmax_spatial(conv2d(concat([x, state.h], -3), params.attn_kernel))
     x_att = hadamard(x, alpha)
     z = conv2d(concat([x_att, state.h], -3), params.gate_kernel)
-    z = add(z, reshape(params.gate_bias, (4 * d, 1, 1)))
-    zi, zf, zg, zo = _split_gates(z, d)
-    if bias is not None:
-        zi, zf, zg, zo = add(zi, bias.i), add(zf, bias.f), add(zg, bias.g), add(zo, bias.o)
-    i, f, g, o = sigmoid(zi), sigmoid(zf), tanh(zg), sigmoid(zo)
-    c = add(hadamard(f, state.c), hadamard(i, g))
+    c, o = _gate_update(z, params.gate_bias, state.c, bias)
     h = hadamard(o, tanh(conv2d(c, params.pool_kernel)))
     return LstaState(c=c, h=h), alpha
 
@@ -151,11 +157,10 @@ class ConvLstmParams:
 
     @classmethod
     def create(cls, input_channels: int, memory: int, seed: int,
-               name: str = "convlstm", kernel_size: int = 3) -> "ConvLstmParams":
+               name: str = "convlstm") -> "ConvLstmParams":
         cin = input_channels + memory
-        fan = cin * kernel_size * kernel_size
         return cls(
-            gate_kernel=uniform_fan_in((4 * memory, cin, kernel_size, kernel_size), fan, seed, f"{name}.gate_kernel"),
+            gate_kernel=uniform_fan_in((4 * memory, cin, 3, 3), cin * 9, seed, f"{name}.gate_kernel"),
             gate_bias=_forget_one_bias(memory),
         )
 
@@ -174,14 +179,8 @@ def convlstm_step(
     bias: Optional[GateBias] = None,
 ) -> LstaState:
     """One convolutional LSTM step: the plain four-gate update, no attention."""
-    d = params.memory
     z = conv2d(concat([x, state.h], -3), params.gate_kernel)
-    z = add(z, reshape(params.gate_bias, (4 * d, 1, 1)))
-    zi, zf, zg, zo = _split_gates(z, d)
-    if bias is not None:
-        zi, zf, zg, zo = add(zi, bias.i), add(zf, bias.f), add(zg, bias.g), add(zo, bias.o)
-    i, f, g, o = sigmoid(zi), sigmoid(zf), tanh(zg), sigmoid(zo)
-    c = add(hadamard(f, state.c), hadamard(i, g))
+    c, o = _gate_update(z, params.gate_bias, state.c, bias)
     return LstaState(c=c, h=hadamard(o, tanh(c)))
 
 
@@ -227,10 +226,7 @@ class GruParams:
 
 
 def gru_step(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
-    """One gated-recurrence step on x (C,) or (B, C) with state h (D,) / (B, D)."""
-    squeeze = x.ndim == 1
-    if squeeze:
-        x, h = reshape(x, (1, -1)), reshape(h, (1, -1))
+    """One gated-recurrence step on x (B, C) with state h (B, D)."""
     if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
         raise ShapeError(f"gru_step expects matching batches, got {x.shape} and {h.shape}")
     xh = concat([x, h], 1)
@@ -238,8 +234,29 @@ def gru_step(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
     r = sigmoid(affine(xh, params.w_reset, params.b_reset))
     n = tanh(affine(concat([x, hadamard(r, h)], 1), params.w_cand, params.b_cand))
     ones = Tensor(np.ones(z.shape))
-    out = add(hadamard(subtract(ones, z), n), hadamard(z, h))
-    return reshape(out, (out.shape[1],)) if squeeze else out
+    return add(hadamard(subtract(ones, z), n), hadamard(z, h))
+
+
+def rollout(frames: Tensor, params, bias_at=None):
+    """Roll one cell over features (B, T, C, H, W) from a zero state,
+    yielding the state after every step.
+
+    ``params`` picks the cell: LstaParams for the attentive cell,
+    ConvLstmParams for the plain ConvLSTM. ``bias_at(t)``, when given,
+    returns the GateBias of step t.
+    """
+    if frames.ndim != 5 or frames.shape[1] == 0:
+        raise ShapeError(f"expected a nonempty (B, T, C, H, W) sequence, got {frames.shape}")
+    b, t_len, _, h_ext, w_ext = frames.shape
+    state = LstaState.zeros((b, params.memory, h_ext, w_ext))
+    for t in range(t_len):
+        bias = bias_at(t) if bias_at else None
+        x = index_select(frames, 1, t)
+        if isinstance(params, LstaParams):
+            state, _ = lsta_step(x, state, params, bias)
+        else:
+            state = convlstm_step(x, state, params, bias)
+        yield state
 
 
 def run_lsta_gru(
@@ -248,32 +265,21 @@ def run_lsta_gru(
     gru_a: GruParams,
     gru_b: GruParams,
 ):
-    """Roll the attentive cell over frames (T, C, H, W) or (B, T, C, H, W),
-    feeding the pooled hidden map of every step to two independent
-    gated-recurrence aggregators.
+    """Roll the attentive cell over frames (B, T, C, H, W), then feed the
+    pooled hidden map of every step to two independent gated-recurrence
+    aggregators.
 
     Returns (attentive descriptor, aggregator descriptor): the pooled final
     memory, and the concatenated final states of the two aggregators.
     """
-    squeeze = frames.ndim == 4
-    fr = reshape(frames, (1,) + frames.shape) if squeeze else frames
-    if fr.ndim != 5:
-        raise ShapeError(f"expected (T, C, H, W) or (B, T, C, H, W), got {frames.shape}")
-    b, t_len, _, h_ext, w_ext = fr.shape
-    if t_len == 0:
-        raise ShapeError("empty frame sequence")
-    d = lsta.memory
-    state = LstaState.zeros((b, d, h_ext, w_ext))
-    ha = Tensor(np.zeros((b, gru_a.hidden)))
-    hb = Tensor(np.zeros((b, gru_b.hidden)))
-    for t in range(t_len):
-        state, _ = lsta_step(index_select(fr, 1, t), state, lsta)
-        pooled = spatial_avg_pool(state.h)
-        ha = gru_step(pooled, ha, gru_a)
-        hb = gru_step(pooled, hb, gru_b)
-    lsta_desc = spatial_avg_pool(state.c)
-    gru_desc = concat([ha, hb], 1)
-    if squeeze:
-        lsta_desc = reshape(lsta_desc, (lsta_desc.shape[1],))
-        gru_desc = reshape(gru_desc, (gru_desc.shape[1],))
-    return lsta_desc, gru_desc
+    pooled = []
+    for state in rollout(frames, lsta):
+        # Pooled before the next step reads h: the tape sums fan-out
+        # adjoints in reverse record order, so this order fixes the bits.
+        pooled.append(spatial_avg_pool(state.h))
+    ha = Tensor(np.zeros((frames.shape[0], gru_a.hidden)))
+    hb = Tensor(np.zeros((frames.shape[0], gru_b.hidden)))
+    for p in pooled:
+        ha = gru_step(p, ha, gru_a)
+        hb = gru_step(p, hb, gru_b)
+    return spatial_avg_pool(state.c), concat([ha, hb], 1)

@@ -11,7 +11,6 @@ averaged into a clip-level consensus.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -46,28 +45,24 @@ class HfBlockParams:
         return cls(params[f"{prefix}.w0"], params[f"{prefix}.w1"])
 
 
-def hf_block(features: Tensor, params: HfBlockParams) -> Tensor:
-    """Mix frames (..., T, C, H, W) with their temporal successors.
+def hf_block(f: Tensor, params: HfBlockParams) -> Tensor:
+    """Mix frames (B, T, C, H, W) with their temporal successors.
 
     G_t = w0 * F_t + w1 * F_{t+1}; the final frame uses only its own term.
     """
-    squeeze = features.ndim == 4
-    f = reshape(features, (1,) + features.shape) if squeeze else features
-    if f.ndim < 5:
-        raise ShapeError(f"expected at least (T, C, H, W), got {features.shape}")
-    t_len, c = f.shape[-4], f.shape[-3]
+    if f.ndim != 5:
+        raise ShapeError(f"expected (B, T, C, H, W), got {f.shape}")
+    t_len, c = f.shape[1:3]
     if params.w0.shape != (c,):
         raise ShapeError(f"block weights sized {params.w0.shape} for {c} channels")
     w0 = reshape(params.w0, (c, 1, 1))
     w1 = reshape(params.w1, (c, 1, 1))
     own = hadamard(f, w0)
-    if t_len > 1:
-        succ = concat([narrow(f, -4, 1, t_len - 1),
-                       Tensor(np.zeros(f.shape[:-4] + (1,) + f.shape[-3:]))], -4)
-        out = add(own, hadamard(succ, w1))
-    else:
-        out = own
-    return reshape(out, out.shape[1:]) if squeeze else out
+    if t_len == 1:
+        return own
+    last = Tensor(np.zeros(f.shape[:1] + (1,) + f.shape[2:]))
+    succ = concat([narrow(f, 1, 1, t_len - 1), last], 1)
+    return add(own, hadamard(succ, w1))
 
 
 @dataclass
@@ -87,13 +82,11 @@ class BackboneParams:
 
     @classmethod
     def create(cls, in_channels: int, stage_channels, seed: int,
-               name: str = "backbone", kernel_size: int = 3) -> "BackboneParams":
+               name: str = "backbone") -> "BackboneParams":
         kernels, biases = [], []
         cin = in_channels
         for s, cout in enumerate(stage_channels):
-            fan = cin * kernel_size * kernel_size
-            kernels.append(uniform_fan_in((cout, cin, kernel_size, kernel_size), fan,
-                                          seed, f"{name}.stage{s}.kernel"))
+            kernels.append(uniform_fan_in((cout, cin, 3, 3), cin * 9, seed, f"{name}.stage{s}.kernel"))
             biases.append(zeros_param((cout,)))
             cin = cout
         return cls(kernels=kernels, biases=biases)
@@ -165,34 +158,12 @@ class HfTsnConfig:
                 raise ValidationError(
                     f"interaction position {p} outside {len(self.stages)} stages")
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "segments": self.segments,
-            "stages": list(self.stages),
-            "hf_positions": list(self.hf_positions),
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "HfTsnConfig":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config: invalid JSON ({exc})") from exc
-        for key in ("segments", "stages", "hf_positions"):
-            if key not in payload:
-                raise ValidationError(f"config: missing key '{key}'")
-        return cls(segments=int(payload["segments"]),
-                   stages=tuple(int(c) for c in payload["stages"]),
-                   hf_positions=tuple(int(p) for p in payload["hf_positions"]))
-
 
 def consensus(segment_scores: Tensor) -> Tensor:
-    """Average per-segment scores (T, K) or (B, T, K) over the time axis."""
-    if segment_scores.ndim == 2:
-        return mean_along(segment_scores, 0)
-    if segment_scores.ndim == 3:
-        return mean_along(segment_scores, 1)
-    raise ShapeError(f"expected (T, K) or (B, T, K), got {segment_scores.shape}")
+    """Average per-segment scores (B, T, K) over the time axis."""
+    if segment_scores.ndim != 3:
+        raise ShapeError(f"expected (B, T, K), got {segment_scores.shape}")
+    return mean_along(segment_scores, 1)
 
 
 def hf_tsn_forward(
@@ -206,20 +177,15 @@ def hf_tsn_forward(
     rng=None,
     dropout_p: float = 0.0,
 ) -> ScoreTriple:
-    """Score a clip (T, C, H, W) or batch (B, T, C, H, W) of sampled segments."""
-    squeeze = frames.ndim == 4
-    fr = reshape(frames, (1,) + frames.shape) if squeeze else frames
-    if fr.ndim != 5:
-        raise ShapeError(f"expected (T, C, H, W) or (B, T, C, H, W), got {frames.shape}")
-    b, t_len = fr.shape[:2]
+    """Score a batch (B, T, C, H, W) of sampled segments."""
+    if frames.ndim != 5:
+        raise ShapeError(f"expected (B, T, C, H, W), got {frames.shape}")
+    b, t_len = frames.shape[:2]
     if t_len != config.segments:
         raise ShapeError(f"clip has {t_len} segments, config expects {config.segments}")
-    feats = backbone_forward(fr, backbone, hf=hf_params)
+    feats = backbone_forward(frames, backbone, hf=hf_params)
     pooled = spatial_avg_pool(feats)  # (B, T, F)
     flat = reshape(pooled, (b * t_len, pooled.shape[-1]))
     per_seg = structured_forward(flat, head, space, train=train, rng=rng, dropout_p=dropout_p)
-    out = []
-    for logits in (per_seg.verb, per_seg.noun, per_seg.action):
-        clip = consensus(reshape(logits, (b, t_len, logits.shape[-1])))
-        out.append(reshape(clip, (clip.shape[1],)) if squeeze else clip)
-    return ScoreTriple(*out)
+    return ScoreTriple(*(consensus(reshape(logits, (b, t_len, logits.shape[-1])))
+                         for logits in (per_seg.verb, per_seg.noun, per_seg.action)))

@@ -4,8 +4,9 @@ Every model owns a flat name->Tensor parameter dict (the manifest
 namespace used for checkpoints), exposes group_of(name) for schedule
 group selection, and scores inputs into a verb/noun/action triple via
 forward(). Inputs arrive as a dict of arrays: "frames" for appearance
-clips, "flow" for stacked-displacement clips; either (T, C, H, W) or
-batched (B, T, C, H, W).
+clips, "flow" for stacked-displacement clips. The layer functions take
+batched (B, T, C, H, W) input only; forward() also takes one (T, C, H, W)
+clip, which it scores as a batch of one and returns unbatched scores for.
 """
 
 from __future__ import annotations
@@ -16,19 +17,11 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .cells import (
-    ConvLstmParams,
-    GruParams,
-    LstaParams,
-    LstaState,
-    convlstm_step,
-    lsta_step,
-    run_lsta_gru,
-)
+from .cells import ConvLstmParams, GruParams, LstaParams, rollout, run_lsta_gru
 from .errors import ShapeError, ValidationError
 from .heads import LabelSpace, ScoreTriple, StructuredHeadParams, structured_forward
 from .hftsn import BackboneParams, HfBlockParams, HfTsnConfig, backbone_forward, hf_tsn_forward
-from .ops import index_select, reshape, spatial_avg_pool
+from .ops import reshape, spatial_avg_pool
 from .tensor import Tensor
 from .tnsf import load_bundle, save_bundle
 from .twostream import (
@@ -39,35 +32,90 @@ from .twostream import (
     motion_spatial_attention,
 )
 
+# Schedule group of each parameter-name prefix (the part before the first
+# dot). Two-stream names are looked up without their "app."/"motion."
+# stream prefix; each backbone's last stage is "backbone_last_stage".
+_GROUP_OF_PREFIX = {
+    "backbone": "backbone",
+    "lsta": "lsta",
+    "gru_a": "grus",
+    "gru_b": "grus",
+    "hf": "hf",
+    "attn": "motion_attn",
+    "convlstm": "convlstm",
+    "fusion": "fusion",
+    "head": "heads",
+    "head_lsta": "heads",
+    "head_gru": "heads",
+}
+_STREAMS = ("app.", "motion.")
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+
+def _group_map(names) -> Dict[str, str]:
+    """name -> schedule group for every parameter name of one model."""
+    parts = {}
+    for name in names:
+        stream, inner = name.split(".", 1) if name.startswith(_STREAMS) else ("", name)
+        parts[name] = (stream, inner.split("."))
+    last_stage = {}
+    for stream, (prefix, *rest) in parts.values():
+        if prefix == "backbone":
+            last_stage[stream] = max(last_stage.get(stream, 0), int(rest[0][len("stage"):]))
+    groups = {}
+    for name, (stream, (prefix, *rest)) in parts.items():
+        if prefix not in _GROUP_OF_PREFIX:
+            raise ValidationError(f"parameter '{name}' belongs to no schedule group")
+        last = prefix == "backbone" and int(rest[0][len("stage"):]) == last_stage[stream]
+        groups[name] = "backbone_last_stage" if last else _GROUP_OF_PREFIX[prefix]
+    return groups
+
+
+def _read_config(config: dict, *keys) -> list:
+    """The values of ``keys`` in a family config: ints, lists of ints, or
+    (two-stream) per-stream config objects. A missing key is a
+    ValidationError that names it."""
+    if not isinstance(config, dict):
+        raise ValidationError(f"model config must be an object, got {type(config).__name__}")
+    values = []
+    for key in keys:
+        if key not in config:
+            raise ValidationError(f"model config lacks key '{key}'")
+        v = config[key]
+        try:
+            if isinstance(v, (list, tuple)):
+                v = [int(c) for c in v]
+            elif not isinstance(v, dict):
+                v = int(v)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"model config key '{key}': {exc}") from exc
+        values.append(v)
+    return values
 
 
 def _get_input(inputs: Dict, key: str) -> Tensor:
     if key not in inputs:
         raise ValidationError(f"model expects input '{key}', got {sorted(inputs)}")
-    t = _as_tensor(inputs[key])
+    x = inputs[key]
+    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
     if t.ndim not in (4, 5):
         raise ShapeError(f"input '{key}' must be (T, C, H, W) or (B, T, C, H, W), got {t.shape}")
     return t
 
 
-def _roll_lsta(feats: Tensor, params: LstaParams) -> Tensor:
-    """Pooled final memory of the attentive cell over (B, T, C, H, W) features."""
-    b, t_len, _, h_ext, w_ext = feats.shape
-    state = LstaState.zeros((b, params.memory, h_ext, w_ext))
-    for t in range(t_len):
-        state, _ = lsta_step(index_select(feats, 1, t), state, params)
-    return spatial_avg_pool(state.c)
+def _score_clips(inputs: Dict, keys, score) -> ScoreTriple:
+    """Run ``score`` on the batched inputs named by ``keys``.
 
-
-def _roll_convlstm(feats: Tensor, params: ConvLstmParams) -> Tensor:
-    b, t_len, _, h_ext, w_ext = feats.shape
-    state = LstaState.zeros((b, params.memory, h_ext, w_ext))
-    for t in range(t_len):
-        state = convlstm_step(index_select(feats, 1, t), state, params)
-    return spatial_avg_pool(state.c)
+    A single (T, C, H, W) clip gains a batch axis on the way in, and the
+    score triple loses it on the way out.
+    """
+    xs = [_get_input(inputs, k) for k in keys]
+    single = xs[0].ndim == 4
+    if any((x.ndim == 4) != single for x in xs):
+        raise ShapeError(f"inputs {list(keys)} must agree on batching")
+    if not single:
+        return score(*xs)
+    out = score(*(reshape(x, (1,) + x.shape) for x in xs))
+    return ScoreTriple(*(reshape(s, s.shape[1:]) for s in (out.verb, out.noun, out.action)))
 
 
 class ModelBase:
@@ -79,6 +127,7 @@ class ModelBase:
         self.config = dict(config)
         self.space = space
         self._params = dict(params)
+        self._groups = _group_map(self._params)
 
     def params(self) -> Dict[str, Tensor]:
         return dict(self._params)
@@ -95,22 +144,20 @@ class ModelBase:
         self._params = dict(params)
 
     def groups(self) -> set:
-        return {self.group_of(n) for n in self._params}
+        return set(self._groups.values())
 
     def group_of(self, name: str) -> str:
-        raise NotImplementedError
+        if name not in self._groups:
+            raise ValidationError(f"unknown parameter '{name}'")
+        return self._groups[name]
 
     def forward(self, inputs: Dict, train: bool = False, rng=None,
                 dropout_p: float = 0.0) -> ScoreTriple:
         raise NotImplementedError
 
-    def _backbone_group(self, name: str, prefix: str = "backbone") -> Optional[str]:
-        if not name.startswith(prefix + ".stage"):
-            return None
-        stage = int(name[len(prefix) + 6:].split(".")[0])
-        last = max(int(n.split(".stage")[1].split(".")[0])
-                   for n in self._params if n.startswith(prefix + ".stage"))
-        return "backbone_last_stage" if stage == last else "backbone"
+    def _head(self, prefix: str, desc: Tensor, train, rng, dropout_p) -> ScoreTriple:
+        return structured_forward(desc, StructuredHeadParams.from_dict(prefix, self._params),
+                                  self.space, train=train, rng=rng, dropout_p=dropout_p)
 
     def save(self, directory) -> None:
         os.makedirs(directory, exist_ok=True)
@@ -132,35 +179,20 @@ class LstaModel(ModelBase):
 
     @classmethod
     def create(cls, config: dict, space: LabelSpace, seed: int) -> "LstaModel":
-        cin = int(config["input_channels"])
-        stages = [int(c) for c in config["stage_channels"]]
-        d = int(config["memory"])
+        cin, stages, d = _read_config(config, "input_channels", "stage_channels", "memory")
         params = {}
         params.update(BackboneParams.create(cin, stages, seed, "backbone").as_dict("backbone"))
         params.update(LstaParams.create(stages[-1], d, seed, "lsta").as_dict("lsta"))
         params.update(StructuredHeadParams.create(d, space, seed, "head").as_dict("head"))
         return cls(config, space, params)
 
-    def group_of(self, name: str) -> str:
-        bg = self._backbone_group(name)
-        if bg:
-            return bg
-        if name.startswith("lsta."):
-            return "lsta"
-        if name.startswith("head."):
-            return "heads"
-        raise ValidationError(f"unknown parameter '{name}'")
-
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
-        frames = _get_input(inputs, "frames")
-        squeeze = frames.ndim == 4
-        fr = reshape(frames, (1,) + frames.shape) if squeeze else frames
-        feats = backbone_forward(fr, BackboneParams.from_dict("backbone", self._params))
-        desc = _roll_lsta(feats, LstaParams.from_dict("lsta", self._params))
-        if squeeze:
-            desc = reshape(desc, (desc.shape[1],))
-        return structured_forward(desc, StructuredHeadParams.from_dict("head", self._params),
-                                  self.space, train=train, rng=rng, dropout_p=dropout_p)
+        def score(frames):
+            feats = backbone_forward(frames, BackboneParams.from_dict("backbone", self._params))
+            *_, state = rollout(feats, LstaParams.from_dict("lsta", self._params))
+            return self._head("head", spatial_avg_pool(state.c), train, rng, dropout_p)
+
+        return _score_clips(inputs, ["frames"], score)
 
 
 class LstaGruModel(ModelBase):
@@ -174,10 +206,8 @@ class LstaGruModel(ModelBase):
 
     @classmethod
     def create(cls, config: dict, space: LabelSpace, seed: int) -> "LstaGruModel":
-        cin = int(config["input_channels"])
-        stages = [int(c) for c in config["stage_channels"]]
-        d = int(config["memory"])
-        g = int(config["gru_hidden"])
+        cin, stages, d, g = _read_config(
+            config, "input_channels", "stage_channels", "memory", "gru_hidden")
         params = {}
         params.update(BackboneParams.create(cin, stages, seed, "backbone").as_dict("backbone"))
         params.update(LstaParams.create(stages[-1], d, seed, "lsta").as_dict("lsta"))
@@ -187,37 +217,19 @@ class LstaGruModel(ModelBase):
         params.update(StructuredHeadParams.create(2 * g, space, seed, "head_gru").as_dict("head_gru"))
         return cls(config, space, params)
 
-    def group_of(self, name: str) -> str:
-        bg = self._backbone_group(name)
-        if bg:
-            return bg
-        if name.startswith("lsta."):
-            return "lsta"
-        if name.startswith(("gru_a.", "gru_b.")):
-            return "grus"
-        if name.startswith(("head_lsta.", "head_gru.")):
-            return "heads"
-        raise ValidationError(f"unknown parameter '{name}'")
-
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
-        frames = _get_input(inputs, "frames")
-        squeeze = frames.ndim == 4
-        fr = reshape(frames, (1,) + frames.shape) if squeeze else frames
-        feats = backbone_forward(fr, BackboneParams.from_dict("backbone", self._params))
-        lsta_desc, gru_desc = run_lsta_gru(
-            feats,
-            LstaParams.from_dict("lsta", self._params),
-            GruParams.from_dict("gru_a", self._params),
-            GruParams.from_dict("gru_b", self._params),
-        )
-        if squeeze:
-            lsta_desc = reshape(lsta_desc, (lsta_desc.shape[1],))
-            gru_desc = reshape(gru_desc, (gru_desc.shape[1],))
-        t_l = structured_forward(lsta_desc, StructuredHeadParams.from_dict("head_lsta", self._params),
-                                 self.space, train=train, rng=rng, dropout_p=dropout_p)
-        t_g = structured_forward(gru_desc, StructuredHeadParams.from_dict("head_gru", self._params),
-                                 self.space, train=train, rng=rng, dropout_p=dropout_p)
-        return fuse_scores(t_l, t_g)
+        def score(frames):
+            feats = backbone_forward(frames, BackboneParams.from_dict("backbone", self._params))
+            lsta_desc, gru_desc = run_lsta_gru(
+                feats,
+                LstaParams.from_dict("lsta", self._params),
+                GruParams.from_dict("gru_a", self._params),
+                GruParams.from_dict("gru_b", self._params),
+            )
+            return fuse_scores(self._head("head_lsta", lsta_desc, train, rng, dropout_p),
+                               self._head("head_gru", gru_desc, train, rng, dropout_p))
+
+        return _score_clips(inputs, ["frames"], score)
 
 
 class HfTsnModel(ModelBase):
@@ -225,12 +237,16 @@ class HfTsnModel(ModelBase):
 
     family = "hf_tsn"
 
+    @staticmethod
+    def _net(config: dict) -> HfTsnConfig:
+        segments, stages, positions = _read_config(
+            config, "segments", "stage_channels", "hf_positions")
+        return HfTsnConfig(segments=segments, stages=tuple(stages), hf_positions=tuple(positions))
+
     @classmethod
     def create(cls, config: dict, space: LabelSpace, seed: int) -> "HfTsnModel":
-        cin = int(config["input_channels"])
-        net = HfTsnConfig(segments=int(config["segments"]),
-                          stages=tuple(int(c) for c in config["stage_channels"]),
-                          hf_positions=tuple(int(p) for p in config["hf_positions"]))
+        (cin,) = _read_config(config, "input_channels")
+        net = cls._net(config)
         params = {}
         params.update(BackboneParams.create(cin, list(net.stages), seed, "backbone").as_dict("backbone"))
         widths = [cin] + list(net.stages)
@@ -239,31 +255,19 @@ class HfTsnModel(ModelBase):
         params.update(StructuredHeadParams.create(net.stages[-1], space, seed, "head").as_dict("head"))
         return cls(config, space, params)
 
-    def _net_config(self) -> HfTsnConfig:
-        return HfTsnConfig(segments=int(self.config["segments"]),
-                           stages=tuple(int(c) for c in self.config["stage_channels"]),
-                           hf_positions=tuple(int(p) for p in self.config["hf_positions"]))
-
-    def group_of(self, name: str) -> str:
-        bg = self._backbone_group(name)
-        if bg:
-            return bg
-        if name.startswith("hf."):
-            return "hf"
-        if name.startswith("head."):
-            return "heads"
-        raise ValidationError(f"unknown parameter '{name}'")
-
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
-        frames = _get_input(inputs, "frames")
-        net = self._net_config()
+        net = self._net(self.config)
         hf = {p: HfBlockParams.from_dict(f"hf.{p}", self._params) for p in net.hf_positions}
-        return hf_tsn_forward(
-            frames, net,
-            BackboneParams.from_dict("backbone", self._params),
-            hf,
-            StructuredHeadParams.from_dict("head", self._params),
-            self.space, train=train, rng=rng, dropout_p=dropout_p)
+
+        def score(frames):
+            return hf_tsn_forward(
+                frames, net,
+                BackboneParams.from_dict("backbone", self._params),
+                hf,
+                StructuredHeadParams.from_dict("head", self._params),
+                self.space, train=train, rng=rng, dropout_p=dropout_p)
+
+        return _score_clips(inputs, ["frames"], score)
 
 
 class MotionModel(ModelBase):
@@ -273,9 +277,7 @@ class MotionModel(ModelBase):
 
     @classmethod
     def create(cls, config: dict, space: LabelSpace, seed: int) -> "MotionModel":
-        cin = int(config["flow_channels"])
-        stages = [int(c) for c in config["stage_channels"]]
-        d = int(config["memory"])
+        cin, stages, d = _read_config(config, "flow_channels", "stage_channels", "memory")
         params = {}
         params.update(BackboneParams.create(cin, stages, seed, "backbone").as_dict("backbone"))
         params.update(MotionAttentionParams.create(stages[-1]).as_dict("attn"))
@@ -283,32 +285,15 @@ class MotionModel(ModelBase):
         params.update(StructuredHeadParams.create(d, space, seed, "head").as_dict("head"))
         return cls(config, space, params)
 
-    def group_of(self, name: str) -> str:
-        bg = self._backbone_group(name)
-        if bg:
-            return bg
-        if name.startswith("attn."):
-            return "motion_attn"
-        if name.startswith("convlstm."):
-            return "convlstm"
-        if name.startswith("head."):
-            return "heads"
-        raise ValidationError(f"unknown parameter '{name}'")
-
-    def motion_features(self, flow: Tensor) -> Tensor:
-        feats = backbone_forward(flow, BackboneParams.from_dict("backbone", self._params))
-        return motion_spatial_attention(feats, MotionAttentionParams.from_dict("attn", self._params))
-
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
-        flow = _get_input(inputs, "flow")
-        squeeze = flow.ndim == 4
-        fl = reshape(flow, (1,) + flow.shape) if squeeze else flow
-        feats = self.motion_features(fl)
-        desc = _roll_convlstm(feats, ConvLstmParams.from_dict("convlstm", self._params))
-        if squeeze:
-            desc = reshape(desc, (desc.shape[1],))
-        return structured_forward(desc, StructuredHeadParams.from_dict("head", self._params),
-                                  self.space, train=train, rng=rng, dropout_p=dropout_p)
+        def score(flow):
+            feats = motion_spatial_attention(
+                backbone_forward(flow, BackboneParams.from_dict("backbone", self._params)),
+                MotionAttentionParams.from_dict("attn", self._params))
+            *_, state = rollout(feats, ConvLstmParams.from_dict("convlstm", self._params))
+            return self._head("head", spatial_avg_pool(state.c), train, rng, dropout_p)
+
+        return _score_clips(inputs, ["flow"], score)
 
 
 class TwoStreamModel(ModelBase):
@@ -323,8 +308,9 @@ class TwoStreamModel(ModelBase):
 
     @classmethod
     def create(cls, config: dict, space: LabelSpace, seed: int) -> "TwoStreamModel":
-        app = LstaModel.create(config["app"], space, seed)
-        motion = MotionModel.create(config["motion"], space, seed)
+        app_cfg, motion_cfg = _read_config(config, "app", "motion")
+        app = LstaModel.create(app_cfg, space, seed)
+        motion = MotionModel.create(motion_cfg, space, seed)
         return cls.from_streams(app, motion, config)
 
     @classmethod
@@ -337,66 +323,33 @@ class TwoStreamModel(ModelBase):
         config.setdefault("motion", dict(motion.config))
         config.setdefault("fusion_kernel", 3)
         config.setdefault("fusion_temporal_width", 3)
-        params = {}
-        for name, t in app.params().items():
-            params[f"app.{name}"] = t
-        for name, t in motion.params().items():
-            params[f"motion.{name}"] = t
+        params = {f"app.{name}": t for name, t in app.params().items()}
+        params.update({f"motion.{name}": t for name, t in motion.params().items()})
+        app_stages, app_memory = _read_config(config["app"], "stage_channels", "memory")
+        motion_stages, motion_memory = _read_config(config["motion"], "stage_channels", "memory")
+        kernel, width = _read_config(config, "fusion_kernel", "fusion_temporal_width")
         fusion = FusionParams.create(
-            app_channels=int(config["app"]["stage_channels"][-1]),
-            motion_channels=int(config["motion"]["stage_channels"][-1]),
-            app_memory=int(config["app"]["memory"]),
-            motion_memory=int(config["motion"]["memory"]),
-            kernel_size=int(config["fusion_kernel"]),
-            temporal_width=int(config["fusion_temporal_width"]))
+            app_channels=app_stages[-1], motion_channels=motion_stages[-1],
+            app_memory=app_memory, motion_memory=motion_memory,
+            kernel_size=kernel, temporal_width=width)
         params.update(fusion.as_dict("fusion"))
         return cls(config, app.space, params)
 
-    def group_of(self, name: str) -> str:
-        if name.startswith("fusion."):
-            return "fusion"
-        for stream in ("app", "motion"):
-            pre = stream + "."
-            if name.startswith(pre):
-                inner = name[len(pre):]
-                bg = self._backbone_group(name, prefix=pre + "backbone")
-                if bg:
-                    return bg
-                if inner.startswith("lsta."):
-                    return "lsta"
-                if inner.startswith("attn."):
-                    return "motion_attn"
-                if inner.startswith("convlstm."):
-                    return "convlstm"
-                if inner.startswith("head."):
-                    return "heads"
-        raise ValidationError(f"unknown parameter '{name}'")
-
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
-        frames = _get_input(inputs, "frames")
-        flow = _get_input(inputs, "flow")
-        squeeze = frames.ndim == 4
-        if squeeze != (flow.ndim == 4):
-            raise ShapeError("frames and flow must agree on batching")
-        fr = reshape(frames, (1,) + frames.shape) if squeeze else frames
-        fl = reshape(flow, (1,) + flow.shape) if squeeze else flow
-        app_feats = backbone_forward(fr, BackboneParams.from_dict("app.backbone", self._params))
-        mot_feats = motion_spatial_attention(
-            backbone_forward(fl, BackboneParams.from_dict("motion.backbone", self._params)),
-            MotionAttentionParams.from_dict("motion.attn", self._params))
-        app_desc, mot_desc = cross_modal_rollout(
-            app_feats, mot_feats,
-            LstaParams.from_dict("app.lsta", self._params),
-            ConvLstmParams.from_dict("motion.convlstm", self._params),
-            FusionParams.from_dict("fusion", self._params))
-        if squeeze:
-            app_desc = reshape(app_desc, (app_desc.shape[1],))
-            mot_desc = reshape(mot_desc, (mot_desc.shape[1],))
-        t_a = structured_forward(app_desc, StructuredHeadParams.from_dict("app.head", self._params),
-                                 self.space, train=train, rng=rng, dropout_p=dropout_p)
-        t_m = structured_forward(mot_desc, StructuredHeadParams.from_dict("motion.head", self._params),
-                                 self.space, train=train, rng=rng, dropout_p=dropout_p)
-        return fuse_scores(t_a, t_m)
+        def score(frames, flow):
+            app_feats = backbone_forward(frames, BackboneParams.from_dict("app.backbone", self._params))
+            mot_feats = motion_spatial_attention(
+                backbone_forward(flow, BackboneParams.from_dict("motion.backbone", self._params)),
+                MotionAttentionParams.from_dict("motion.attn", self._params))
+            app_desc, mot_desc = cross_modal_rollout(
+                app_feats, mot_feats,
+                LstaParams.from_dict("app.lsta", self._params),
+                ConvLstmParams.from_dict("motion.convlstm", self._params),
+                FusionParams.from_dict("fusion", self._params))
+            return fuse_scores(self._head("app.head", app_desc, train, rng, dropout_p),
+                               self._head("motion.head", mot_desc, train, rng, dropout_p))
+
+        return _score_clips(inputs, ["frames", "flow"], score)
 
 
 FAMILIES = {

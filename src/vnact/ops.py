@@ -67,11 +67,11 @@ def _col2im2d(gcols, b, c, kh, kw, ho, wo, hp, wp):
     return gxp
 
 
-def conv2d(x: Tensor, kernel: Tensor, same_padding: bool = True) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     """2D cross-correlation of (..., C, H, W) with a (C_out, C, kH, kW) kernel.
 
-    With ``same_padding`` the input is zero-padded so spatial extents are
-    preserved (odd kernels only); otherwise the correlation is valid-mode.
+    The input is zero-padded so spatial extents are preserved (odd kernels
+    only).
     """
     if x.ndim < 3:
         raise ShapeError(f"conv2d input needs at least rank 3, got {x.shape}")
@@ -81,26 +81,23 @@ def conv2d(x: Tensor, kernel: Tensor, same_padding: bool = True) -> Tensor:
     co, ck, kh, kw = kernel.shape
     if ck != c:
         raise ShapeError(f"conv2d channel mismatch: input has {c}, kernel expects {ck}")
-    if same_padding and (kh % 2 == 0 or kw % 2 == 0):
+    if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"same-padding conv2d needs odd kernel extents, got {kh}x{kw}")
-    ph, pw = (kh // 2, kw // 2) if same_padding else (0, 0)
-    ho, wo = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"conv2d kernel {kh}x{kw} larger than padded input {h}x{w}")
+    ph, pw = kh // 2, kw // 2
 
     lead = _leading(x.shape, 3)
     b = int(np.prod(lead)) if lead else 1
     xb = x.data.reshape(b, c, h, w)
     xp = np.pad(xb, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = _im2col2d(xp, kh, kw, ho, wo)
+    cols = _im2col2d(xp, kh, kw, h, w)
     kflat = kernel.data.reshape(co, -1)
-    out = np.matmul(kflat, cols).reshape(*lead, co, ho, wo)
+    out = np.matmul(kflat, cols).reshape(*lead, co, h, w)
 
     def bwd(g):
-        gb = g.reshape(b, co, ho * wo)
+        gb = g.reshape(b, co, h * w)
         gk = np.matmul(gb, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
         gcols = np.matmul(kflat.T, gb)
-        gxp = _col2im2d(gcols, b, c, kh, kw, ho, wo, h + 2 * ph, w + 2 * pw)
+        gxp = _col2im2d(gcols, b, c, kh, kw, h, w, h + 2 * ph, w + 2 * pw)
         gx = gxp[:, :, ph : ph + h, pw : pw + w].reshape(x.shape)
         return gx, gk
 
@@ -119,8 +116,8 @@ def _im2col3d(xp, kt, kh, kw, to, ho, wo):
     return view.reshape(b, c * kt * kh * kw, to * ho * wo)
 
 
-def conv3d(x: Tensor, kernel: Tensor, same_padding: bool = True) -> Tensor:
-    """3D cross-correlation of (..., C, T, H, W) with (C_out, C, kT, kH, kW)."""
+def conv3d(x: Tensor, kernel: Tensor) -> Tensor:
+    """Same-padded 3D cross-correlation of (..., C, T, H, W) with (C_out, C, kT, kH, kW)."""
     if x.ndim < 4:
         raise ShapeError(f"conv3d input needs at least rank 4, got {x.shape}")
     if kernel.ndim != 5:
@@ -129,30 +126,27 @@ def conv3d(x: Tensor, kernel: Tensor, same_padding: bool = True) -> Tensor:
     co, ck, kt, kh, kw = kernel.shape
     if ck != c:
         raise ShapeError(f"conv3d channel mismatch: input has {c}, kernel expects {ck}")
-    if same_padding and (kt % 2 == 0 or kh % 2 == 0 or kw % 2 == 0):
+    if kt % 2 == 0 or kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"same-padding conv3d needs odd kernel extents, got {kt}x{kh}x{kw}")
-    pt, ph, pw = (kt // 2, kh // 2, kw // 2) if same_padding else (0, 0, 0)
-    to, ho, wo = t + 2 * pt - kt + 1, h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
-    if to < 1 or ho < 1 or wo < 1:
-        raise ShapeError(f"conv3d kernel {kt}x{kh}x{kw} larger than padded input {t}x{h}x{w}")
+    pt, ph, pw = kt // 2, kh // 2, kw // 2
 
     lead = _leading(x.shape, 4)
     b = int(np.prod(lead)) if lead else 1
     xb = x.data.reshape(b, c, t, h, w)
     xp = np.pad(xb, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    cols = _im2col3d(xp, kt, kh, kw, to, ho, wo)
+    cols = _im2col3d(xp, kt, kh, kw, t, h, w)
     kflat = kernel.data.reshape(co, -1)
-    out = np.matmul(kflat, cols).reshape(*lead, co, to, ho, wo)
+    out = np.matmul(kflat, cols).reshape(*lead, co, t, h, w)
 
     def bwd(g):
-        gb = g.reshape(b, co, to * ho * wo)
+        gb = g.reshape(b, co, t * h * w)
         gk = np.matmul(gb, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
-        gcols = np.matmul(kflat.T, gb).reshape(b, c, kt, kh, kw, to, ho, wo)
+        gcols = np.matmul(kflat.T, gb).reshape(b, c, kt, kh, kw, t, h, w)
         gxp = np.zeros((b, c, t + 2 * pt, h + 2 * ph, w + 2 * pw))
         for i in range(kt):
             for j in range(kh):
                 for k in range(kw):
-                    gxp[:, :, i : i + to, j : j + ho, k : k + wo] += gcols[:, :, i, j, k]
+                    gxp[:, :, i : i + t, j : j + h, k : k + w] += gcols[:, :, i, j, k]
         gx = gxp[:, :, pt : pt + t, ph : ph + h, pw : pw + w].reshape(x.shape)
         return gx, gk
 

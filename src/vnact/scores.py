@@ -273,9 +273,13 @@ def read_score_json(path, space: Optional[LabelSpace] = None) -> ScoreTable:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"score file {path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"score file {path}: top level must be an object")
     for key in ("version", "split", "label_space", "results"):
         if key not in payload:
             raise FormatError(f"score file {path}: missing field '{key}'")
+    if not isinstance(payload["results"], dict):
+        raise FormatError(f"score file {path}: 'results' must be an object")
     if payload["version"] != "1.0":
         raise FormatError(f"score file {path}: unsupported version '{payload['version']}'")
     table = ScoreTable(split=payload["split"], label_space_hash=payload["label_space"])
@@ -284,11 +288,17 @@ def read_score_json(path, space: Optional[LabelSpace] = None) -> ScoreTable:
     extents = {"verb": space.num_verbs, "noun": space.num_nouns,
                "action": space.num_actions} if space is not None else None
     for seg, row in payload["results"].items():
+        if not isinstance(row, dict):
+            raise FormatError(f"score file {path}: segment '{seg}' is not an object")
         parsed = {}
         for task in TASKS:
             if task not in row:
                 raise FormatError(f"score file {path}: segment '{seg}' missing '{task}'")
-            arr = np.asarray(row[task], dtype=np.float64)
+            try:
+                arr = np.asarray(row[task], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise FormatError(
+                    f"score file {path}: segment '{seg}' task '{task}' is not numeric ({exc})") from exc
             if arr.ndim != 1:
                 raise FormatError(f"score file {path}: segment '{seg}' task '{task}' is not a flat list")
             if extents is not None and arr.shape[0] != extents[task]:

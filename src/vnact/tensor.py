@@ -245,11 +245,6 @@ class Tape:
         return grads
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
-    """Functional form of :meth:`Tape.backward`."""
-    return tape.backward(loss)
-
-
 def apply_op(
     kind: str,
     inputs: Sequence[Tensor],
@@ -387,39 +382,3 @@ def relu(a: Tensor) -> Tensor:
         return (g * mask,)
 
     return apply_op("relu", (a,), out, bwd)
-
-
-_ELEMENTWISE_UNARY = {
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "exp": exp,
-    "log": log,
-    "relu": relu,
-}
-
-_ELEMENTWISE_BINARY = {
-    "add": add,
-    "subtract": subtract,
-    "hadamard": hadamard,
-}
-
-
-def elementwise(op_kind: str, a: Tensor, b=None) -> Tensor:
-    """Dispatch by kind: add/subtract/hadamard/scale/sigmoid/tanh/exp/log/relu.
-
-    ``scale`` takes a python float as ``b``; the other binary kinds take a
-    tensor broadcastable against ``a`` by singleton axes.
-    """
-    if op_kind == "scale":
-        if not isinstance(b, (int, float)):
-            raise ShapeError("scale expects a scalar factor")
-        return scale(a, b)
-    if op_kind in _ELEMENTWISE_BINARY:
-        if b is None:
-            raise ShapeError(f"{op_kind} expects two operands")
-        return _ELEMENTWISE_BINARY[op_kind](a, _as_tensor(b))
-    if op_kind in _ELEMENTWISE_UNARY:
-        if b is not None:
-            raise ShapeError(f"{op_kind} expects one operand")
-        return _ELEMENTWISE_UNARY[op_kind](a)
-    raise ShapeError(f"unknown elementwise kind '{op_kind}'")

@@ -109,4 +109,13 @@ def load_bundle(directory) -> dict[str, np.ndarray]:
     entries = manifest.get("tensors")
     if not isinstance(entries, dict):
         raise FormatError(f"{manifest_path}: 'tensors' must be an object")
-    return {name: read_tnsf(directory / fname) for name, fname in entries.items()}
+    root = directory.resolve()
+    tensors = {}
+    for name, fname in entries.items():
+        path = (directory / str(fname)).resolve()
+        if Path(str(fname)).is_absolute() or root not in path.parents:
+            raise FormatError(f"{manifest_path}: entry '{name}' names {fname!r} outside the bundle")
+        if not path.is_file():
+            raise FormatError(f"{manifest_path}: entry '{name}' names missing file {fname!r}")
+        tensors[name] = read_tnsf(path)
+    return tensors

@@ -238,10 +238,6 @@ class CropSpec:
         if self.mode not in ("lsta_10view", "tsn_10crop", "center"):
             raise ValidationError(f"unknown crop mode '{self.mode}'")
 
-    @property
-    def view_count(self) -> int:
-        return 1 if self.mode == "center" else 10
-
 
 def eval_multiview(frame: np.ndarray, spec: CropSpec, crop_size: int) -> List[np.ndarray]:
     """Deterministic evaluation views of (..., H, W): four corner crops and the

@@ -16,61 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import ConvLstmParams, GateBias, LstaParams, LstaState, convlstm_step, lsta_step
+from .cells import ConvLstmParams, GateBias, LstaParams, rollout
 from .errors import ShapeError
 from .heads import ScoreTriple
-from .ops import conv2d, conv3d, index_select, reshape, softmax_spatial_scaled, spatial_avg_pool, transpose
+from .ops import conv2d, conv3d, index_select, softmax_spatial_scaled, spatial_avg_pool, transpose
 from .tensor import Tensor, add, hadamard, scale
-
-
-@dataclass(frozen=True)
-class FlowStack:
-    """A block of L consecutive displacement fields stacked channel-wise.
-
-    Layout is (2L, H, W): x- and y-components interleaved per field, so
-    channel 2k is the x-component of field k and 2k+1 its y-component.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[0] % 2:
-            raise ShapeError(f"flow stack must be (2L, H, W), got {arr.shape}")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def length(self) -> int:
-        return self.data.shape[0] // 2
-
-    @classmethod
-    def from_xy(cls, x_fields: np.ndarray, y_fields: np.ndarray) -> "FlowStack":
-        x_fields = np.asarray(x_fields, dtype=np.float64)
-        y_fields = np.asarray(y_fields, dtype=np.float64)
-        if x_fields.shape != y_fields.shape or x_fields.ndim != 3:
-            raise ShapeError(
-                f"component stacks must share (L, H, W), got {x_fields.shape} and {y_fields.shape}")
-        stacked = np.empty((2 * x_fields.shape[0],) + x_fields.shape[1:])
-        stacked[0::2] = x_fields
-        stacked[1::2] = y_fields
-        return cls(stacked)
-
-
-def inflate_first_conv(kernel, target_in: int) -> Tensor:
-    """Widen a first-layer kernel (C_out, 3, kH, kW) to ``target_in`` input
-    channels by replicating the mean over its three source channels.
-
-    Every inflated slice equals that mean exactly; no rescaling is applied,
-    so a constant-over-channels input produces target_in/3 times the
-    original response.
-    """
-    arr = kernel.data if isinstance(kernel, Tensor) else np.asarray(kernel, dtype=np.float64)
-    if arr.ndim != 4 or arr.shape[1] != 3:
-        raise ShapeError(f"expected a (C_out, 3, kH, kW) kernel, got {arr.shape}")
-    if target_in < 1:
-        raise ShapeError(f"target channel count must be positive, got {target_in}")
-    mean = arr.mean(axis=1, keepdims=True)
-    return Tensor(np.repeat(mean, target_in, axis=1), grad_enabled=True)
 
 
 @dataclass
@@ -142,59 +92,33 @@ def cross_modal_rollout(
     clstm: ConvLstmParams,
     fusion: FusionParams,
 ):
-    """Jointly roll both cells over aligned feature sequences.
+    """Roll both cells over aligned feature sequences (B, T, C, H, W) with
+    matching batch, length and grid. Returns the pooled final memories
+    (appearance descriptor, motion descriptor).
 
-    Inputs are (T, C, H, W) or (B, T, C, H, W) with matching batch, length
-    and grid. Returns the pooled final memories (appearance descriptor,
-    motion descriptor).
+    Each gate bias comes from the other stream's features, never from its
+    state, so the two cells roll one after the other.
     """
-    squeeze = app_frames.ndim == 4
-    fa = reshape(app_frames, (1,) + app_frames.shape) if squeeze else app_frames
-    fm = reshape(motion_frames, (1,) + motion_frames.shape) if squeeze else motion_frames
+    fa, fm = app_frames, motion_frames
     if fa.ndim != 5 or fm.ndim != 5:
-        raise ShapeError(
-            f"expected (B, T, C, H, W) streams, got {app_frames.shape} and {motion_frames.shape}")
+        raise ShapeError(f"expected (B, T, C, H, W) streams, got {fa.shape} and {fm.shape}")
     if fa.shape[:2] != fm.shape[:2] or fa.shape[-2:] != fm.shape[-2:]:
-        raise ShapeError(
-            f"stream layouts disagree: {tuple(fa.shape)} vs {tuple(fm.shape)}")
-    b, t_len, _, h_ext, w_ext = fa.shape
-    da, dm = lsta.memory, clstm.memory
-
+        raise ShapeError(f"stream layouts disagree: {fa.shape} vs {fm.shape}")
     # All per-step motion-side biases come from one 3D conv over time.
     app_bias_all = conv3d(transpose(fa, (0, 2, 1, 3, 4)), fusion.app_to_motion)
-    app_state = LstaState.zeros((b, da, h_ext, w_ext))
-    mot_state = LstaState.zeros((b, dm, h_ext, w_ext))
-    for t in range(t_len):
-        motion_bias = GateBias.from_stacked(
-            conv2d(index_select(fm, 1, t), fusion.motion_to_app), da)
-        app_state, _ = lsta_step(index_select(fa, 1, t), app_state, lsta, bias=motion_bias)
-        mot_state = convlstm_step(
-            index_select(fm, 1, t), mot_state, clstm,
-            bias=GateBias.from_stacked(index_select(app_bias_all, 2, t), dm))
-    app_desc = spatial_avg_pool(app_state.c)
-    mot_desc = spatial_avg_pool(mot_state.c)
-    if squeeze:
-        app_desc = reshape(app_desc, (app_desc.shape[1],))
-        mot_desc = reshape(mot_desc, (mot_desc.shape[1],))
-    return app_desc, mot_desc
+    *_, app_state = rollout(fa, lsta, bias_at=lambda t: GateBias.from_stacked(
+        conv2d(index_select(fm, 1, t), fusion.motion_to_app), lsta.memory))
+    *_, mot_state = rollout(fm, clstm, bias_at=lambda t: GateBias.from_stacked(
+        index_select(app_bias_all, 2, t), clstm.memory))
+    return spatial_avg_pool(app_state.c), spatial_avg_pool(mot_state.c)
 
 
 def fuse_scores(a: ScoreTriple, b: ScoreTriple) -> ScoreTriple:
     """Elementwise arithmetic mean of two score triples, task by task."""
-    def mean_one(x, y):
-        if isinstance(x, Tensor) or isinstance(y, Tensor):
-            if not isinstance(x, Tensor):
-                x = Tensor(x)
-            if not isinstance(y, Tensor):
-                y = Tensor(y)
-            if x.shape != y.shape:
-                raise ShapeError(f"score extents differ: {x.shape} vs {y.shape}")
-            return scale(add(x, y), 0.5)
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+    def mean_one(x: Tensor, y: Tensor) -> Tensor:
         if x.shape != y.shape:
             raise ShapeError(f"score extents differ: {x.shape} vs {y.shape}")
-        return (x + y) * 0.5
+        return scale(add(x, y), 0.5)
 
     return ScoreTriple(
         verb=mean_one(a.verb, b.verb),

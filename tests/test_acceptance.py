@@ -128,16 +128,16 @@ def test_identity_reductions():
     lsta = LstaParams.create(ca, da, seed=3)
     clstm = ConvLstmParams.create(cm, dm, seed=4)
     fusion = FusionParams.create(ca, cm, da, dm)
-    app = Tensor(rng.normal(size=(t_len, ca, 5, 5)))
-    mot = Tensor(rng.normal(size=(t_len, cm, 5, 5)))
+    app = Tensor(rng.normal(size=(1, t_len, ca, 5, 5)))
+    mot = Tensor(rng.normal(size=(1, t_len, cm, 5, 5)))
     app_desc, mot_desc = cross_modal_rollout(app, mot, lsta, clstm, fusion)
     sa = LstaState.zeros((1, da, 5, 5))
     sm = LstaState.zeros((1, dm, 5, 5))
     for t in range(t_len):
-        sa, _ = lsta_step(Tensor(app.data[None, t]), sa, lsta)
-        sm = convlstm_step(Tensor(mot.data[None, t]), sm, clstm)
-    fusion_ok = (np.array_equal(app_desc.data, spatial_avg_pool(sa.c).data[0])
-                 and np.array_equal(mot_desc.data, spatial_avg_pool(sm.c).data[0]))
+        sa, _ = lsta_step(Tensor(app.data[:, t]), sa, lsta)
+        sm = convlstm_step(Tensor(mot.data[:, t]), sm, clstm)
+    fusion_ok = (np.array_equal(app_desc.data, spatial_avg_pool(sa.c).data)
+                 and np.array_equal(mot_desc.data, spatial_avg_pool(sm.c).data))
 
     # (iii) zero coupling maps decouple the verb/noun classifiers bit-exactly
     head_dec = StructuredHeadParams.create(feature_dim=6, space=space, seed=5)

@@ -26,7 +26,6 @@ from vnact.tensor import (
     Tensor,
     active_tape,
     add,
-    backward,
     hadamard,
     relu,
     scale,
@@ -106,14 +105,6 @@ def test_nested_tapes_record_independently():
     g_out = outer.backward(outer_loss)
     assert np.allclose(g_in[a.uid].data, 4.0)
     assert np.allclose(g_out[a.uid].data, 4.0)
-
-
-def test_functional_backward_alias():
-    a = tensor([1.0, 3.0], grad_enabled=True)
-    with Tape() as tape:
-        loss = mean_all(hadamard(a, a))
-    grads = backward(tape, loss)
-    assert np.allclose(grads[a.uid].data, a.data)
 
 
 # ---------------------------------------------------------------------------

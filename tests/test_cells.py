@@ -192,11 +192,11 @@ def test_gru_step_matches_numpy_oracle():
     cin, d = 5, 4
     params = GruParams.create(input_dim=cin, hidden=d, seed=3)
     x, h = rng.normal(size=cin), rng.normal(size=d)
-    out = gru_step(tensor(x), tensor(h), params)
+    out = gru_step(tensor(x[None]), tensor(h[None]), params)
     p = {k: getattr(params, k).data for k in (
         "w_update", "b_update", "w_reset", "b_reset", "w_cand", "b_cand")}
-    assert out.shape == (d,)
-    assert np.allclose(out.data, gru_oracle(x, h, p), rtol=1e-12, atol=1e-12)
+    assert out.shape == (1, d)
+    assert np.allclose(out.data[0], gru_oracle(x, h, p), rtol=1e-12, atol=1e-12)
 
 
 def test_gru_step_batched_matches_per_sample():
@@ -205,8 +205,8 @@ def test_gru_step_batched_matches_per_sample():
     xs, hs = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
     batched = gru_step(tensor(xs), tensor(hs), params)
     for i in range(4):
-        single = gru_step(tensor(xs[i]), tensor(hs[i]), params)
-        assert np.allclose(batched.data[i], single.data, rtol=1e-14, atol=1e-14)
+        single = gru_step(tensor(xs[i:i + 1]), tensor(hs[i:i + 1]), params)
+        assert np.allclose(batched.data[i], single.data[0], rtol=1e-14, atol=1e-14)
 
 
 def test_gru_interpolates_between_candidate_and_state():
@@ -216,14 +216,16 @@ def test_gru_interpolates_between_candidate_and_state():
     big["g.b_update"] = Tensor(np.full(3, 50.0))
     params_hold = GruParams.from_dict("g", big)
     h = np.array([0.3, -0.7, 1.1])
-    out = gru_step(tensor(np.zeros(2)), tensor(h), params_hold)
-    assert np.allclose(out.data, h, atol=1e-12)
+    out = gru_step(tensor(np.zeros((1, 2))), tensor(h[None]), params_hold)
+    assert np.allclose(out.data[0], h, atol=1e-12)
 
 
 def test_gru_shape_validation():
     params = GruParams.create(input_dim=2, hidden=2, seed=6)
     with pytest.raises(ShapeError):
         gru_step(tensor(np.zeros((3, 2))), tensor(np.zeros((2, 2))), params)
+    with pytest.raises(ShapeError):  # unbatched vectors
+        gru_step(tensor(np.zeros(2)), tensor(np.zeros(2)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +243,11 @@ def test_run_lsta_gru_shapes_and_batch_consistency():
     assert lsta_desc.shape == (2, 3)
     assert gru_desc.shape == (2, 8)
 
-    # Single-clip call must agree with the batched rows.
-    d0, g0 = run_lsta_gru(tensor(frames[0]), lsta, gru_a, gru_b)
-    assert d0.shape == (3,) and g0.shape == (8,)
-    assert np.allclose(d0.data, lsta_desc.data[0], rtol=1e-12, atol=1e-12)
-    assert np.allclose(g0.data, gru_desc.data[0], rtol=1e-12, atol=1e-12)
+    # A batch of one must agree with the batched rows.
+    d0, g0 = run_lsta_gru(tensor(frames[:1]), lsta, gru_a, gru_b)
+    assert d0.shape == (1, 3) and g0.shape == (1, 8)
+    assert np.allclose(d0.data[0], lsta_desc.data[0], rtol=1e-12, atol=1e-12)
+    assert np.allclose(g0.data[0], gru_desc.data[0], rtol=1e-12, atol=1e-12)
 
 
 def test_run_lsta_gru_matches_manual_unroll():
@@ -253,23 +255,23 @@ def test_run_lsta_gru_matches_manual_unroll():
     lsta = random_lsta_params(rng, c=2, d=2)
     gru_a = GruParams.create(input_dim=2, hidden=3, seed=10, name="a")
     gru_b = GruParams.create(input_dim=2, hidden=3, seed=11, name="b")
-    frames = rng.normal(size=(3, 2, 4, 4))
+    frames = rng.normal(size=(1, 3, 2, 4, 4))
 
-    state = LstaState.zeros((2, 4, 4))
+    state = LstaState.zeros((1, 2, 4, 4))
     ha, hb = np.zeros(3), np.zeros(3)
     pa = {k: getattr(gru_a, k).data for k in (
         "w_update", "b_update", "w_reset", "b_reset", "w_cand", "b_cand")}
     pb = {k: getattr(gru_b, k).data for k in (
         "w_update", "b_update", "w_reset", "b_reset", "w_cand", "b_cand")}
     for t in range(3):
-        state, _ = lsta_step(tensor(frames[t]), state, lsta)
-        pooled = state.h.data.mean(axis=(-2, -1))
+        state, _ = lsta_step(tensor(frames[:, t]), state, lsta)
+        pooled = state.h.data[0].mean(axis=(-2, -1))
         ha = gru_oracle(pooled, ha, pa)
         hb = gru_oracle(pooled, hb, pb)
 
     lsta_desc, gru_desc = run_lsta_gru(tensor(frames), lsta, gru_a, gru_b)
     assert np.allclose(lsta_desc.data, state.c.data.mean(axis=(-2, -1)), rtol=1e-12, atol=1e-12)
-    assert np.allclose(gru_desc.data, np.concatenate([ha, hb]), rtol=1e-12, atol=1e-12)
+    assert np.allclose(gru_desc.data[0], np.concatenate([ha, hb]), rtol=1e-12, atol=1e-12)
 
 
 def test_run_lsta_gru_rejects_empty_and_bad_rank():
@@ -279,6 +281,10 @@ def test_run_lsta_gru_rejects_empty_and_bad_rank():
     gru_b = GruParams.create(input_dim=2, hidden=2, seed=13, name="b")
     with pytest.raises(ShapeError):
         run_lsta_gru(tensor(np.zeros((2, 4, 4))), lsta, gru_a, gru_b)
+    with pytest.raises(ShapeError):  # an unbatched clip
+        run_lsta_gru(tensor(np.zeros((3, 2, 4, 4))), lsta, gru_a, gru_b)
+    with pytest.raises(ShapeError):
+        run_lsta_gru(tensor(np.zeros((1, 0, 2, 4, 4))), lsta, gru_a, gru_b)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -161,6 +162,21 @@ def test_ensemble_command_averages(workspace, tmp_path, capsys):
         for task in ("verb", "noun", "action"):
             assert np.array_equal(ens.results[seg][task], single.results[seg][task])
     assert main(["ensemble", str(tmp_path / "missing.json"), "--out", str(out_path)]) == 1
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps(
+        {"version": "1.0", "split": "t", "label_space": "x", "results": []}))
+    assert main(["ensemble", str(listed), "--out", str(out_path)]) == 1
+
+
+def test_eval_model_config_missing_key_exits_one(workspace, tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    shutil.copytree(workspace["run"] / "model", model_dir)
+    meta = json.loads((model_dir / "model.json").read_text())
+    del meta["config"]["stage_channels"]
+    (model_dir / "model.json").write_text(json.dumps(meta))
+    assert main(["eval", "--model", str(model_dir), "--dataset", str(workspace["data"] / "test"),
+                 "--out", str(tmp_path / "scores.json")]) == 1
+    assert "stage_channels" in capsys.readouterr().err
 
 
 def test_submit_command(workspace, tmp_path):

@@ -1,5 +1,7 @@
 """Model families: construction, parameter groups, forward, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,36 @@ def test_save_load_two_stream(tmp_path):
     back = load_model(tmp_path / "two")
     after = back.forward(inputs)
     assert np.array_equal(before.action.data, after.action.data)
+
+
+@pytest.mark.parametrize("family, config, key", [
+    ("lsta", lsta_config(), "memory"),
+    ("lsta_gru", lsta_gru_config(), "gru_hidden"),
+    ("hf_tsn", hf_config(), "segments"),
+    ("motion", motion_config(), "flow_channels"),
+    ("two_stream", {"app": lsta_config(), "motion": motion_config()}, "motion"),
+])
+def test_create_model_names_a_missing_config_key(family, config, key):
+    config.pop(key)
+    with pytest.raises(ValidationError, match=f"lacks key '{key}'"):
+        create_model(family, config, SPACE, seed=0)
+
+
+def test_create_model_rejects_non_integer_config_values():
+    with pytest.raises(ValidationError, match="'memory'"):
+        create_model("lsta", dict(lsta_config(), memory="three"), SPACE, seed=0)
+    with pytest.raises(ValidationError, match="must be an object"):
+        create_model("two_stream", {"app": 5, "motion": motion_config()}, SPACE, seed=0)
+
+
+def test_load_model_config_without_stage_channels(tmp_path):
+    model = create_model("lsta", lsta_config(), SPACE, seed=25)
+    model.save(tmp_path / "m")
+    meta = json.loads((tmp_path / "m" / "model.json").read_text())
+    del meta["config"]["stage_channels"]
+    (tmp_path / "m" / "model.json").write_text(json.dumps(meta))
+    with pytest.raises(ValidationError, match="lacks key 'stage_channels'"):
+        load_model(tmp_path / "m")
 
 
 def test_load_model_missing_or_bad_metadata(tmp_path):

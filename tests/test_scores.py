@@ -301,6 +301,16 @@ def test_submission_json_schema(tmp_path):
     (lambda p: p.write_text(json.dumps(
         {"version": "1.0", "split": "t", "label_space": "x",
          "results": {"s": {"verb": [[0.0]], "noun": [0.0], "action": [0.0]}}})), "not a flat list"),
+    (lambda p: p.write_text("5"), "top level must be an object"),
+    (lambda p: p.write_text(json.dumps(
+        {"version": "1.0", "split": "t", "label_space": "x", "results": []})),
+     "'results' must be an object"),
+    (lambda p: p.write_text(json.dumps(
+        {"version": "1.0", "split": "t", "label_space": "x", "results": {"s": 5}})),
+     "segment 's' is not an object"),
+    (lambda p: p.write_text(json.dumps(
+        {"version": "1.0", "split": "t", "label_space": "x",
+         "results": {"s": {"verb": ["high"], "noun": [0.0], "action": [0.0]}}})), "not numeric"),
 ])
 def test_read_score_json_malformed(tmp_path, mutate, message_part):
     path = tmp_path / "scores.json"

@@ -131,3 +131,23 @@ def test_bundle_bad_manifest_contents(tmp_path):
     (d / "manifest.json").write_text(json.dumps({"format": "tnsf-bundle", "tensors": [1]}))
     with pytest.raises(FormatError):
         load_bundle(d)
+
+
+def test_bundle_entry_naming_missing_file(tmp_path):
+    save_bundle(tmp_path / "p", {"a": np.zeros(2)})
+    (tmp_path / "p" / "a.tnsf").unlink()
+    with pytest.raises(FormatError, match="missing file"):
+        load_bundle(tmp_path / "p")
+
+
+@pytest.mark.parametrize("escape", ["../outside.tnsf", "sub/../../outside.tnsf", "ABSOLUTE"])
+def test_bundle_rejects_entries_outside_the_directory(tmp_path, escape):
+    write_tnsf(tmp_path / "outside.tnsf", np.ones(3))
+    d = tmp_path / "p"
+    d.mkdir()
+    if escape == "ABSOLUTE":
+        escape = str(tmp_path / "outside.tnsf")
+    (d / "manifest.json").write_text(json.dumps(
+        {"format": "tnsf-bundle", "version": 1, "tensors": {"a": escape}}))
+    with pytest.raises(FormatError, match="outside the bundle"):
+        load_bundle(d)

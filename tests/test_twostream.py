@@ -1,4 +1,4 @@
-"""Cross-modal coupling: flow stacks, kernel inflation, gated fusion rollout."""
+"""Cross-modal coupling: motion attention, gated fusion rollout, score fusion."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,10 @@ from vnact.gradcheck import grad_check
 from vnact.ops import index_select, mean_all, spatial_avg_pool
 from vnact.tensor import Tensor, hadamard, tensor
 from vnact.twostream import (
-    FlowStack,
     FusionParams,
     MotionAttentionParams,
     cross_modal_rollout,
     fuse_scores,
-    inflate_first_conv,
     motion_spatial_attention,
 )
 from vnact.heads import ScoreTriple
@@ -34,61 +32,6 @@ def random_clstm(rng, c, d, k=3):
         gate_kernel=tensor(rng.normal(size=(4 * d, c + d, k, k)) * 0.3),
         gate_bias=tensor(rng.normal(size=4 * d) * 0.3),
     )
-
-
-# ---------------------------------------------------------------------------
-# flow stacks
-
-
-def test_flow_stack_interleaves_components():
-    rng = np.random.default_rng(0)
-    xs, ys = rng.normal(size=(3, 4, 4)), rng.normal(size=(3, 4, 4))
-    stack = FlowStack.from_xy(xs, ys)
-    assert stack.length == 3
-    assert np.array_equal(stack.data[0::2], xs)
-    assert np.array_equal(stack.data[1::2], ys)
-
-
-def test_flow_stack_validation():
-    with pytest.raises(ShapeError):
-        FlowStack(np.zeros((3, 4, 4)))  # odd channel count
-    with pytest.raises(ShapeError):
-        FlowStack(np.zeros((4, 4)))
-    with pytest.raises(ShapeError):
-        FlowStack.from_xy(np.zeros((2, 4, 4)), np.zeros((3, 4, 4)))
-
-
-# ---------------------------------------------------------------------------
-# first-conv inflation
-
-
-def test_inflate_first_conv_replicates_channel_mean():
-    rng = np.random.default_rng(1)
-    k = rng.normal(size=(5, 3, 3, 3))
-    out = inflate_first_conv(tensor(k), target_in=10)
-    assert out.shape == (5, 10, 3, 3)
-    mean = k.mean(axis=1)
-    for c in range(10):
-        assert np.array_equal(out.data[:, c], mean)
-
-
-def test_inflate_first_conv_constant_input_response_scales():
-    rng = np.random.default_rng(2)
-    from vnact.ops import conv2d
-
-    k = rng.normal(size=(2, 3, 3, 3))
-    x3 = np.broadcast_to(rng.normal(size=(1, 5, 5)), (3, 5, 5)).copy()
-    x6 = np.broadcast_to(x3[0], (6, 5, 5)).copy()
-    base = conv2d(tensor(x3), tensor(k)).data
-    wide = conv2d(tensor(x6), inflate_first_conv(tensor(k), 6)).data
-    assert np.allclose(wide, base * 2.0, rtol=1e-12, atol=1e-12)
-
-
-def test_inflate_first_conv_validation():
-    with pytest.raises(ShapeError):
-        inflate_first_conv(tensor(np.zeros((2, 4, 3, 3))), 8)
-    with pytest.raises(ShapeError):
-        inflate_first_conv(tensor(np.zeros((2, 3, 3, 3))), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +100,22 @@ def test_nonzero_fusion_couples_both_streams():
 
 
 def test_cross_modal_rollout_unbatched_squeeze():
+    # The rollout takes batched streams only: a batch of one matches the
+    # batched rows, and an unbatched (T, C, H, W) clip is rejected.
     rng = np.random.default_rng(7)
     t, ca, cm, hw, da, dm = 3, 2, 2, 4, 2, 2
     lsta = random_lsta(rng, ca, da)
     clstm = random_clstm(rng, cm, dm)
     fusion = FusionParams.create(ca, cm, da, dm)
-    fa = rng.normal(size=(t, ca, hw, hw))
-    fm = rng.normal(size=(t, cm, hw, hw))
-    a_single, m_single = cross_modal_rollout(tensor(fa), tensor(fm), lsta, clstm, fusion)
-    a_batch, m_batch = cross_modal_rollout(tensor(fa[None]), tensor(fm[None]), lsta, clstm, fusion)
-    assert a_single.shape == (da,) and m_single.shape == (dm,)
-    assert np.array_equal(a_single.data, a_batch.data[0])
-    assert np.array_equal(m_single.data, m_batch.data[0])
+    fa = rng.normal(size=(2, t, ca, hw, hw))
+    fm = rng.normal(size=(2, t, cm, hw, hw))
+    a_one, m_one = cross_modal_rollout(tensor(fa[:1]), tensor(fm[:1]), lsta, clstm, fusion)
+    a_batch, m_batch = cross_modal_rollout(tensor(fa), tensor(fm), lsta, clstm, fusion)
+    assert a_one.shape == (1, da) and m_one.shape == (1, dm)
+    assert np.array_equal(a_one.data[0], a_batch.data[0])
+    assert np.array_equal(m_one.data[0], m_batch.data[0])
+    with pytest.raises(ShapeError):
+        cross_modal_rollout(tensor(fa[0]), tensor(fm[0]), lsta, clstm, fusion)
 
 
 def test_cross_modal_rollout_layout_checks():
@@ -234,11 +181,7 @@ def test_fuse_scores_identical_inputs_fixed_point():
         assert np.array_equal(got.data, want)
 
 
-def test_fuse_scores_ndarray_path_and_mismatch():
-    a = ScoreTriple(np.ones(3), np.ones(2), np.ones(4))
-    b = ScoreTriple(np.zeros(3), np.zeros(2), np.zeros(4))
-    out = fuse_scores(a, b)
-    assert isinstance(out.verb, np.ndarray)
-    assert np.array_equal(out.verb, np.full(3, 0.5))
+def test_fuse_scores_shape_mismatch():
+    a = ScoreTriple(tensor(np.ones(3)), tensor(np.ones(2)), tensor(np.ones(4)))
     with pytest.raises(ShapeError):
-        fuse_scores(a, ScoreTriple(np.zeros(4), np.zeros(2), np.zeros(4)))
+        fuse_scores(a, ScoreTriple(tensor(np.zeros(4)), tensor(np.zeros(2)), tensor(np.zeros(4))))
