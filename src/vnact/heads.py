@@ -72,14 +72,19 @@ class LabelSpace:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"label space: invalid JSON ({exc})") from exc
+        if not isinstance(payload, dict):
+            raise ValidationError(f"label space must be an object, got {type(payload).__name__}")
         for key in ("verbs", "nouns", "actions"):
             if key not in payload:
                 raise ValidationError(f"label space: missing key '{key}'")
-        return cls(
-            verbs=tuple(payload["verbs"]),
-            nouns=tuple(payload["nouns"]),
-            actions=tuple((int(v), int(n)) for v, n in payload["actions"]),
-        )
+        try:
+            return cls(
+                verbs=tuple(payload["verbs"]),
+                nouns=tuple(payload["nouns"]),
+                actions=tuple((int(v), int(n)) for v, n in payload["actions"]),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"label space: malformed entries ({exc})") from exc
 
     def space_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()

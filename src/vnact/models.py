@@ -358,7 +358,7 @@ FAMILIES = {
 
 
 def create_model(family: str, config: dict, space: LabelSpace, seed: int) -> ModelBase:
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ValidationError(f"unknown model family '{family}' (have {sorted(FAMILIES)})")
     return FAMILIES[family].create(config, space, seed)
 
@@ -368,7 +368,12 @@ def load_model(directory) -> ModelBase:
     if not os.path.exists(meta_path):
         raise ValidationError(f"no model.json under {directory}")
     with open(meta_path) as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"model.json: invalid JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise ValidationError(f"model.json must hold an object, got {type(meta).__name__}")
     for key in ("family", "config", "label_space"):
         if key not in meta:
             raise ValidationError(f"model.json: missing key '{key}'")

@@ -5,9 +5,18 @@ All operations accept the per-sample ranks used throughout the package
 axes that are treated as batch dimensions. Convolution uses cross-
 correlation semantics with zero padding; reductions use numpy's fixed
 deterministic accumulation so replays are bit-identical.
+
+conv2d and conv3d are one same-padded correlation over the trailing axes
+(im2col, one matmul, col2im). Their backward rules keep the unpadded input
+and rebuild the column matrix when run, trading one im2col per call for not
+holding a 9× or 27× copy of the input until backward. ``avg_pool2x2``
+adds its four strided quarters in the order numpy's mean uses, so the
+faster forward gives the same bits.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy.special import logsumexp as _logsumexp, softmax as _softmax
@@ -45,26 +54,63 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 # convolution
 
 
-def _leading(shape: tuple, keep: int) -> tuple:
-    return shape[: len(shape) - keep]
-
-
-def _im2col2d(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int) -> np.ndarray:
-    b, c = xp.shape[:2]
+def _im2col(xb: np.ndarray, ks: tuple, pads: tuple) -> np.ndarray:
+    """Columns (B, C·∏k, ∏S) of a (B, C, *S) array for a same-padded kernel."""
+    xp = np.pad(xb, ((0, 0), (0, 0)) + tuple((p, p) for p in pads)) if any(pads) else xb
+    spatial = xb.shape[2:]
     s = xp.strides
     view = np.lib.stride_tricks.as_strided(
-        xp, (b, c, kh, kw, ho, wo), (s[0], s[1], s[2], s[3], s[2], s[3]), writeable=False
+        xp, xp.shape[:2] + ks + spatial, s + s[2:], writeable=False
     )
-    return view.reshape(b, c * kh * kw, ho * wo)
+    return view.reshape(xb.shape[0], -1, int(np.prod(spatial)))
 
 
-def _col2im2d(gcols, b, c, kh, kw, ho, wo, hp, wp):
-    g6 = gcols.reshape(b, c, kh, kw, ho, wo)
-    gxp = np.zeros((b, c, hp, wp))
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i : i + ho, j : j + wo] += g6[:, :, i, j]
-    return gxp
+def _col2im(gcols: np.ndarray, shape: tuple, ks: tuple, pads: tuple) -> np.ndarray:
+    """Adjoint of :func:`_im2col`: (B, C·∏k, ∏S) columns back to a (B, C, *S) array.
+
+    Kernel offsets are accumulated in nested loop order (last axis fastest).
+    """
+    if not any(pads):
+        return gcols.reshape(shape)
+    b, c, *spatial = shape
+    per_offset = gcols.reshape(b, c, *ks, *spatial)
+    gxp = np.zeros((b, c) + tuple(n + 2 * p for n, p in zip(spatial, pads)))
+    for offset in itertools.product(*map(range, ks)):
+        window = tuple(slice(o, o + n) for o, n in zip(offset, spatial))
+        gxp[(Ellipsis,) + window] += per_offset[(slice(None), slice(None)) + offset]
+    return gxp[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(pads, spatial))]
+
+
+def _correlate(kind: str, x: Tensor, kernel: Tensor):
+    """Same-padded cross-correlation over the trailing ``kernel.ndim - 2`` axes.
+
+    Returns the output array and its backward rule. The rule keeps the
+    unpadded input, not the column matrix, and rebuilds the columns when run.
+    """
+    nd = kernel.ndim - 2
+    if x.ndim < nd + 1:
+        raise ShapeError(f"{kind} input needs at least rank {nd + 1}, got {x.shape}")
+    c, *spatial = x.shape[-nd - 1 :]
+    co, ck, *ks = kernel.shape
+    if ck != c:
+        raise ShapeError(f"{kind} channel mismatch: input has {c}, kernel expects {ck}")
+    if any(k % 2 == 0 for k in ks):
+        raise ShapeError(f"same-padding {kind} needs odd kernel extents, got {kernel.shape[2:]}")
+    ks, pads = tuple(ks), tuple(k // 2 for k in ks)
+    lead = x.shape[: -nd - 1]
+    shape = (int(np.prod(lead)), c, *spatial)
+    xd, kflat = x.data, kernel.data.reshape(co, -1)
+    out = np.matmul(kflat, _im2col(xd.reshape(shape), ks, pads))
+
+    def bwd(g):
+        gb = g.reshape(shape[0], co, -1)
+        # The rebuilt columns die before the same-sized input-gradient columns
+        # are allocated, so the allocator reuses their pages.
+        gk = np.matmul(gb, _im2col(xd.reshape(shape), ks, pads).transpose(0, 2, 1))
+        gx = _col2im(np.matmul(kflat.T, gb), shape, ks, pads)
+        return gx.reshape(x.shape), gk.sum(axis=0).reshape(kernel.shape)
+
+    return out.reshape(*lead, co, *spatial), bwd
 
 
 def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
@@ -73,84 +119,16 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     The input is zero-padded so spatial extents are preserved (odd kernels
     only).
     """
-    if x.ndim < 3:
-        raise ShapeError(f"conv2d input needs at least rank 3, got {x.shape}")
     if kernel.ndim != 4:
         raise ShapeError(f"conv2d kernel must be rank 4, got {kernel.shape}")
-    c, h, w = x.shape[-3:]
-    co, ck, kh, kw = kernel.shape
-    if ck != c:
-        raise ShapeError(f"conv2d channel mismatch: input has {c}, kernel expects {ck}")
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"same-padding conv2d needs odd kernel extents, got {kh}x{kw}")
-    ph, pw = kh // 2, kw // 2
-
-    lead = _leading(x.shape, 3)
-    b = int(np.prod(lead)) if lead else 1
-    xb = x.data.reshape(b, c, h, w)
-    xp = np.pad(xb, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = _im2col2d(xp, kh, kw, h, w)
-    kflat = kernel.data.reshape(co, -1)
-    out = np.matmul(kflat, cols).reshape(*lead, co, h, w)
-
-    def bwd(g):
-        gb = g.reshape(b, co, h * w)
-        gk = np.matmul(gb, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
-        gcols = np.matmul(kflat.T, gb)
-        gxp = _col2im2d(gcols, b, c, kh, kw, h, w, h + 2 * ph, w + 2 * pw)
-        gx = gxp[:, :, ph : ph + h, pw : pw + w].reshape(x.shape)
-        return gx, gk
-
-    return apply_op("conv2d", (x, kernel), out, bwd)
-
-
-def _im2col3d(xp, kt, kh, kw, to, ho, wo):
-    b, c = xp.shape[:2]
-    s = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp,
-        (b, c, kt, kh, kw, to, ho, wo),
-        (s[0], s[1], s[2], s[3], s[4], s[2], s[3], s[4]),
-        writeable=False,
-    )
-    return view.reshape(b, c * kt * kh * kw, to * ho * wo)
+    return apply_op("conv2d", (x, kernel), *_correlate("conv2d", x, kernel))
 
 
 def conv3d(x: Tensor, kernel: Tensor) -> Tensor:
     """Same-padded 3D cross-correlation of (..., C, T, H, W) with (C_out, C, kT, kH, kW)."""
-    if x.ndim < 4:
-        raise ShapeError(f"conv3d input needs at least rank 4, got {x.shape}")
     if kernel.ndim != 5:
         raise ShapeError(f"conv3d kernel must be rank 5, got {kernel.shape}")
-    c, t, h, w = x.shape[-4:]
-    co, ck, kt, kh, kw = kernel.shape
-    if ck != c:
-        raise ShapeError(f"conv3d channel mismatch: input has {c}, kernel expects {ck}")
-    if kt % 2 == 0 or kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"same-padding conv3d needs odd kernel extents, got {kt}x{kh}x{kw}")
-    pt, ph, pw = kt // 2, kh // 2, kw // 2
-
-    lead = _leading(x.shape, 4)
-    b = int(np.prod(lead)) if lead else 1
-    xb = x.data.reshape(b, c, t, h, w)
-    xp = np.pad(xb, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    cols = _im2col3d(xp, kt, kh, kw, t, h, w)
-    kflat = kernel.data.reshape(co, -1)
-    out = np.matmul(kflat, cols).reshape(*lead, co, t, h, w)
-
-    def bwd(g):
-        gb = g.reshape(b, co, t * h * w)
-        gk = np.matmul(gb, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
-        gcols = np.matmul(kflat.T, gb).reshape(b, c, kt, kh, kw, t, h, w)
-        gxp = np.zeros((b, c, t + 2 * pt, h + 2 * ph, w + 2 * pw))
-        for i in range(kt):
-            for j in range(kh):
-                for k in range(kw):
-                    gxp[:, :, i : i + t, j : j + h, k : k + w] += gcols[:, :, i, j, k]
-        gx = gxp[:, :, pt : pt + t, ph : ph + h, pw : pw + w].reshape(x.shape)
-        return gx, gk
-
-    return apply_op("conv3d", (x, kernel), out, bwd)
+    return apply_op("conv3d", (x, kernel), *_correlate("conv3d", x, kernel))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +196,14 @@ def avg_pool2x2(x: Tensor) -> Tensor:
     h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise ShapeError(f"avg_pool2x2 needs even spatial extents, got {h}x{w}")
-    lead = x.shape[:-2]
-    out = x.data.reshape(*lead, h // 2, 2, w // 2, 2).mean(axis=(-3, -1))
+    xd = x.data
+    top = xd[..., 0::2, 0::2] + xd[..., 0::2, 1::2]
+    # The summation order of numpy's reshape(..., 2, ..., 2).mean(axis=(-3, -1)),
+    # kept bit for bit: in pairs, or in memory order when W pools to one column.
+    if w > 2:
+        out = (top + (xd[..., 1::2, 0::2] + xd[..., 1::2, 1::2])) * 0.25
+    else:
+        out = ((top + xd[..., 1::2, 0::2]) + xd[..., 1::2, 1::2]) * 0.25
 
     def bwd(g):
         up = np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1)

@@ -142,8 +142,8 @@ class TapeNode:
 
     ``backward`` maps the adjoint of this node's output to a tuple of
     adjoint contributions aligned with ``parents`` (None for inputs that
-    need no gradient). Leaf nodes carry ``backward=None`` and remember the
-    tensor they stand for.
+    need no gradient); :meth:`Tape.backward` clears it once it has run.
+    Leaf nodes carry ``backward=None`` and remember the tensor they stand for.
     """
 
     __slots__ = ("kind", "parents", "backward", "leaf")
@@ -211,7 +211,9 @@ class Tape:
         The result maps each leaf tensor's ``uid`` to its gradient tensor.
         Fan-out is accumulated; the traversal order is the exact reverse of
         the recording order, so results are bit-deterministic. The tape is
-        consumed by this call.
+        consumed by this call: each node's backward rule is dropped as the
+        traversal passes it, so the arrays it saved are freed during the one
+        traversal rather than when the tape is discarded.
         """
         if self.consumed:
             raise TapeError("tape already traversed; re-record the forward pass")
@@ -224,12 +226,14 @@ class Tape:
 
         adjoints: list[Optional[np.ndarray]] = [None] * len(self.nodes)
         adjoints[loss_nid] = np.ones_like(loss.data)
-        for nid in range(loss_nid, -1, -1):
+        for nid in range(len(self.nodes) - 1, -1, -1):
             node = self.nodes[nid]
+            # Release the rule, and the arrays it saved, as soon as it is passed.
+            backward, node.backward = node.backward, None
             grad_out = adjoints[nid]
-            if grad_out is None or node.backward is None:
+            if grad_out is None or backward is None:
                 continue
-            contributions = node.backward(grad_out)
+            contributions = backward(grad_out)
             for pid, contrib in zip(node.parents, contributions):
                 if pid is None or contrib is None:
                     continue

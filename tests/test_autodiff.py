@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnact.errors import ShapeError, TapeError
 from vnact.gradcheck import grad_check
 from vnact.ops import (
     concat,
     conv2d,
+    conv3d,
     index_select,
     logsumexp_rows,
     matmul,
@@ -337,3 +340,68 @@ def test_backward_determinism_bitwise():
     gx1, gw1 = run()
     gx2, gw2 = run()
     assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
+
+
+# ---------------------------------------------------------------------------
+# convolution gradients against a direct-loop adjoint
+
+
+def dyadic(rng, shape):
+    """Multiples of 1/8 in [-1, 1]: every sum of their products is exact."""
+    return rng.integers(-8, 9, size=shape) / 8.0
+
+
+def conv_adjoint_oracle(x, k, g):
+    """Input and kernel gradients of the same-padded correlation, one
+    output position and one kernel offset at a time."""
+    nd = k.ndim - 2
+    xs = x.reshape((-1,) + x.shape[-nd - 1 :])
+    gs = g.reshape((-1,) + g.shape[-nd - 1 :])
+    pads = [n // 2 for n in k.shape[2:]]
+    xp = np.pad(xs, [(0, 0), (0, 0)] + [(p, p) for p in pads])
+    gxp, gk = np.zeros_like(xp), np.zeros_like(k)
+    every = (slice(None), slice(None))
+    for pos in np.ndindex(*xs.shape[2:]):
+        go = gs[every + pos]  # (B, C_out)
+        for off in np.ndindex(*k.shape[2:]):
+            at = every + tuple(i + j for i, j in zip(pos, off))
+            gxp[at] += go @ k[every + off]
+            gk[every + off] += go.T @ xp[at]
+    crop = every + tuple(slice(p, p + n) for p, n in zip(pads, xs.shape[2:]))
+    return gxp[crop].reshape(x.shape), gk
+
+
+def check_conv_gradients(conv, lead, c, co, spatial, ks, seed):
+    rng = np.random.default_rng(seed)
+    x_data = dyadic(rng, lead + (c,) + spatial)
+    k_data = dyadic(rng, (co, c) + ks)
+    g = dyadic(rng, lead + (co,) + spatial)
+    x, k = tensor(x_data, grad_enabled=True), tensor(k_data, grad_enabled=True)
+    with Tape() as tape:
+        out = conv(x, k)
+        loss = sum_along(hadamard(out, tensor(g)), tuple(range(out.ndim)))
+    grads = tape.backward(loss)
+    gx, gk = conv_adjoint_oracle(x_data, k_data, g)
+    assert np.array_equal(grads[x.uid].data, gx)
+    assert np.array_equal(grads[k.uid].data, gk)
+
+
+LEAD = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+CONV_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("ks", [(1, 1), (3, 3), (5, 5), (1, 3)])
+@CONV_SETTINGS
+@given(lead=LEAD, c=st.integers(1, 3), co=st.integers(1, 3),
+       spatial=st.tuples(st.integers(1, 6), st.integers(1, 6)), seed=st.integers(0, 2**16))
+def test_conv2d_gradients_match_direct_loop_adjoint(ks, lead, c, co, spatial, seed):
+    check_conv_gradients(conv2d, lead, c, co, spatial, ks, seed)
+
+
+@pytest.mark.parametrize("ks", [(1, 1, 1), (3, 3, 3), (3, 1, 1)])
+@CONV_SETTINGS
+@given(lead=LEAD, c=st.integers(1, 3), co=st.integers(1, 3),
+       spatial=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+       seed=st.integers(0, 2**16))
+def test_conv3d_gradients_match_direct_loop_adjoint(ks, lead, c, co, spatial, seed):
+    check_conv_gradients(conv3d, lead, c, co, spatial, ks, seed)

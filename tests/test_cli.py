@@ -179,6 +179,15 @@ def test_eval_model_config_missing_key_exits_one(workspace, tmp_path, capsys):
     assert "stage_channels" in capsys.readouterr().err
 
 
+def test_eval_model_json_not_an_object_exits_one(workspace, tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    shutil.copytree(workspace["run"] / "model", model_dir)
+    (model_dir / "model.json").write_text("5")
+    assert main(["eval", "--model", str(model_dir), "--dataset", str(workspace["data"] / "test"),
+                 "--out", str(tmp_path / "scores.json")]) == 1
+    assert "must hold an object" in capsys.readouterr().err
+
+
 def test_submit_command(workspace, tmp_path):
     scores = tmp_path / "s.json"
     assert main(["eval", "--model", str(workspace["run"] / "model"),

@@ -284,3 +284,34 @@ def test_load_model_missing_or_bad_metadata(tmp_path):
     (bad / "model.json").write_text("{\"family\": \"lsta\"}")
     with pytest.raises(ValidationError):
         load_model(bad)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("5", "must hold an object"),
+    ("{\"family\": \"lsta\",", "invalid JSON"),
+])
+def test_load_model_rejects_a_malformed_model_json(tmp_path, text, message):
+    create_model("lsta", lsta_config(), SPACE, seed=25).save(tmp_path / "m")
+    (tmp_path / "m" / "model.json").write_text(text)
+    with pytest.raises(ValidationError, match=message):
+        load_model(tmp_path / "m")
+
+
+def test_create_model_rejects_a_non_string_family():
+    for family in (["lsta"], {"lsta": 1}):
+        with pytest.raises(ValidationError, match="unknown model family"):
+            create_model(family, lsta_config(), SPACE, seed=0)
+
+
+@pytest.mark.parametrize("label_space, message", [
+    (5, "must be an object"),
+    (["verbs", "nouns", "actions"], "must be an object"),
+    ({"verbs": [], "nouns": [], "actions": [[0]]}, "malformed entries"),
+])
+def test_load_model_rejects_a_malformed_label_space(tmp_path, label_space, message):
+    create_model("lsta", lsta_config(), SPACE, seed=25).save(tmp_path / "m")
+    meta = json.loads((tmp_path / "m" / "model.json").read_text())
+    meta["label_space"] = label_space
+    (tmp_path / "m" / "model.json").write_text(json.dumps(meta))
+    with pytest.raises(ValidationError, match=message):
+        load_model(tmp_path / "m")

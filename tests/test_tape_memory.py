@@ -1,0 +1,66 @@
+"""What a recorded training step keeps alive, before and after backward.
+
+Convolutions save their input, not the column matrix their forward builds,
+and ``Tape.backward`` drops every backward rule as it passes it. Saved
+arrays are found the way the desk benchmark in perfbench/ counts them: by
+walking each backward closure's cells to the root buffers of its arrays.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from tracer import _held_arrays  # noqa: E402
+from vnact import Tape, create_model, multi_task_loss, ops  # noqa: E402
+from vnact.errors import TapeError  # noqa: E402
+from vnact.synthetic import default_label_space  # noqa: E402
+from vnact.tensor import scale  # noqa: E402
+
+CONFIG = {"app": {"input_channels": 2, "stage_channels": [2, 3], "memory": 2},
+          "motion": {"flow_channels": 2, "stage_channels": [2, 3], "memory": 2}}
+
+
+def root(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_training_step_keeps_only_what_backward_needs(monkeypatch):
+    rng = np.random.default_rng(0)
+    space = default_label_space(3, 4, 6, seed=0)
+    model = create_model("two_stream", CONFIG, space, seed=1)
+    inputs = {"frames": rng.normal(size=(2, 3, 2, 4, 4)), "flow": rng.normal(size=(2, 3, 2, 4, 4))}
+    actions = rng.integers(0, space.num_actions, size=2)
+    pairs = np.asarray(space.actions)
+    labels = (pairs[actions, 0], pairs[actions, 1], actions)
+
+    convs = []
+    true_apply_op = ops.apply_op
+
+    def recording(kind, inputs, out, backward):
+        if kind in ("conv2d", "conv3d"):
+            convs.append((kind, inputs, backward))
+        return true_apply_op(kind, inputs, out, backward)
+
+    monkeypatch.setattr(ops, "apply_op", recording)
+    with Tape() as tape:
+        loss = multi_task_loss(model.forward(inputs), labels)
+        scale(loss, 2.0)  # a node recorded after the loss
+
+    assert {kind for kind, _, _ in convs} == {"conv2d", "conv3d"}
+    for kind, (x, kernel), backward in convs:
+        held = {}
+        _held_arrays(backward, held)
+        assert id(root(x.data)) in held
+        assert set(held) <= {id(root(x.data)), id(root(kernel.data))}, kind
+        assert max(held.values()) <= max(root(x.data).nbytes, root(kernel.data).nbytes)
+
+    tape.backward(loss)
+    assert all(node.backward is None for node in tape.nodes)
+    with pytest.raises(TapeError):
+        tape.backward(loss)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnact.errors import NonFiniteError, ShapeError
 from vnact.ops import (
@@ -235,6 +237,16 @@ def test_spatial_avg_pool_and_avg_pool2x2():
     )
     with pytest.raises(ShapeError):
         avg_pool2x2(tensor(np.ones((1, 3, 4))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lead=st.lists(st.integers(1, 4), max_size=2).map(tuple), c=st.integers(1, 4),
+       h=st.integers(1, 4), w=st.integers(1, 5), seed=st.integers(0, 2**16))
+def test_avg_pool2x2_is_bitwise_the_reshaped_mean(lead, c, h, w, seed):
+    # numpy sums a 2×2 window in pairs, or in memory order when W is 2.
+    x = np.random.default_rng(seed).normal(size=lead + (c, 2 * h, 2 * w))
+    ref = x.reshape(*lead, c, h, 2, w, 2).mean(axis=(-3, -1))
+    assert np.array_equal(avg_pool2x2(tensor(x)).data.view(np.int64), ref.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
