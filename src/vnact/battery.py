@@ -66,15 +66,13 @@ def _entry_lsta_step(rng) -> Entry:
     params = {
         "x": _param(rng, (1, c, h, w)),
         "c0": _param(rng, (1, d, h, w)), "h0": _param(rng, (1, d, h, w)),
-        "attn": base.attn_kernel, "gates": base.gate_kernel,
-        "gbias": base.gate_bias, "pool": base.pool_kernel,
+        **base.as_dict("lsta"),
     }
     pc, ph = rng.normal(size=(1, d, h, w)), rng.normal(size=(1, d, h, w))
 
     def forward(p):
-        lp = LstaParams(attn_kernel=p["attn"], gate_kernel=p["gates"],
-                        gate_bias=p["gbias"], pool_kernel=p["pool"])
-        state, _ = lsta_step(p["x"], LstaState(c=p["c0"], h=p["h0"]), lp)
+        state, _ = lsta_step(p["x"], LstaState(c=p["c0"], h=p["h0"]),
+                             LstaParams.from_dict("lsta", p))
         return add(_probe_loss(state.c, pc), _probe_loss(state.h, ph))
 
     return "lsta_step", forward, params
@@ -86,13 +84,13 @@ def _entry_convlstm_step(rng) -> Entry:
     params = {
         "x": _param(rng, (1, c, h, w)),
         "c0": _param(rng, (1, d, h, w)), "h0": _param(rng, (1, d, h, w)),
-        "gates": base.gate_kernel, "gbias": base.gate_bias,
+        **base.as_dict("convlstm"),
     }
     pc, ph = rng.normal(size=(1, d, h, w)), rng.normal(size=(1, d, h, w))
 
     def forward(p):
-        lp = ConvLstmParams(gate_kernel=p["gates"], gate_bias=p["gbias"])
-        state = convlstm_step(p["x"], LstaState(c=p["c0"], h=p["h0"]), lp)
+        state = convlstm_step(p["x"], LstaState(c=p["c0"], h=p["h0"]),
+                              ConvLstmParams.from_dict("convlstm", p))
         return add(_probe_loss(state.c, pc), _probe_loss(state.h, ph))
 
     return "convlstm_step", forward, params
@@ -101,25 +99,23 @@ def _entry_convlstm_step(rng) -> Entry:
 def _entry_gru_step(rng) -> Entry:
     cin, d = 5, 4
     base = GruParams.create(cin, d, int(rng.integers(1 << 30)), "g")
-    params = {"x": _param(rng, (1, cin)), "h": _param(rng, (1, d))}
-    params.update({k.split(".")[1]: v for k, v in base.as_dict("g").items()})
+    params = {"x": _param(rng, (1, cin)), "h": _param(rng, (1, d)), **base.as_dict("gru")}
     probe = rng.normal(size=(1, d))
 
     def forward(p):
-        gp = GruParams(w_update=p["w_update"], b_update=p["b_update"], w_reset=p["w_reset"],
-                       b_reset=p["b_reset"], w_cand=p["w_cand"], b_cand=p["b_cand"])
-        return _probe_loss(gru_step(p["x"], p["h"], gp), probe)
+        return _probe_loss(gru_step(p["x"], p["h"], GruParams.from_dict("gru", p)), probe)
 
     return "gru_step", forward, params
 
 
 def _entry_hf_block(rng) -> Entry:
     t, c, h, w = 4, 3, 3, 3
-    params = {"f": _param(rng, (1, t, c, h, w)), "w0": _param(rng, (c,)), "w1": _param(rng, (c,))}
+    params = {"f": _param(rng, (1, t, c, h, w))}
+    params.update(HfBlockParams(w0=_param(rng, (c,)), w1=_param(rng, (c,))).as_dict("hf"))
     probe = rng.normal(size=(1, t, c, h, w))
 
     def forward(p):
-        return _probe_loss(hf_block(p["f"], HfBlockParams(w0=p["w0"], w1=p["w1"])), probe)
+        return _probe_loss(hf_block(p["f"], HfBlockParams.from_dict("hf", p)), probe)
 
     return "hf_block", forward, params
 
@@ -134,19 +130,16 @@ def _entry_structured(rng, seed) -> Entry:
     space = default_label_space(3, 4, 6, seed=0)
     feat_dim, batch = 5, 3
     base = StructuredHeadParams.create(feat_dim, space, seed, "h")
-    params = {"feat": _param(rng, (batch, feat_dim))}
-    params.update({k.split(".", 1)[1]: v for k, v in base.as_dict("h").items()})
+    params = {"feat": _param(rng, (batch, feat_dim)), **base.as_dict("head")}
     # Random bias maps so the coupling path gets exercised.
-    params["bias_verb"] = _param(rng, (space.num_actions, space.num_verbs))
-    params["bias_noun"] = _param(rng, (space.num_actions, space.num_nouns))
+    params["head.bias_verb"] = _param(rng, (space.num_actions, space.num_verbs))
+    params["head.bias_noun"] = _param(rng, (space.num_actions, space.num_nouns))
     actions = rng.integers(0, space.num_actions, size=batch)
     pairs = np.asarray(space.actions)
     labels = (pairs[actions, 0], pairs[actions, 1], actions)
 
     def forward(p):
-        head = StructuredHeadParams(
-            w_verb=p["w_verb"], b_verb=p["b_verb"], w_noun=p["w_noun"], b_noun=p["b_noun"],
-            w_act=p["w_act"], b_act=p["b_act"], bias_verb=p["bias_verb"], bias_noun=p["bias_noun"])
+        head = StructuredHeadParams.from_dict("head", p)
         return multi_task_loss(structured_forward(p["feat"], head, space), labels)
 
     return "structured_multi_task", forward, params
@@ -154,12 +147,13 @@ def _entry_structured(rng, seed) -> Entry:
 
 def _entry_motion_attention(rng) -> Entry:
     c, h, w = 3, 4, 4
-    params = {"feat": _param(rng, (1, c, h, w)), "kernel": _param(rng, (1, c, 1, 1))}
+    params = {"feat": _param(rng, (1, c, h, w))}
+    params.update(MotionAttentionParams(kernel=_param(rng, (1, c, 1, 1))).as_dict("attn"))
     probe = rng.normal(size=(1, c, h, w))
 
     def forward(p):
         return _probe_loss(
-            motion_spatial_attention(p["feat"], MotionAttentionParams(kernel=p["kernel"])), probe)
+            motion_spatial_attention(p["feat"], MotionAttentionParams.from_dict("attn", p)), probe)
 
     return "motion_spatial_attention", forward, params
 
@@ -168,20 +162,17 @@ def _entry_cross_modal(rng, seed) -> Entry:
     t, ca, cm, da, dm, h, w = 2, 2, 2, 2, 2, 3, 3
     lsta = LstaParams.create(ca, da, seed, "a")
     clstm = ConvLstmParams.create(cm, dm, seed, "m")
-    params = {
-        "app": _param(rng, (1, t, ca, h, w)), "mot": _param(rng, (1, t, cm, h, w)),
-        "a2m": _param(rng, (4 * dm, ca, 3, 3, 3)), "m2a": _param(rng, (4 * da, cm, 3, 3)),
-    }
-    params.update({"l_" + k.split(".")[1]: v for k, v in lsta.as_dict("a").items()})
-    params.update({"c_" + k.split(".")[1]: v for k, v in clstm.as_dict("m").items()})
+    params = {"app": _param(rng, (1, t, ca, h, w)), "mot": _param(rng, (1, t, cm, h, w))}
+    params.update(FusionParams(app_to_motion=_param(rng, (4 * dm, ca, 3, 3, 3)),
+                               motion_to_app=_param(rng, (4 * da, cm, 3, 3))).as_dict("fusion"))
+    params.update(lsta.as_dict("lsta"))
+    params.update(clstm.as_dict("convlstm"))
     pa, pm = rng.normal(size=(1, da)), rng.normal(size=(1, dm))
 
     def forward(p):
-        lp = LstaParams(attn_kernel=p["l_attn_kernel"], gate_kernel=p["l_gate_kernel"],
-                        gate_bias=p["l_gate_bias"], pool_kernel=p["l_pool_kernel"])
-        cp = ConvLstmParams(gate_kernel=p["c_gate_kernel"], gate_bias=p["c_gate_bias"])
-        fp = FusionParams(app_to_motion=p["a2m"], motion_to_app=p["m2a"])
-        app_desc, mot_desc = cross_modal_rollout(p["app"], p["mot"], lp, cp, fp)
+        app_desc, mot_desc = cross_modal_rollout(
+            p["app"], p["mot"], LstaParams.from_dict("lsta", p),
+            ConvLstmParams.from_dict("convlstm", p), FusionParams.from_dict("fusion", p))
         return add(_probe_loss(app_desc, pa), _probe_loss(mot_desc, pm))
 
     return "cross_modal_rollout", forward, params

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeError
-from .init import uniform_fan_in, zeros_param
+from .init import ParamStruct, uniform_fan_in, zeros_param
 from .ops import (
     affine,
     concat,
@@ -74,7 +74,7 @@ class LstaState:
 
 
 @dataclass
-class LstaParams:
+class LstaParams(ParamStruct):
     attn_kernel: Tensor  # (1, C+D, k, k)
     gate_kernel: Tensor  # (4D, C+D, k, k)
     gate_bias: Tensor  # (4D,)
@@ -95,19 +95,6 @@ class LstaParams:
             gate_bias=_forget_one_bias(memory),
             pool_kernel=uniform_fan_in((memory, memory, 1, 1), memory, seed, f"{name}.pool_kernel"),
         )
-
-    def as_dict(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.attn_kernel": self.attn_kernel,
-            f"{prefix}.gate_kernel": self.gate_kernel,
-            f"{prefix}.gate_bias": self.gate_bias,
-            f"{prefix}.pool_kernel": self.pool_kernel,
-        }
-
-    @classmethod
-    def from_dict(cls, prefix: str, params: dict) -> "LstaParams":
-        return cls(*(params[f"{prefix}.{f}"] for f in (
-            "attn_kernel", "gate_kernel", "gate_bias", "pool_kernel")))
 
 
 def _gate_update(z: Tensor, gate_bias: Tensor, c: Tensor, bias: Optional[GateBias]):
@@ -147,7 +134,7 @@ def lsta_step(
 
 
 @dataclass
-class ConvLstmParams:
+class ConvLstmParams(ParamStruct):
     gate_kernel: Tensor  # (4D, C+D, k, k)
     gate_bias: Tensor  # (4D,)
 
@@ -164,13 +151,6 @@ class ConvLstmParams:
             gate_bias=_forget_one_bias(memory),
         )
 
-    def as_dict(self, prefix: str) -> dict:
-        return {f"{prefix}.gate_kernel": self.gate_kernel, f"{prefix}.gate_bias": self.gate_bias}
-
-    @classmethod
-    def from_dict(cls, prefix: str, params: dict) -> "ConvLstmParams":
-        return cls(params[f"{prefix}.gate_kernel"], params[f"{prefix}.gate_bias"])
-
 
 def convlstm_step(
     x: Tensor,
@@ -185,7 +165,7 @@ def convlstm_step(
 
 
 @dataclass
-class GruParams:
+class GruParams(ParamStruct):
     w_update: Tensor  # (C+D, D)
     b_update: Tensor
     w_reset: Tensor
@@ -208,21 +188,6 @@ class GruParams:
             w_cand=uniform_fan_in((cin, hidden), cin, seed, f"{name}.w_cand"),
             b_cand=zeros_param((hidden,)),
         )
-
-    def as_dict(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.w_update": self.w_update,
-            f"{prefix}.b_update": self.b_update,
-            f"{prefix}.w_reset": self.w_reset,
-            f"{prefix}.b_reset": self.b_reset,
-            f"{prefix}.w_cand": self.w_cand,
-            f"{prefix}.b_cand": self.b_cand,
-        }
-
-    @classmethod
-    def from_dict(cls, prefix: str, params: dict) -> "GruParams":
-        return cls(*(params[f"{prefix}.{f}"] for f in (
-            "w_update", "b_update", "w_reset", "b_reset", "w_cand", "b_cand")))
 
 
 def gru_step(x: Tensor, h: Tensor, params: GruParams) -> Tensor:

@@ -53,6 +53,14 @@ def _load_config(path: Optional[str]) -> Dict:
     return cfg
 
 
+def _section(cfg: Dict, key: str) -> Optional[Dict]:
+    """The value of a config entry that must be an object, or None if absent."""
+    value = cfg.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise ValidationError(f"config '{key}' must be an object, got {type(value).__name__}")
+    return value
+
+
 def _pick(flag, config_value, default):
     if flag is not None:
         return flag
@@ -162,7 +170,7 @@ def cmd_train(args) -> int:
         raise ValidationError("train needs a preset (--preset or config 'preset')")
     if preset_name not in PRESETS:
         raise ValidationError(f"unknown preset '{preset_name}' (have {sorted(PRESETS)})")
-    overrides = dict(cfg.get("overrides", {}))
+    overrides = dict(_section(cfg, "overrides") or {})
     for flag, key in ((args.epochs, "epochs"), (args.frames_t, "frames_T"),
                       (args.batch_size, "batch_size")):
         if flag is not None:
@@ -175,9 +183,9 @@ def cmd_train(args) -> int:
     train_ds = SyntheticDataset.load(train_dir)
     test_ds = SyntheticDataset.load(test_dir) if os.path.isdir(test_dir) else None
 
-    model_cfg = dict(cfg.get("model", {}))
+    model_cfg = dict(_section(cfg, "model") or {})
     family = _pick(args.family, model_cfg.get("family"), None)
-    init_from = cfg.get("init_from", {})
+    init_from = _section(cfg, "init_from") or {}
     if init_from.get("model"):
         model = load_model(init_from["model"])
         if family is not None and family != model.family:
@@ -198,7 +206,7 @@ def cmd_train(args) -> int:
     if train_ds.space.space_hash() != model.space.space_hash():
         raise ValidationError("dataset and model label spaces differ")
 
-    aug = _build_augmentation(cfg.get("augmentation"))
+    aug = _build_augmentation(_section(cfg, "augmentation"))
     started = time.time()
     log = run_stage(model, train_ds, schedule, seed=seed, aug=aug,
                     eval_dataset=test_ds, eval_every=int(args.eval_every))

@@ -16,8 +16,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .init import uniform_fan_in, zeros_param
-from .ops import affine, dropout, logsumexp_rows, matmul, mean_all, reshape, take_rows
+from .init import ParamStruct, uniform_fan_in, zeros_param
+from .ops import affine, dropout, logsumexp_rows, matmul, mean_all, take_rows
 from .tensor import Tensor, add, subtract
 
 
@@ -151,7 +151,7 @@ class ScoreTriple:
 
 
 @dataclass
-class StructuredHeadParams:
+class StructuredHeadParams(ParamStruct):
     """Three linear classifiers plus the two action-to-bias maps."""
 
     w_verb: Tensor
@@ -178,23 +178,6 @@ class StructuredHeadParams:
             bias_noun=zeros_param((space.num_actions, space.num_nouns)),
         )
 
-    def as_dict(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.w_verb": self.w_verb,
-            f"{prefix}.b_verb": self.b_verb,
-            f"{prefix}.w_noun": self.w_noun,
-            f"{prefix}.b_noun": self.b_noun,
-            f"{prefix}.w_act": self.w_act,
-            f"{prefix}.b_act": self.b_act,
-            f"{prefix}.bias_verb": self.bias_verb,
-            f"{prefix}.bias_noun": self.bias_noun,
-        }
-
-    @classmethod
-    def from_dict(cls, prefix: str, params: dict) -> "StructuredHeadParams":
-        return cls(*(params[f"{prefix}.{f}"] for f in (
-            "w_verb", "b_verb", "w_noun", "b_noun", "w_act", "b_act", "bias_verb", "bias_noun")))
-
 
 def structured_forward(
     feature: Tensor,
@@ -204,16 +187,15 @@ def structured_forward(
     rng: Optional[np.random.Generator] = None,
     dropout_p: float = 0.0,
 ) -> ScoreTriple:
-    """Score a feature vector (F,) or batch (B, F) against all three tasks.
+    """Score a batch of features (B, F) against all three tasks.
 
     Action logits double as an instance-specific bias on the verb and noun
     classifiers through the two linear bias maps. Dropout, when training,
-    is applied to the feature ahead of all three classifiers.
+    is applied to the features ahead of all three classifiers.
     """
-    squeeze = feature.ndim == 1
-    f = reshape(feature, (1, -1)) if squeeze else feature
+    f = feature
     if f.ndim != 2 or f.shape[1] != params.w_verb.shape[0]:
-        raise ShapeError(f"feature shape {feature.shape} mismatches head of {params.w_verb.shape}")
+        raise ShapeError(f"feature shape {f.shape} is not (B, {params.w_verb.shape[0]})")
     if params.w_verb.shape[1] != space.num_verbs or params.w_act.shape[1] != space.num_actions:
         raise ShapeError("head extents do not match the label space")
     if train and dropout_p > 0.0:
@@ -223,19 +205,17 @@ def structured_forward(
     act = affine(f, params.w_act, params.b_act)
     verb = add(affine(f, params.w_verb, params.b_verb), matmul(act, params.bias_verb))
     noun = add(affine(f, params.w_noun, params.b_noun), matmul(act, params.bias_noun))
-    if squeeze:
-        verb, noun, act = (reshape(t, (t.shape[1],)) for t in (verb, noun, act))
     return ScoreTriple(verb=verb, noun=noun, action=act)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean softmax cross-entropy of (B, K) logits against integer labels."""
-    squeeze = logits.ndim == 1
-    lg = reshape(logits, (1, -1)) if squeeze else logits
-    idx = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    if idx.min(initial=0) < 0 or idx.max(initial=-1) >= lg.shape[1]:
-        raise ValidationError(f"label outside class range [0, {lg.shape[1]})")
-    return mean_all(subtract(logsumexp_rows(lg), take_rows(lg, idx)))
+    if logits.ndim != 2:
+        raise ShapeError(f"expected (B, K) logits, got {logits.shape}")
+    idx = np.asarray(labels, dtype=np.int64)
+    if idx.min(initial=0) < 0 or idx.max(initial=-1) >= logits.shape[1]:
+        raise ValidationError(f"label outside class range [0, {logits.shape[1]})")
+    return mean_all(subtract(logsumexp_rows(logits), take_rows(logits, idx)))
 
 
 def multi_task_loss(
@@ -243,11 +223,11 @@ def multi_task_loss(
     labels: tuple,
     tasks: Sequence[str] = ("verb", "noun", "action"),
 ) -> Tensor:
-    """Equal-weight sum of the per-task cross-entropies.
+    """Equal-weight sum of the per-task cross-entropies of (B, K) scores.
 
-    ``labels`` is (verb_ids, noun_ids, action_ids); for batched scores each
-    entry is an integer array, otherwise a single id. ``tasks`` restricts
-    the sum (the flow stream pretrains on verbs alone).
+    ``labels`` is (verb_ids, noun_ids, action_ids), each an integer array
+    of B ids. ``tasks`` restricts the sum (the flow stream pretrains on
+    verbs alone).
     """
     by_name = dict(zip(("verb", "noun", "action"), labels))
     total = None

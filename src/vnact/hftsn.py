@@ -18,13 +18,13 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .heads import LabelSpace, ScoreTriple, StructuredHeadParams, structured_forward
-from .init import uniform_fan_in, zeros_param
+from .init import ParamStruct, uniform_fan_in, zeros_param
 from .ops import avg_pool2x2, concat, conv2d, mean_along, narrow, reshape, spatial_avg_pool
 from .tensor import Tensor, add, hadamard, relu
 
 
 @dataclass
-class HfBlockParams:
+class HfBlockParams(ParamStruct):
     """Per-channel weights for a frame and its successor."""
 
     w0: Tensor  # (C,) weight of the frame itself
@@ -36,13 +36,6 @@ class HfBlockParams:
             w0=Tensor(np.ones(channels), grad_enabled=True),
             w1=Tensor(np.zeros(channels), grad_enabled=True),
         )
-
-    def as_dict(self, prefix: str) -> dict:
-        return {f"{prefix}.w0": self.w0, f"{prefix}.w1": self.w1}
-
-    @classmethod
-    def from_dict(cls, prefix: str, params: dict) -> "HfBlockParams":
-        return cls(params[f"{prefix}.w0"], params[f"{prefix}.w1"])
 
 
 def hf_block(f: Tensor, params: HfBlockParams) -> Tensor:
@@ -116,14 +109,14 @@ def backbone_forward(
     params: BackboneParams,
     hf: Optional[Dict[int, HfBlockParams]] = None,
 ) -> Tensor:
-    """Run frames (..., T, C, H, W) through the stage stack.
+    """Run frames (B, T, C, H, W) through the stage stack.
 
     Temporal-interaction blocks, when given, sit at the input of their
     stage (after the preceding pool). Frames keep their time axis so the
     blocks can mix along it.
     """
-    if frames.ndim < 4:
-        raise ShapeError(f"expected at least (T, C, H, W), got {frames.shape}")
+    if frames.ndim != 5:
+        raise ShapeError(f"expected (B, T, C, H, W), got {frames.shape}")
     if hf:
         bad = [s for s in hf if not 0 <= s < params.num_stages]
         if bad:

@@ -1,4 +1,4 @@
-"""Seeded parameter initialization.
+"""Seeded parameter initialization and the parameter-struct naming.
 
 Each layer draws from its own generator derived from (seed, layer name)
 via SHA-256, so adding or reordering layers never shifts another layer's
@@ -8,6 +8,7 @@ values and rebuilding a model with the same seed is bit-reproducible.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 
@@ -32,3 +33,18 @@ def uniform_fan_in(shape, fan_in: int, seed: int, name: str) -> Tensor:
 
 def zeros_param(shape) -> Tensor:
     return Tensor(np.zeros(shape), grad_enabled=True)
+
+
+class ParamStruct:
+    """Base of the parameter dataclasses.
+
+    A struct stored under ``prefix`` holds one checkpoint entry per field,
+    named ``<prefix>.<field>``, in field order.
+    """
+
+    def as_dict(self, prefix: str) -> dict:
+        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, prefix: str, params: dict):
+        return cls(*(params[f"{prefix}.{f.name}"] for f in fields(cls)))

@@ -3,10 +3,10 @@
 Every model owns a flat name->Tensor parameter dict (the manifest
 namespace used for checkpoints), exposes group_of(name) for schedule
 group selection, and scores inputs into a verb/noun/action triple via
-forward(). Inputs arrive as a dict of arrays: "frames" for appearance
-clips, "flow" for stacked-displacement clips. The layer functions take
-batched (B, T, C, H, W) input only; forward() also takes one (T, C, H, W)
-clip, which it scores as a batch of one and returns unbatched scores for.
+forward(). Inputs arrive as a dict of batched (B, T, C, H, W) arrays:
+"frames" for appearance clips, "flow" for stacked-displacement clips; the
+scores come back as (B, K) logits per task. There is no unbatched form: a
+single clip is a batch of one.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .cells import ConvLstmParams, GruParams, LstaParams, rollout, run_lsta_gru
 from .errors import ShapeError, ValidationError
 from .heads import LabelSpace, ScoreTriple, StructuredHeadParams, structured_forward
 from .hftsn import BackboneParams, HfBlockParams, HfTsnConfig, backbone_forward, hf_tsn_forward
-from .ops import reshape, spatial_avg_pool
+from .ops import spatial_avg_pool
 from .tensor import Tensor
 from .tnsf import load_bundle, save_bundle
 from .twostream import (
@@ -97,29 +97,14 @@ def _get_input(inputs: Dict, key: str) -> Tensor:
         raise ValidationError(f"model expects input '{key}', got {sorted(inputs)}")
     x = inputs[key]
     t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    if t.ndim not in (4, 5):
-        raise ShapeError(f"input '{key}' must be (T, C, H, W) or (B, T, C, H, W), got {t.shape}")
+    if t.ndim != 5:
+        raise ShapeError(f"input '{key}' must be (B, T, C, H, W), got {t.shape}")
     return t
 
 
-def _score_clips(inputs: Dict, keys, score) -> ScoreTriple:
-    """Run ``score`` on the batched inputs named by ``keys``.
-
-    A single (T, C, H, W) clip gains a batch axis on the way in, and the
-    score triple loses it on the way out.
-    """
-    xs = [_get_input(inputs, k) for k in keys]
-    single = xs[0].ndim == 4
-    if any((x.ndim == 4) != single for x in xs):
-        raise ShapeError(f"inputs {list(keys)} must agree on batching")
-    if not single:
-        return score(*xs)
-    out = score(*(reshape(x, (1,) + x.shape) for x in xs))
-    return ScoreTriple(*(reshape(s, s.shape[1:]) for s in (out.verb, out.noun, out.action)))
-
-
 class ModelBase:
-    """Shared parameter-dict plumbing for all families."""
+    """Shared parameter-dict plumbing for all families. Each family class
+    defines ``forward(inputs, train=False, rng=None, dropout_p=0.0)``."""
 
     family = "base"
 
@@ -150,10 +135,6 @@ class ModelBase:
         if name not in self._groups:
             raise ValidationError(f"unknown parameter '{name}'")
         return self._groups[name]
-
-    def forward(self, inputs: Dict, train: bool = False, rng=None,
-                dropout_p: float = 0.0) -> ScoreTriple:
-        raise NotImplementedError
 
     def _head(self, prefix: str, desc: Tensor, train, rng, dropout_p) -> ScoreTriple:
         return structured_forward(desc, StructuredHeadParams.from_dict(prefix, self._params),
@@ -187,12 +168,10 @@ class LstaModel(ModelBase):
         return cls(config, space, params)
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
-        def score(frames):
-            feats = backbone_forward(frames, BackboneParams.from_dict("backbone", self._params))
-            *_, state = rollout(feats, LstaParams.from_dict("lsta", self._params))
-            return self._head("head", spatial_avg_pool(state.c), train, rng, dropout_p)
-
-        return _score_clips(inputs, ["frames"], score)
+        feats = backbone_forward(_get_input(inputs, "frames"),
+                                 BackboneParams.from_dict("backbone", self._params))
+        *_, state = rollout(feats, LstaParams.from_dict("lsta", self._params))
+        return self._head("head", spatial_avg_pool(state.c), train, rng, dropout_p)
 
 
 class LstaGruModel(ModelBase):
@@ -218,18 +197,16 @@ class LstaGruModel(ModelBase):
         return cls(config, space, params)
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
-        def score(frames):
-            feats = backbone_forward(frames, BackboneParams.from_dict("backbone", self._params))
-            lsta_desc, gru_desc = run_lsta_gru(
-                feats,
-                LstaParams.from_dict("lsta", self._params),
-                GruParams.from_dict("gru_a", self._params),
-                GruParams.from_dict("gru_b", self._params),
-            )
-            return fuse_scores(self._head("head_lsta", lsta_desc, train, rng, dropout_p),
-                               self._head("head_gru", gru_desc, train, rng, dropout_p))
-
-        return _score_clips(inputs, ["frames"], score)
+        feats = backbone_forward(_get_input(inputs, "frames"),
+                                 BackboneParams.from_dict("backbone", self._params))
+        lsta_desc, gru_desc = run_lsta_gru(
+            feats,
+            LstaParams.from_dict("lsta", self._params),
+            GruParams.from_dict("gru_a", self._params),
+            GruParams.from_dict("gru_b", self._params),
+        )
+        return fuse_scores(self._head("head_lsta", lsta_desc, train, rng, dropout_p),
+                           self._head("head_gru", gru_desc, train, rng, dropout_p))
 
 
 class HfTsnModel(ModelBase):
@@ -257,17 +234,12 @@ class HfTsnModel(ModelBase):
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
         net = self._net(self.config)
-        hf = {p: HfBlockParams.from_dict(f"hf.{p}", self._params) for p in net.hf_positions}
-
-        def score(frames):
-            return hf_tsn_forward(
-                frames, net,
-                BackboneParams.from_dict("backbone", self._params),
-                hf,
-                StructuredHeadParams.from_dict("head", self._params),
-                self.space, train=train, rng=rng, dropout_p=dropout_p)
-
-        return _score_clips(inputs, ["frames"], score)
+        return hf_tsn_forward(
+            _get_input(inputs, "frames"), net,
+            BackboneParams.from_dict("backbone", self._params),
+            {p: HfBlockParams.from_dict(f"hf.{p}", self._params) for p in net.hf_positions},
+            StructuredHeadParams.from_dict("head", self._params),
+            self.space, train=train, rng=rng, dropout_p=dropout_p)
 
 
 class MotionModel(ModelBase):
@@ -286,14 +258,12 @@ class MotionModel(ModelBase):
         return cls(config, space, params)
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
-        def score(flow):
-            feats = motion_spatial_attention(
-                backbone_forward(flow, BackboneParams.from_dict("backbone", self._params)),
-                MotionAttentionParams.from_dict("attn", self._params))
-            *_, state = rollout(feats, ConvLstmParams.from_dict("convlstm", self._params))
-            return self._head("head", spatial_avg_pool(state.c), train, rng, dropout_p)
-
-        return _score_clips(inputs, ["flow"], score)
+        feats = motion_spatial_attention(
+            backbone_forward(_get_input(inputs, "flow"),
+                             BackboneParams.from_dict("backbone", self._params)),
+            MotionAttentionParams.from_dict("attn", self._params))
+        *_, state = rollout(feats, ConvLstmParams.from_dict("convlstm", self._params))
+        return self._head("head", spatial_avg_pool(state.c), train, rng, dropout_p)
 
 
 class TwoStreamModel(ModelBase):
@@ -336,20 +306,18 @@ class TwoStreamModel(ModelBase):
         return cls(config, app.space, params)
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
-        def score(frames, flow):
-            app_feats = backbone_forward(frames, BackboneParams.from_dict("app.backbone", self._params))
-            mot_feats = motion_spatial_attention(
-                backbone_forward(flow, BackboneParams.from_dict("motion.backbone", self._params)),
-                MotionAttentionParams.from_dict("motion.attn", self._params))
-            app_desc, mot_desc = cross_modal_rollout(
-                app_feats, mot_feats,
-                LstaParams.from_dict("app.lsta", self._params),
-                ConvLstmParams.from_dict("motion.convlstm", self._params),
-                FusionParams.from_dict("fusion", self._params))
-            return fuse_scores(self._head("app.head", app_desc, train, rng, dropout_p),
-                               self._head("motion.head", mot_desc, train, rng, dropout_p))
-
-        return _score_clips(inputs, ["frames", "flow"], score)
+        frames, flow = _get_input(inputs, "frames"), _get_input(inputs, "flow")
+        app_feats = backbone_forward(frames, BackboneParams.from_dict("app.backbone", self._params))
+        mot_feats = motion_spatial_attention(
+            backbone_forward(flow, BackboneParams.from_dict("motion.backbone", self._params)),
+            MotionAttentionParams.from_dict("motion.attn", self._params))
+        app_desc, mot_desc = cross_modal_rollout(
+            app_feats, mot_feats,
+            LstaParams.from_dict("app.lsta", self._params),
+            ConvLstmParams.from_dict("motion.convlstm", self._params),
+            FusionParams.from_dict("fusion", self._params))
+        return fuse_scores(self._head("app.head", app_desc, train, rng, dropout_p),
+                           self._head("motion.head", mot_desc, train, rng, dropout_p))
 
 
 FAMILIES = {

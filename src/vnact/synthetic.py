@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -126,18 +127,27 @@ class SyntheticDataset:
 
     @classmethod
     def load(cls, directory) -> "SyntheticDataset":
+        """Read a saved dataset; a missing or malformed file is a ValidationError."""
         for fname in ("label_space.json", "meta.json", "data.npz"):
             if not os.path.exists(os.path.join(directory, fname)):
                 raise ValidationError(f"dataset directory {directory} is missing {fname}")
         with open(os.path.join(directory, "label_space.json")) as fh:
             space = LabelSpace.from_json(fh.read())
-        with open(os.path.join(directory, "meta.json")) as fh:
-            meta = json.load(fh)
-        data = np.load(os.path.join(directory, "data.npz"))
-        inputs = {k[len("input_"):]: data[k] for k in data.files if k.startswith("input_")}
-        return cls(space=space, segment_ids=list(meta["segment_ids"]), inputs=inputs,
-                   verbs=data["verbs"], nouns=data["nouns"], actions=data["actions"],
-                   split_tag=meta["split_tag"])
+        try:
+            with open(os.path.join(directory, "meta.json")) as fh:
+                meta = json.load(fh)
+            segment_ids, split_tag = list(meta["segment_ids"]), meta["split_tag"]
+        except (OSError, ValueError, TypeError, KeyError) as exc:
+            raise ValidationError(f"{directory}: malformed meta.json ({exc!r})") from exc
+        try:
+            with np.load(os.path.join(directory, "data.npz")) as data:
+                arrays = {k: data[k] for k in data.files}
+            labels = {k: arrays[k] for k in ("verbs", "nouns", "actions")}
+        except (OSError, ValueError, TypeError, KeyError, zipfile.BadZipFile) as exc:
+            raise ValidationError(f"{directory}: malformed data.npz ({exc!r})") from exc
+        inputs = {k[len("input_"):]: v for k, v in arrays.items() if k.startswith("input_")}
+        return cls(space=space, segment_ids=segment_ids, inputs=inputs, split_tag=split_tag,
+                   **labels)
 
 
 def _draw_labels(space: LabelSpace, n_samples: int, seed: int):

@@ -49,19 +49,16 @@ class Tensor:
         data: row-major float64 ndarray, marked read-only.
         shape: tuple of extents.
         grad_enabled: whether this tensor participates in differentiation.
-        tape_node: node id assigned by the most recent tape that recorded
-            this tensor, or None. Leaf parameters receive their id lazily,
-            the first time an operation consumes them under an active tape.
+        uid: process-unique id; a tape maps it to the tensor's node.
     """
 
-    __slots__ = ("data", "grad_enabled", "tape_node", "uid")
+    __slots__ = ("data", "grad_enabled", "uid")
 
     def __init__(self, data, grad_enabled: bool = False):
         arr = np.array(data, dtype=np.float64, order="C")
         arr.flags.writeable = False
         self.data = arr
         self.grad_enabled = grad_enabled
-        self.tape_node: Optional[int] = None
         self.uid = next(_uid_counter)
 
     @classmethod
@@ -74,7 +71,6 @@ class Tensor:
         arr.flags.writeable = False
         t.data = arr
         t.grad_enabled = grad_enabled
-        t.tape_node = None
         t.uid = next(_uid_counter)
         return t
 
@@ -189,20 +185,16 @@ class Tape:
     def node_of(self, t: Tensor) -> Optional[int]:
         return self._node_of_uid.get(t.uid)
 
-    def _ensure_leaf(self, t: Tensor) -> int:
-        nid = self._node_of_uid.get(t.uid)
-        if nid is None:
-            nid = len(self.nodes)
-            self.nodes.append(TapeNode("leaf", (), None, leaf=t))
-            self._node_of_uid[t.uid] = nid
-            t.tape_node = nid
+    def _add_leaf(self, t: Tensor) -> int:
+        nid = len(self.nodes)
+        self.nodes.append(TapeNode("leaf", (), None, leaf=t))
+        self._node_of_uid[t.uid] = nid
         return nid
 
     def _record(self, kind: str, parent_ids: tuple, backward, out: Tensor) -> int:
         nid = len(self.nodes)
         self.nodes.append(TapeNode(kind, parent_ids, backward))
         self._node_of_uid[out.uid] = nid
-        out.tape_node = nid
         return nid
 
     def backward(self, loss: Tensor) -> dict[int, Tensor]:
@@ -261,12 +253,14 @@ def apply_op(
     tape = active_tape()
     if tape is not None and backward_fn is not None and any(t.grad_enabled for t in inputs):
         out = Tensor._wrap(out_data, grad_enabled=True)
-        parent_ids = tuple(
-            tape.node_of(t) if tape.node_of(t) is not None
-            else (tape._ensure_leaf(t) if t.grad_enabled else None)
-            for t in inputs
-        )
-        tape._record(kind, parent_ids, backward_fn, out)
+        parent_ids = []
+        for t in inputs:
+            nid = tape.node_of(t)
+            if nid is None and t.grad_enabled:
+                # A leaf gets its node the first time an op consumes it.
+                nid = tape._add_leaf(t)
+            parent_ids.append(nid)
+        tape._record(kind, tuple(parent_ids), backward_fn, out)
         return out
     return Tensor._wrap(out_data)
 

@@ -104,7 +104,7 @@ def load_bundle(directory) -> dict[str, np.ndarray]:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
-    if manifest.get("format") != "tnsf-bundle":
+    if not isinstance(manifest, dict) or manifest.get("format") != "tnsf-bundle":
         raise FormatError(f"{manifest_path}: not a tnsf-bundle manifest")
     entries = manifest.get("tensors")
     if not isinstance(entries, dict):

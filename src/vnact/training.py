@@ -179,7 +179,11 @@ class AugmentationConfig:
         if not 0.0 <= self.horizontal_flip <= 1.0:
             raise ValidationError(f"flip probability must be in [0, 1], got {self.horizontal_flip}")
         if self.scale_jitter is not None:
-            lo, hi = self.scale_jitter
+            try:
+                lo, hi = (float(v) for v in self.scale_jitter)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(
+                    f"scale_jitter must be a (lo, hi) pair, got {self.scale_jitter}") from exc
             if not 0.0 < lo <= hi <= 1.0:
                 raise ValidationError(f"scale_jitter must satisfy 0 < lo <= hi <= 1, got {self.scale_jitter}")
 

@@ -19,12 +19,13 @@ import numpy as np
 from .cells import ConvLstmParams, GateBias, LstaParams, rollout
 from .errors import ShapeError
 from .heads import ScoreTriple
+from .init import ParamStruct
 from .ops import conv2d, conv3d, index_select, softmax_spatial_scaled, spatial_avg_pool, transpose
 from .tensor import Tensor, add, hadamard, scale
 
 
 @dataclass
-class MotionAttentionParams:
+class MotionAttentionParams(ParamStruct):
     """1x1 map from motion features to a single spatial attention plane."""
 
     kernel: Tensor  # (1, C, 1, 1)
@@ -33,13 +34,6 @@ class MotionAttentionParams:
     def create(cls, channels: int) -> "MotionAttentionParams":
         # Zero start: uniform attention, so the module begins as identity.
         return cls(kernel=Tensor(np.zeros((1, channels, 1, 1)), grad_enabled=True))
-
-    def as_dict(self, prefix: str) -> dict:
-        return {f"{prefix}.kernel": self.kernel}
-
-    @classmethod
-    def from_dict(cls, prefix: str, params: dict) -> "MotionAttentionParams":
-        return cls(params[f"{prefix}.kernel"])
 
 
 def motion_spatial_attention(features: Tensor, params: MotionAttentionParams) -> Tensor:
@@ -53,7 +47,7 @@ def motion_spatial_attention(features: Tensor, params: MotionAttentionParams) ->
 
 
 @dataclass
-class FusionParams:
+class FusionParams(ParamStruct):
     """Gate-bias generators between the two streams.
 
     ``app_to_motion`` is a 3D kernel over time-stacked appearance features
@@ -75,14 +69,6 @@ class FusionParams:
             motion_to_app=Tensor(np.zeros(
                 (4 * app_memory, motion_channels, kernel_size, kernel_size)), grad_enabled=True),
         )
-
-    def as_dict(self, prefix: str) -> dict:
-        return {f"{prefix}.app_to_motion": self.app_to_motion,
-                f"{prefix}.motion_to_app": self.motion_to_app}
-
-    @classmethod
-    def from_dict(cls, prefix: str, params: dict) -> "FusionParams":
-        return cls(params[f"{prefix}.app_to_motion"], params[f"{prefix}.motion_to_app"])
 
 
 def cross_modal_rollout(
@@ -115,13 +101,8 @@ def cross_modal_rollout(
 
 def fuse_scores(a: ScoreTriple, b: ScoreTriple) -> ScoreTriple:
     """Elementwise arithmetic mean of two score triples, task by task."""
-    def mean_one(x: Tensor, y: Tensor) -> Tensor:
+    pairs = ((a.verb, b.verb), (a.noun, b.noun), (a.action, b.action))
+    for x, y in pairs:
         if x.shape != y.shape:
             raise ShapeError(f"score extents differ: {x.shape} vs {y.shape}")
-        return scale(add(x, y), 0.5)
-
-    return ScoreTriple(
-        verb=mean_one(a.verb, b.verb),
-        noun=mean_one(a.noun, b.noun),
-        action=mean_one(a.action, b.action),
-    )
+    return ScoreTriple(*(scale(add(x, y), 0.5) for x, y in pairs))

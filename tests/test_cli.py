@@ -101,6 +101,20 @@ def test_train_errors_map_to_exit_code_one(workspace, tmp_path, capsys):
                  "--config", str(bad_json)]) == 1
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"overrides": [1, 2]}, "'overrides' must be an object"),
+    ({"init_from": "x"}, "'init_from' must be an object"),
+    ({"augmentation": {"scale_jitter": [2]}}, "scale_jitter must be a"),
+])
+def test_train_config_values_of_the_wrong_shape_exit_one(workspace, tmp_path, capsys,
+                                                          entry, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"preset": "lsta_stage1", "model": {"family": "lsta"}, **entry}))
+    assert main(["train", "--dataset", str(workspace["data"]), "--out-dir", str(tmp_path),
+                 "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_train_can_resume_from_checkpoint(workspace, tmp_path):
     cfg = {"preset": "lsta_stage2",
            "init_from": {"model": str(workspace["run"] / "model")},
@@ -186,6 +200,15 @@ def test_eval_model_json_not_an_object_exits_one(workspace, tmp_path, capsys):
     assert main(["eval", "--model", str(model_dir), "--dataset", str(workspace["data"] / "test"),
                  "--out", str(tmp_path / "scores.json")]) == 1
     assert "must hold an object" in capsys.readouterr().err
+
+
+def test_eval_malformed_dataset_exits_one(workspace, tmp_path, capsys):
+    data_dir = tmp_path / "test"
+    shutil.copytree(workspace["data"] / "test", data_dir)
+    (data_dir / "meta.json").write_text("[1]")
+    assert main(["eval", "--model", str(workspace["run"] / "model"), "--dataset", str(data_dir),
+                 "--out", str(tmp_path / "scores.json")]) == 1
+    assert "malformed meta.json" in capsys.readouterr().err
 
 
 def test_submit_command(workspace, tmp_path):

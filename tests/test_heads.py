@@ -131,22 +131,14 @@ def test_structured_forward_zero_bias_maps_decouple_bitwise():
     assert np.array_equal(out.noun.data, plain_noun.data)
 
 
-def test_structured_forward_single_vector_squeeze():
-    rng = np.random.default_rng(2)
-    space = toy_space()
-    head = StructuredHeadParams.create(feature_dim=4, space=space, seed=3)
-    x = rng.normal(size=4)
-    single = structured_forward(tensor(x), head, space)
-    batched = structured_forward(tensor(x[None]), head, space)
-    assert single.verb.shape == (2,)
-    assert np.array_equal(single.verb.data, batched.verb.data[0])
-
-
 def test_structured_forward_validation():
     space = toy_space()
     head = StructuredHeadParams.create(feature_dim=4, space=space, seed=4)
     with pytest.raises(ShapeError):
         structured_forward(tensor(np.zeros((2, 5))), head, space)
+    # One unbatched feature vector is not a batch.
+    with pytest.raises(ShapeError):
+        structured_forward(tensor(np.zeros(4)), head, space)
     with pytest.raises(ValidationError):
         structured_forward(tensor(np.zeros((2, 4))), head, space, train=True, dropout_p=0.5)
     bigger = LabelSpace(verbs=("a", "b", "c"), nouns=("x",), actions=((0, 0), (1, 0)))
@@ -193,6 +185,9 @@ def test_cross_entropy_label_range_check():
         cross_entropy(tensor(np.zeros((2, 3))), np.array([0, 3]))
     with pytest.raises(ValidationError):
         cross_entropy(tensor(np.zeros((2, 3))), np.array([-1, 0]))
+    # One unbatched logit row is not a batch.
+    with pytest.raises(ShapeError):
+        cross_entropy(tensor(np.zeros(3)), np.array([0]))
 
 
 def test_multi_task_loss_sums_per_task_terms():

@@ -105,9 +105,12 @@ def test_backbone_identity_blocks_change_nothing_bitwise():
 
 def test_backbone_rejects_bad_block_positions():
     params = BackboneParams.create(in_channels=2, stage_channels=[3], seed=2)
-    x = tensor(np.zeros((2, 2, 4, 4)))
-    with pytest.raises(ValidationError):
+    x = tensor(np.zeros((1, 2, 2, 4, 4)))
+    with pytest.raises(ValidationError, match="interaction positions"):
         backbone_forward(x, params, hf={1: HfBlockParams.create(3)})
+    # One unbatched (T, C, H, W) clip is not a batch.
+    with pytest.raises(ShapeError):
+        backbone_forward(tensor(np.zeros((2, 2, 4, 4))), params)
 
 
 def test_backbone_params_round_trip():

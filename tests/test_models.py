@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from vnact.battery import _FAMILY_CONFIGS
 from vnact.errors import ShapeError, ValidationError
 from vnact.heads import LabelSpace
 from vnact.models import (
@@ -151,22 +152,18 @@ def test_forward_shapes_per_family():
     assert out.action.shape == (2, a)
 
 
-def test_forward_single_clip_squeeze():
-    rng = np.random.default_rng(13)
-    model = LstaModel.create(lsta_config(), SPACE, seed=14)
-    clip = rng.normal(size=(3, 2, 8, 8))
-    single = model.forward({"frames": clip})
-    batched = model.forward({"frames": clip[None]})
-    assert single.verb.shape == (SPACE.num_verbs,)
-    assert np.allclose(single.verb.data, batched.verb.data[0], rtol=1e-12, atol=1e-12)
-
-
 def test_forward_input_validation():
     model = LstaModel.create(lsta_config(), SPACE, seed=15)
     with pytest.raises(ValidationError):
         model.forward({"flow": np.zeros((3, 2, 8, 8))})
     with pytest.raises(ShapeError):
         model.forward({"frames": np.zeros((2, 8, 8))})
+    # One unbatched (T, C, H, W) clip is not a batch.
+    with pytest.raises(ShapeError):
+        model.forward({"frames": np.zeros((3, 2, 8, 8))})
+    two = TwoStreamModel.create({"app": lsta_config(), "motion": motion_config()}, SPACE, seed=15)
+    with pytest.raises(ShapeError):
+        two.forward({"frames": np.zeros((1, 3, 2, 8, 8)), "flow": np.zeros((3, 4, 8, 8))})
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +184,8 @@ def test_from_streams_preserves_stream_parameters_and_zero_fusion():
                           np.zeros(P["fusion.app_to_motion"].shape))
 
     # At zero fusion the joint model scores exactly the stream average.
-    frames = rng.normal(size=(3, 2, 8, 8))
-    flow = rng.normal(size=(3, 4, 8, 8))
+    frames = rng.normal(size=(1, 3, 2, 8, 8))
+    flow = rng.normal(size=(1, 3, 4, 8, 8))
     fused = two.forward({"frames": frames, "flow": flow})
     a = app.forward({"frames": frames})
     m = motion.forward({"flow": flow})
@@ -244,6 +241,37 @@ def test_save_load_two_stream(tmp_path):
     back = load_model(tmp_path / "two")
     after = back.forward(inputs)
     assert np.array_equal(before.action.data, after.action.data)
+
+
+_HEAD = ["b_act", "b_noun", "b_verb", "bias_noun", "bias_verb", "w_act", "w_noun", "w_verb"]
+_BACKBONE = ["stage0.bias", "stage0.kernel", "stage1.bias", "stage1.kernel"]
+_LSTA = ["attn_kernel", "gate_bias", "gate_kernel", "pool_kernel"]
+_GRU = ["b_cand", "b_reset", "b_update", "w_cand", "w_reset", "w_update"]
+
+
+def _under(prefix, fields):
+    return [f"{prefix}.{f}" for f in fields]
+
+
+def test_checkpoint_names_are_pinned():
+    """The manifest namespace of every family at the battery configs."""
+    lsta = _under("backbone", _BACKBONE) + _under("head", _HEAD) + _under("lsta", _LSTA)
+    motion = (["attn.kernel"] + _under("backbone", _BACKBONE)
+              + ["convlstm.gate_bias", "convlstm.gate_kernel"] + _under("head", _HEAD))
+    expected = {
+        "lsta": lsta,
+        "lsta_gru": (_under("backbone", _BACKBONE) + _under("gru_a", _GRU) + _under("gru_b", _GRU)
+                     + _under("head_gru", _HEAD) + _under("head_lsta", _HEAD)
+                     + _under("lsta", _LSTA)),
+        "hf_tsn": (_under("backbone", _BACKBONE) + _under("head", _HEAD)
+                   + ["hf.0.w0", "hf.0.w1", "hf.1.w0", "hf.1.w1"]),
+        "motion": motion,
+        "two_stream": (_under("app", lsta) + ["fusion.app_to_motion", "fusion.motion_to_app"]
+                       + _under("motion", motion)),
+    }
+    space = default_label_space(3, 4, 6, seed=0)
+    assert {family: sorted(create_model(family, config, space, seed=0).params())
+            for family, config in _FAMILY_CONFIGS.items()} == expected
 
 
 @pytest.mark.parametrize("family, config, key", [

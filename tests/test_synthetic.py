@@ -143,6 +143,19 @@ def test_dataset_save_load_round_trip(tmp_path):
         SyntheticDataset.load(tmp_path / "missing")
 
 
+@pytest.mark.parametrize("fname, content", [
+    ("meta.json", "[1]"),
+    ("meta.json", "not json {"),
+    ("meta.json", "{}"),
+    ("data.npz", "garbage"),
+])
+def test_dataset_load_rejects_malformed_files(tmp_path, fname, content):
+    make_synthetic(SPACE, 3, 2, 1, 4, 4, 0.0, seed=24).save(tmp_path / "ds")
+    (tmp_path / "ds" / fname).write_text(content)
+    with pytest.raises(ValidationError, match=fname):
+        SyntheticDataset.load(tmp_path / "ds")
+
+
 def test_dataset_validation():
     data = make_synthetic(SPACE, 3, 2, 1, 4, 4, 0.0, seed=23)
     with pytest.raises(ValidationError):

@@ -131,6 +131,9 @@ def test_bundle_bad_manifest_contents(tmp_path):
     (d / "manifest.json").write_text(json.dumps({"format": "tnsf-bundle", "tensors": [1]}))
     with pytest.raises(FormatError):
         load_bundle(d)
+    (d / "manifest.json").write_text("[]")
+    with pytest.raises(FormatError, match="not a tnsf-bundle"):
+        load_bundle(d)
 
 
 def test_bundle_entry_naming_missing_file(tmp_path):
