@@ -14,8 +14,6 @@ import sys
 import time
 from typing import Dict, Optional
 
-import numpy as np
-
 from .errors import NumericalError, ValidationError
 from .init import derive_seed
 from .models import FAMILIES, TwoStreamModel, create_model, load_model
@@ -69,27 +67,32 @@ def _pick(flag, config_value, default):
     return default
 
 
+def _typed(value, kind, key: str):
+    """``value`` converted by ``kind``; a value that ``kind`` rejects is a
+    ValidationError naming the config entry ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"config '{key}' must be {kind.__name__}, got {value!r}") from exc
+
+
 # ---------------------------------------------------------------------------
 # make-synthetic
 
 
+# make-synthetic settings: each comes from the flag of the same name, else the
+# config key of the same name, else this default, converted to its type.
+_SYNTHETIC_DEFAULTS = {"verbs": 6, "nouns": 8, "actions": 12, "train_samples": 500,
+                       "test_samples": 200, "t_len": 8, "channels": 3, "height": 16,
+                       "width": 16, "noise_sigma": 0.5, "flow_channels": 4}
+
+
 def cmd_make_synthetic(args) -> int:
     cfg = _load_config(args.config)
-    seed = int(_pick(args.seed, cfg.get("seed"), 0))
-    dims = {
-        "verbs": int(_pick(args.verbs, cfg.get("verbs"), 6)),
-        "nouns": int(_pick(args.nouns, cfg.get("nouns"), 8)),
-        "actions": int(_pick(args.actions, cfg.get("actions"), 12)),
-        "train_samples": int(_pick(args.train_samples, cfg.get("train_samples"), 500)),
-        "test_samples": int(_pick(args.test_samples, cfg.get("test_samples"), 200)),
-        "t_len": int(_pick(args.t_len, cfg.get("t_len"), 8)),
-        "channels": int(_pick(args.channels, cfg.get("channels"), 3)),
-        "height": int(_pick(args.height, cfg.get("height"), 16)),
-        "width": int(_pick(args.width, cfg.get("width"), 16)),
-        "noise_sigma": float(_pick(args.noise_sigma, cfg.get("noise_sigma"), 0.5)),
-        "two_stream": bool(_pick(args.two_stream or None, cfg.get("two_stream"), False)),
-        "flow_channels": int(_pick(args.flow_channels, cfg.get("flow_channels"), 4)),
-    }
+    seed = _typed(_pick(args.seed, cfg.get("seed"), 0), int, "seed")
+    dims = {key: _typed(_pick(getattr(args, key), cfg.get(key), default), type(default), key)
+            for key, default in _SYNTHETIC_DEFAULTS.items()}
+    dims["two_stream"] = bool(_pick(args.two_stream or None, cfg.get("two_stream"), False))
     space = default_label_space(dims["verbs"], dims["nouns"], dims["actions"], seed=seed)
     os.makedirs(args.out_dir, exist_ok=True)
     for split, count in (("train", dims["train_samples"]), ("test", dims["test_samples"])):
@@ -157,18 +160,18 @@ def _build_augmentation(cfg: Optional[Dict]) -> AugmentationConfig:
         return AugmentationConfig(scale_jitter=None, horizontal_flip=0.0, temporal_jitter=True)
     jitter = cfg.get("scale_jitter")
     return AugmentationConfig(
-        scale_jitter=tuple(jitter) if jitter else None,
-        horizontal_flip=float(cfg.get("horizontal_flip", 0.0)),
+        scale_jitter=_typed(jitter, tuple, "scale_jitter") if jitter else None,
+        horizontal_flip=_typed(cfg.get("horizontal_flip", 0.0), float, "horizontal_flip"),
         temporal_jitter=bool(cfg.get("temporal_jitter", True)))
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    seed = int(_pick(args.seed, cfg.get("seed"), 0))
+    seed = _typed(_pick(args.seed, cfg.get("seed"), 0), int, "seed")
     preset_name = _pick(args.preset, cfg.get("preset"), None)
     if preset_name is None:
         raise ValidationError("train needs a preset (--preset or config 'preset')")
-    if preset_name not in PRESETS:
+    if not isinstance(preset_name, str) or preset_name not in PRESETS:
         raise ValidationError(f"unknown preset '{preset_name}' (have {sorted(PRESETS)})")
     overrides = dict(_section(cfg, "overrides") or {})
     for flag, key in ((args.epochs, "epochs"), (args.frames_t, "frames_T"),
@@ -186,6 +189,9 @@ def cmd_train(args) -> int:
     model_cfg = dict(_section(cfg, "model") or {})
     family = _pick(args.family, model_cfg.get("family"), None)
     init_from = _section(cfg, "init_from") or {}
+    for key, path in init_from.items():
+        if path is not None and not isinstance(path, str):
+            raise ValidationError(f"config 'init_from.{key}' must be a path, got {path!r}")
     if init_from.get("model"):
         model = load_model(init_from["model"])
         if family is not None and family != model.family:
@@ -200,7 +206,7 @@ def cmd_train(args) -> int:
         if family is None:
             raise ValidationError("train needs a model family (--family or config model.family)")
         if memory_d is not None:
-            model_cfg["memory"] = int(memory_d)
+            model_cfg["memory"] = _typed(memory_d, int, "memory_D")
         built_cfg = _build_model_config(family, model_cfg, train_ds, schedule.frames_T)
         model = create_model(family, built_cfg, train_ds.space, derive_seed(seed, "init"))
     if train_ds.space.space_hash() != model.space.space_hash():

@@ -9,7 +9,13 @@ deterministic accumulation so replays are bit-identical.
 conv2d and conv3d are one same-padded correlation over the trailing axes
 (im2col, one matmul, col2im). Their backward rules keep the unpadded input
 and rebuild the column matrix when run, trading one im2col per call for not
-holding a 9× or 27× copy of the input until backward. ``avg_pool2x2``
+holding a 9× or 27× copy of the input until backward. A rule skips the
+gradient of an input or kernel that is not grad-enabled (raw frames and
+flow, frozen parameters): no matmul and no col2im runs for it. col2im
+accumulates into a (*padded spatial, B·C) buffer, so each kernel offset is
+one addition over the whole batch and channel axis rather than one per
+image row; every pixel still receives its offsets in the same nested order,
+so the bits are those of a row-by-row loop. ``avg_pool2x2``
 adds its four strided quarters in the order numpy's mean uses, so the
 faster forward gives the same bits.
 """
@@ -56,8 +62,12 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 def _im2col(xb: np.ndarray, ks: tuple, pads: tuple) -> np.ndarray:
     """Columns (B, C·∏k, ∏S) of a (B, C, *S) array for a same-padded kernel."""
-    xp = np.pad(xb, ((0, 0), (0, 0)) + tuple((p, p) for p in pads)) if any(pads) else xb
     spatial = xb.shape[2:]
+    if any(pads):
+        xp = np.zeros(xb.shape[:2] + tuple(n + 2 * p for n, p in zip(spatial, pads)))
+        xp[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(pads, spatial))] = xb
+    else:
+        xp = xb
     s = xp.strides
     view = np.lib.stride_tricks.as_strided(
         xp, xp.shape[:2] + ks + spatial, s + s[2:], writeable=False
@@ -68,17 +78,21 @@ def _im2col(xb: np.ndarray, ks: tuple, pads: tuple) -> np.ndarray:
 def _col2im(gcols: np.ndarray, shape: tuple, ks: tuple, pads: tuple) -> np.ndarray:
     """Adjoint of :func:`_im2col`: (B, C·∏k, ∏S) columns back to a (B, C, *S) array.
 
-    Kernel offsets are accumulated in nested loop order (last axis fastest).
+    Kernel offsets are accumulated in nested loop order (last axis fastest)
+    into a (*padded S, B·C) buffer, so each addition runs over the whole
+    batch and channel axis at once; the axis moves back to the front at the end.
     """
     if not any(pads):
         return gcols.reshape(shape)
     b, c, *spatial = shape
-    per_offset = gcols.reshape(b, c, *ks, *spatial)
-    gxp = np.zeros((b, c) + tuple(n + 2 * p for n, p in zip(spatial, pads)))
+    per_offset = np.moveaxis(gcols.reshape(b * c, *ks, *spatial), 0, -1)
+    gxp = np.zeros(tuple(n + 2 * p for n, p in zip(spatial, pads)) + (b * c,))
     for offset in itertools.product(*map(range, ks)):
         window = tuple(slice(o, o + n) for o, n in zip(offset, spatial))
-        gxp[(Ellipsis,) + window] += per_offset[(slice(None), slice(None)) + offset]
-    return gxp[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(pads, spatial))]
+        gxp[window] += per_offset[offset]
+    inner = gxp[tuple(slice(p, p + n) for p, n in zip(pads, spatial))]
+    # Copied back to row-major so a matmul reading this adjoint stays on BLAS.
+    return np.ascontiguousarray(np.moveaxis(inner, -1, 0)).reshape(shape)
 
 
 def _correlate(kind: str, x: Tensor, kernel: Tensor):
@@ -86,6 +100,8 @@ def _correlate(kind: str, x: Tensor, kernel: Tensor):
 
     Returns the output array and its backward rule. The rule keeps the
     unpadded input, not the column matrix, and rebuilds the columns when run.
+    It returns None, and does no work, for an input or kernel that is not
+    grad-enabled: nothing on the tape reads that adjoint.
     """
     nd = kernel.ndim - 2
     if x.ndim < nd + 1:
@@ -102,13 +118,19 @@ def _correlate(kind: str, x: Tensor, kernel: Tensor):
     xd, kflat = x.data, kernel.data.reshape(co, -1)
     out = np.matmul(kflat, _im2col(xd.reshape(shape), ks, pads))
 
+    need_gx, need_gk = x.grad_enabled, kernel.grad_enabled
+
     def bwd(g):
         gb = g.reshape(shape[0], co, -1)
-        # The rebuilt columns die before the same-sized input-gradient columns
-        # are allocated, so the allocator reuses their pages.
-        gk = np.matmul(gb, _im2col(xd.reshape(shape), ks, pads).transpose(0, 2, 1))
-        gx = _col2im(np.matmul(kflat.T, gb), shape, ks, pads)
-        return gx.reshape(x.shape), gk.sum(axis=0).reshape(kernel.shape)
+        gx = gk = None
+        if need_gk:
+            # The rebuilt columns die here, before the same-sized input-gradient
+            # columns are allocated, so the allocator reuses their pages.
+            gk = np.matmul(gb, _im2col(xd.reshape(shape), ks, pads).transpose(0, 2, 1))
+            gk = gk.sum(axis=0).reshape(kernel.shape)
+        if need_gx:
+            gx = _col2im(np.matmul(kflat.T, gb), shape, ks, pads).reshape(x.shape)
+        return gx, gk
 
     return out.reshape(*lead, co, *spatial), bwd
 

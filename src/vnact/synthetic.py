@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -106,7 +106,8 @@ PRESETS: Dict[str, StageSchedule] = {
 
 
 def apply_overrides(schedule: StageSchedule, overrides: Dict) -> StageSchedule:
-    """Derive a schedule from a preset; unknown keys are rejected.
+    """Derive a schedule from a preset; unknown keys and values of the
+    wrong type are rejected.
 
     Shrinking ``epochs`` without naming ``decay_epochs`` drops decay
     points at or past the new end — they could never fire, and keeping
@@ -117,14 +118,17 @@ def apply_overrides(schedule: StageSchedule, overrides: Dict) -> StageSchedule:
     if bad:
         raise ValidationError(f"unknown schedule overrides {sorted(bad)}")
     fixed = dict(overrides)
-    for key in ("decay_epochs", "trainable_groups", "loss_tasks"):
-        if key in fixed:
-            fixed[key] = tuple(fixed[key])
-    if "epochs" in fixed and "decay_epochs" not in fixed:
-        kept = tuple(d for d in schedule.decay_epochs if d < fixed["epochs"])
-        if kept != schedule.decay_epochs:
-            fixed["decay_epochs"] = kept
-    return dataclasses.replace(schedule, **fixed)
+    try:
+        for key in ("decay_epochs", "trainable_groups", "loss_tasks"):
+            if key in fixed:
+                fixed[key] = tuple(fixed[key])
+        if "epochs" in fixed and "decay_epochs" not in fixed:
+            kept = tuple(d for d in schedule.decay_epochs if d < fixed["epochs"])
+            if kept != schedule.decay_epochs:
+                fixed["decay_epochs"] = kept
+        return dataclasses.replace(schedule, **fixed)
+    except TypeError as exc:  # a value of the wrong type, e.g. "epochs": "x"
+        raise ValidationError(f"schedule override of the wrong type: {exc}") from exc
 
 
 def lr_at(s: StageSchedule, epoch: int) -> float:
@@ -437,61 +441,72 @@ def run_stage(
 ) -> TrainingLog:
     """Run one schedule: epochs of shuffled minibatches through forward,
     multi-task loss, backward and the optimizer, updating only the
-    schedule's trainable groups. Deterministic given (model, data, seed)."""
+    schedule's trainable groups. Deterministic given (model, data, seed).
+
+    Frozen groups enter the stage as constants: each non-trainable
+    parameter is swapped for a tensor over the same buffer that is not
+    grad-enabled, so the tape records no op fed only by frozen parameters
+    and data, and backward never reaches them. The original tensors are
+    put back when the stage ends, also when it raises."""
     missing = set(schedule.trainable_groups) - model.groups()
     if missing:
         raise ValidationError(f"model has no parameter groups {sorted(missing)}")
     trainable = {n for n in model.params() if model.group_of(n) in set(schedule.trainable_groups)}
-    rng = rng_for(seed, f"stage:{schedule.name}")
-    state: Optional[OptimizerState] = None
-    log = TrainingLog(stage=schedule.name)
-    n = len(dataset)
-    for epoch in range(1, schedule.epochs + 1):
-        lr = lr_at(schedule, epoch)
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        acc_sum = np.zeros(3)
-        seen = 0
-        for start in range(0, n, schedule.batch_size):
-            idx = order[start:start + schedule.batch_size]
-            raw_inputs, labels = dataset.batch(idx)
-            inputs = _prepare_batch(raw_inputs, schedule.frames_T, aug, rng)
-            params = model.params()
-            try:
-                with Tape() as tape:
-                    triple = model.forward(inputs, train=True, rng=rng,
-                                           dropout_p=schedule.dropout_p)
-                    loss = multi_task_loss(triple, labels, tasks=schedule.loss_tasks)
-                    lval = loss.item()
-                    if not np.isfinite(lval):
-                        raise NonFiniteError("loss is non-finite")
-                    grads_by_uid = tape.backward(loss)
-            except NonFiniteError as exc:
-                raise NonFiniteError(
-                    f"stage {schedule.name} epoch {epoch} batch {start // schedule.batch_size}: {exc}"
-                ) from exc
-            grads = {name: grads_by_uid[params[name].uid].data
-                     for name in trainable if params[name].uid in grads_by_uid}
-            params, state = optimizer_step(schedule.optimizer, params, grads, lr, state,
-                                           trainable=trainable, momentum=schedule.sgd_momentum)
-            model.set_params(params)
-            bs = len(idx)
-            loss_sum += lval * bs
-            acc_sum += np.asarray(_batch_accuracy(triple.detached(), labels)) * bs
-            seen += bs
-        row = {
-            "epoch": epoch,
-            "lr": lr,
-            "train_loss": loss_sum / max(1, seen),
-            "train_acc_verb": acc_sum[0] / max(1, seen),
-            "train_acc_noun": acc_sum[1] / max(1, seen),
-            "train_acc_action": acc_sum[2] / max(1, seen),
-        }
-        if eval_dataset is not None and eval_every and (
-                epoch % eval_every == 0 or epoch == schedule.epochs):
-            table = evaluate(model, eval_dataset, frames_t=schedule.frames_T,
-                             batch_size=schedule.batch_size)
-            ev, en, ea = _table_accuracy(table, eval_dataset)
-            row.update(eval_acc_verb=ev, eval_acc_noun=en, eval_acc_action=ea)
-        log.rows.append(row)
-    return log
+    frozen = {n: t for n, t in model.params().items() if n not in trainable}
+    model.set_params({**model.params(), **{n: Tensor._wrap(t.data) for n, t in frozen.items()}})
+    try:
+        rng = rng_for(seed, f"stage:{schedule.name}")
+        state: Optional[OptimizerState] = None
+        log = TrainingLog(stage=schedule.name)
+        n = len(dataset)
+        for epoch in range(1, schedule.epochs + 1):
+            lr = lr_at(schedule, epoch)
+            order = rng.permutation(n)
+            loss_sum = 0.0
+            acc_sum = np.zeros(3)
+            seen = 0
+            for start in range(0, n, schedule.batch_size):
+                idx = order[start:start + schedule.batch_size]
+                raw_inputs, labels = dataset.batch(idx)
+                inputs = _prepare_batch(raw_inputs, schedule.frames_T, aug, rng)
+                params = model.params()
+                try:
+                    with Tape() as tape:
+                        triple = model.forward(inputs, train=True, rng=rng,
+                                               dropout_p=schedule.dropout_p)
+                        loss = multi_task_loss(triple, labels, tasks=schedule.loss_tasks)
+                        lval = loss.item()
+                        if not np.isfinite(lval):
+                            raise NonFiniteError("loss is non-finite")
+                        grads_by_uid = tape.backward(loss)
+                except NonFiniteError as exc:
+                    raise NonFiniteError(
+                        f"stage {schedule.name} epoch {epoch} batch {start // schedule.batch_size}: {exc}"
+                    ) from exc
+                grads = {name: grads_by_uid[params[name].uid].data
+                         for name in trainable if params[name].uid in grads_by_uid}
+                params, state = optimizer_step(schedule.optimizer, params, grads, lr, state,
+                                               trainable=trainable, momentum=schedule.sgd_momentum)
+                model.set_params(params)
+                bs = len(idx)
+                loss_sum += lval * bs
+                acc_sum += np.asarray(_batch_accuracy(triple.detached(), labels)) * bs
+                seen += bs
+            row = {
+                "epoch": epoch,
+                "lr": lr,
+                "train_loss": loss_sum / max(1, seen),
+                "train_acc_verb": acc_sum[0] / max(1, seen),
+                "train_acc_noun": acc_sum[1] / max(1, seen),
+                "train_acc_action": acc_sum[2] / max(1, seen),
+            }
+            if eval_dataset is not None and eval_every and (
+                    epoch % eval_every == 0 or epoch == schedule.epochs):
+                table = evaluate(model, eval_dataset, frames_t=schedule.frames_T,
+                                 batch_size=schedule.batch_size)
+                ev, en, ea = _table_accuracy(table, eval_dataset)
+                row.update(eval_acc_verb=ev, eval_acc_noun=en, eval_acc_action=ea)
+            log.rows.append(row)
+        return log
+    finally:
+        model.set_params({**model.params(), **frozen})

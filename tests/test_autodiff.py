@@ -405,3 +405,63 @@ def test_conv2d_gradients_match_direct_loop_adjoint(ks, lead, c, co, spatial, se
        seed=st.integers(0, 2**16))
 def test_conv3d_gradients_match_direct_loop_adjoint(ks, lead, c, co, spatial, seed):
     check_conv_gradients(conv3d, lead, c, co, spatial, ks, seed)
+
+
+def test_conv_kernel_gradient_without_input_gradient(monkeypatch):
+    """A convolution over an input that needs no gradient gives no input
+    contribution, never runs col2im, and gives the same kernel gradient bits."""
+    from vnact import ops
+
+    col2im_calls = []
+    true_col2im = ops._col2im
+    monkeypatch.setattr(ops, "_col2im", lambda *args: col2im_calls.append(args[1])
+                        or true_col2im(*args))
+    rng = np.random.default_rng(7)
+    for conv, x_shape, k_shape in ((conv2d, (2, 3, 5, 4), (4, 3, 3, 3)),
+                                   (conv3d, (2, 3, 4, 5, 3), (2, 3, 3, 3, 3))):
+        x_data, k_data = rng.normal(size=x_shape), rng.normal(size=k_shape)
+        probe = tensor(rng.normal(size=x_shape[:1] + k_shape[:1] + x_shape[2:]))
+        gks = []
+        for x_grad in (True, False):
+            x, k = tensor(x_data, grad_enabled=x_grad), tensor(k_data, grad_enabled=True)
+            with Tape() as tape:
+                loss = mean_all(hadamard(conv(x, k), probe))
+            col2im_calls.clear()
+            grads = tape.backward(loss)
+            assert (x.uid in grads) == x_grad
+            assert bool(col2im_calls) == x_grad
+            gks.append(grads[k.uid].data)
+        assert gks[0].tobytes() == gks[1].tobytes()
+
+
+def col2im_reference(gcols, shape, ks):
+    """Adjoint of im2col one pixel at a time: each pixel starts at 0.0 and
+    adds its kernel offsets' contributions in nested order (last axis fastest)."""
+    b, c, *spatial = shape
+    per_offset = gcols.reshape(b, c, *ks, *spatial)
+    out = np.zeros(shape)
+    for pos in np.ndindex(*spatial):
+        acc = np.zeros((b, c))
+        for off in np.ndindex(*ks):
+            src = tuple(p + k // 2 - o for p, k, o in zip(pos, ks, off))
+            if all(0 <= s < n for s, n in zip(src, spatial)):
+                acc += per_offset[(slice(None), slice(None)) + off + src]
+        out[(slice(None), slice(None)) + pos] = acc
+    return out
+
+
+@pytest.mark.parametrize("ks", [(3, 3), (5, 3), (3, 3, 3), (1, 3, 5)])
+@CONV_SETTINGS
+@given(b=st.integers(1, 4), c=st.integers(1, 3),
+       spatial=st.lists(st.integers(1, 5), min_size=3, max_size=3), seed=st.integers(0, 2**16))
+def test_col2im_accumulation_order_is_pinned(ks, b, c, spatial, seed):
+    """Bitwise against the per-pixel reference on non-dyadic input, where
+    any change in the order of the additions shows in the low bits."""
+    from vnact.ops import _col2im
+
+    shape = (b, c, *spatial[: len(ks)])
+    sizes = (b, c * int(np.prod(ks)), int(np.prod(shape[2:])))
+    gcols = np.random.default_rng(seed).normal(size=sizes)
+    got = _col2im(gcols, shape, ks, tuple(k // 2 for k in ks))
+    assert got.shape == shape
+    assert got.tobytes() == col2im_reference(gcols, shape, ks).tobytes()

@@ -105,6 +105,14 @@ def test_train_errors_map_to_exit_code_one(workspace, tmp_path, capsys):
     ({"overrides": [1, 2]}, "'overrides' must be an object"),
     ({"init_from": "x"}, "'init_from' must be an object"),
     ({"augmentation": {"scale_jitter": [2]}}, "scale_jitter must be a"),
+    ({"seed": "x"}, "config 'seed' must be int"),
+    ({"preset": ["a"]}, "unknown preset"),
+    ({"init_from": {"model": 5}}, "'init_from.model' must be a path"),
+    ({"augmentation": {"horizontal_flip": "x"}}, "config 'horizontal_flip' must be float"),
+    ({"augmentation": {"scale_jitter": 5}}, "config 'scale_jitter' must be tuple"),
+    ({"overrides": {"memory_D": "x"}}, "config 'memory_D' must be int"),
+    ({"overrides": {"epochs": "x"}}, "schedule override of the wrong type"),
+    ({"overrides": {"trainable_groups": 5}}, "schedule override of the wrong type"),
 ])
 def test_train_config_values_of_the_wrong_shape_exit_one(workspace, tmp_path, capsys,
                                                           entry, message):
@@ -113,6 +121,23 @@ def test_train_config_values_of_the_wrong_shape_exit_one(workspace, tmp_path, ca
     assert main(["train", "--dataset", str(workspace["data"]), "--out-dir", str(tmp_path),
                  "--config", str(cfg)]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"seed": "x"}, "config 'seed' must be int"),
+    ({"verbs": "three"}, "config 'verbs' must be int"),
+    ({"train_samples": [4]}, "config 'train_samples' must be int"),
+    ({"noise_sigma": "x"}, "config 'noise_sigma' must be float"),
+    ({"flow_channels": {"n": 4}}, "config 'flow_channels' must be int"),
+])
+def test_make_synthetic_config_scalars_of_the_wrong_type_exit_one(tmp_path, capsys,
+                                                                  entry, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(entry))
+    assert main(["make-synthetic", "--out-dir", str(tmp_path / "data"),
+                 "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
 
 
 def test_train_can_resume_from_checkpoint(workspace, tmp_path):

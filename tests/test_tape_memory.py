@@ -1,7 +1,8 @@
 """What a recorded training step keeps alive, before and after backward.
 
 Convolutions save their input, not the column matrix their forward builds,
-and ``Tape.backward`` drops every backward rule as it passes it. Saved
+``Tape.backward`` drops every backward rule as it passes it, and a stage
+records nothing that only its frozen parameters and the data feed. Saved
 arrays are found the way the desk benchmark in perfbench/ counts them: by
 walking each backward closure's cells to the root buffers of its arrays.
 """
@@ -17,7 +18,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracer import _held_arrays  # noqa: E402
 from vnact import Tape, create_model, multi_task_loss, ops  # noqa: E402
 from vnact.errors import TapeError  # noqa: E402
-from vnact.synthetic import default_label_space  # noqa: E402
+from vnact.synthetic import default_label_space, make_two_stream_synthetic  # noqa: E402
+from vnact.training import PRESETS, apply_overrides, run_stage  # noqa: E402
 from vnact.tensor import scale  # noqa: E402
 
 CONFIG = {"app": {"input_channels": 2, "stage_channels": [2, 3], "memory": 2},
@@ -64,3 +66,35 @@ def test_training_step_keeps_only_what_backward_needs(monkeypatch):
     assert all(node.backward is None for node in tape.nodes)
     with pytest.raises(TapeError):
         tape.backward(loss)
+
+
+def test_frozen_backbone_kernels_leave_no_trace(monkeypatch):
+    """Under the two_stream preset every backbone kernel below the last stage
+    is frozen: its convolutions still run, but no recorded node reads it."""
+    space = default_label_space(3, 4, 6, seed=0)
+    model = create_model("two_stream", CONFIG, space, seed=1)
+    data = make_two_stream_synthetic(space, 4, 3, 2, 2, 4, 4, 0.5, seed=2)
+    schedule = apply_overrides(PRESETS["two_stream"], {"epochs": 1, "batch_size": 4,
+                                                       "frames_T": 3})
+    frozen = {id(root(t.data)): name for name, t in model.params().items()
+              if model.group_of(name) == "backbone" and name.endswith(".kernel")}
+    assert len(frozen) == 2  # stage0 of each stream
+
+    recorded, unrecorded = [], []
+    true_apply_op = ops.apply_op
+
+    def recording(kind, inputs, out, backward):
+        result = true_apply_op(kind, inputs, out, backward)
+        (recorded if result.grad_enabled else unrecorded).append(inputs)
+        return result
+
+    monkeypatch.setattr(ops, "apply_op", recording)
+    run_stage(model, data, schedule, seed=3)
+
+    def reads_frozen(inputs):
+        return [frozen[id(root(t.data))] for t in inputs if id(root(t.data)) in frozen]
+
+    assert recorded
+    assert sorted({n for inputs in unrecorded for n in reads_frozen(inputs)}) == sorted(
+        frozen.values())
+    assert not [n for inputs in recorded for n in reads_frozen(inputs)]

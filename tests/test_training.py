@@ -401,6 +401,44 @@ def test_run_stage_reduces_training_loss():
     assert losses[-1] < losses[0]
 
 
+@pytest.mark.parametrize("fail_at_step", [None, 2])
+def test_run_stage_restores_frozen_parameters(monkeypatch, fail_at_step):
+    """Frozen entries are swapped for constants only while the stage runs:
+    afterwards they are the original objects again, also when the stage
+    raises, and every parameter is grad-enabled."""
+    import vnact.training as training
+
+    model = small_model(seed=42)
+    before = model.params()
+    trainable = ("heads", "lsta")
+    steps = []
+    true_step = training.optimizer_step
+
+    def step(kind, params, *args, **kwargs):
+        steps.append({n: t.grad_enabled for n, t in params.items()})
+        if len(steps) == fail_at_step:
+            raise NonFiniteError("injected")
+        return true_step(kind, params, *args, **kwargs)
+
+    monkeypatch.setattr(training, "optimizer_step", step)
+    schedule = tiny_schedule(epochs=2, trainable_groups=trainable)
+    if fail_at_step is None:
+        run_stage(model, small_data(seed=43), schedule, seed=44)
+    else:
+        with pytest.raises(NonFiniteError, match="injected"):
+            run_stage(model, small_data(seed=43), schedule, seed=44)
+    after = model.params()
+    assert all(t.grad_enabled for t in after.values())
+    for name, t in after.items():
+        if model.group_of(name) in trainable:
+            assert t is not before[name]
+        else:
+            assert t is before[name]
+    # While the stage ran, exactly the frozen entries were constants.
+    assert all(enabled == (model.group_of(name) in trainable)
+               for seen in steps for name, enabled in seen.items())
+
+
 def test_run_stage_log_and_csv(tmp_path):
     model = small_model(seed=39)
     data = small_data(seed=40, n=16)
