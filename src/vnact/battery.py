@@ -241,7 +241,6 @@ def standard_battery(seed: int = 0, instances: int = 3) -> List[Entry]:
     return entries
 
 
-def run_battery(seed: int = 0, eps: float = 1e-5, tol: float = 1e-4,
-                instances: int = 3) -> List[Tuple[str, GradReport]]:
-    return [(name, grad_check(fwd, params, eps=eps, tol=tol))
+def run_battery(seed: int = 0, instances: int = 3) -> List[Tuple[str, GradReport]]:
+    return [(name, grad_check(fwd, params))
             for name, fwd, params in standard_battery(seed, instances)]

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: make-synthetic, train, eval, gradcheck, ensemble, metrics,
-submit. Exit codes: 0 success, 1 validation/format error, 2 numerical
-failure.
+submit; each declares only the flags it reads. Exit codes: 0 success,
+1 usage, validation or format error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -69,7 +69,11 @@ def _pick(flag, config_value, default):
 
 def _typed(value, kind, key: str):
     """``value`` converted by ``kind``; a value that ``kind`` rejects is a
-    ValidationError naming the config entry ``key``."""
+    ValidationError naming the config entry ``key``. Only a bool is a bool,
+    a bool is not a number, and a float with a fractional part is not an int."""
+    if ((kind is bool) != isinstance(value, bool)
+            or kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ValidationError(f"config '{key}' must be {kind.__name__}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -92,7 +96,8 @@ def cmd_make_synthetic(args) -> int:
     seed = _typed(_pick(args.seed, cfg.get("seed"), 0), int, "seed")
     dims = {key: _typed(_pick(getattr(args, key), cfg.get(key), default), type(default), key)
             for key, default in _SYNTHETIC_DEFAULTS.items()}
-    dims["two_stream"] = bool(_pick(args.two_stream or None, cfg.get("two_stream"), False))
+    dims["two_stream"] = _typed(_pick(args.two_stream or None, cfg.get("two_stream"), False),
+                                bool, "two_stream")
     space = default_label_space(dims["verbs"], dims["nouns"], dims["actions"], seed=seed)
     os.makedirs(args.out_dir, exist_ok=True)
     for split, count in (("train", dims["train_samples"]), ("test", dims["test_samples"])):
@@ -162,7 +167,7 @@ def _build_augmentation(cfg: Optional[Dict]) -> AugmentationConfig:
     return AugmentationConfig(
         scale_jitter=_typed(jitter, tuple, "scale_jitter") if jitter else None,
         horizontal_flip=_typed(cfg.get("horizontal_flip", 0.0), float, "horizontal_flip"),
-        temporal_jitter=bool(cfg.get("temporal_jitter", True)))
+        temporal_jitter=_typed(cfg.get("temporal_jitter", True), bool, "temporal_jitter"))
 
 
 def cmd_train(args) -> int:
@@ -304,8 +309,7 @@ def cmd_submit(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .battery import run_battery
 
-    reports = run_battery(seed=int(args.seed or 0), eps=args.eps, tol=args.tol,
-                          instances=args.instances)
+    reports = run_battery(seed=args.seed, instances=args.instances)
     worst = 0.0
     failed = []
     for name, report in reports:
@@ -325,17 +329,24 @@ def cmd_gradcheck(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1: 2 means numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="vnact",
-                                     description="Verb/noun/action video recognition toolkit")
+    parser = _Parser(prog="vnact", description="Verb/noun/action video recognition toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def seed_and_config(p):
         p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
         p.add_argument("--config", default=None, help="JSON config file")
 
     p = sub.add_parser("make-synthetic", help="generate a labeled synthetic dataset")
-    common(p)
+    seed_and_config(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--verbs", type=int, default=None)
     p.add_argument("--nouns", type=int, default=None)
@@ -352,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_make_synthetic)
 
     p = sub.add_parser("train", help="train one stage")
-    common(p)
+    seed_and_config(p)
     p.add_argument("--dataset", required=True, help="directory with train/ and test/ splits")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--preset", default=None, choices=sorted(PRESETS))
@@ -364,31 +375,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a dataset split with a saved model")
-    common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True, help="one split directory")
     p.add_argument("--out", required=True, help="score JSON path")
     p.add_argument("--frames-t", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--crop", default=None, choices=["center", "lsta_10view", "tsn_10crop"])
+    p.add_argument("--crop", default=None, choices=["center", "lsta_10view"])
     p.add_argument("--crop-size", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="run the finite-difference battery")
-    common(p)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=3)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ensemble", help="average score tables in argument order")
-    common(p)
     p.add_argument("scores", nargs="+", help="input score JSON files")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("metrics", help="challenge metrics for a score file")
-    common(p)
     p.add_argument("--scores", required=True)
     p.add_argument("--dataset", required=True, help="split directory holding the labels")
     p.add_argument("--out", default=None, help="metrics CSV path")
@@ -396,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("submit", help="write a submission file from a score file")
-    common(p)
     p.add_argument("--scores", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dataset", default=None, help="optional split directory for validation")

@@ -12,6 +12,13 @@ from .tensor import Tape, Tensor
 
 Forward = Callable[[Mapping[str, Tensor]], Tensor]
 
+EPS = 1e-5  # central-difference step
+TOL = 1e-4  # largest relative error that passes
+# Relative errors divide by max(FLOOR, |a|, |n|): below the floor the test is
+# absolute, at TOL * FLOOR = 1e-6, which finite-difference rounding at EPS
+# stays well under while a 0.1% error in a gradient of order 1e-2 does not.
+FLOOR = 1e-2
+
 
 @dataclass
 class GradEntry:
@@ -25,13 +32,15 @@ class GradEntry:
 class GradReport:
     """Per-parameter comparison of tape gradients against central differences.
 
-    ``max_rel_error`` uses a unit floor, |a - n| / max(1, |a|, |n|), so
-    coordinates whose true gradient is near zero are compared absolutely
-    instead of amplifying finite-difference rounding noise.
+    ``max_rel_error`` is |a - n| / max(FLOOR, |a|, |n|), and an entry passes
+    when it is at most TOL. Coordinates whose true gradient is below FLOOR
+    are compared absolutely, so finite-difference rounding noise near zero
+    is not amplified; the floor is small enough that the probe losses'
+    gradients, which are means and mostly well below 1, are still checked
+    relatively.
     """
 
     entries: list[GradEntry]
-    tolerance: float
 
     @property
     def passed(self) -> bool:
@@ -58,13 +67,9 @@ def _eval_scalar(forward: Forward, params: Mapping[str, Tensor]) -> float:
     return float(out.data.reshape(()))
 
 
-def grad_check(
-    forward: Forward,
-    params: Mapping[str, Tensor],
-    eps: float = 1e-5,
-    tol: float = 1e-4,
-) -> GradReport:
-    """Compare tape gradients of ``forward`` against central differences.
+def grad_check(forward: Forward, params: Mapping[str, Tensor]) -> GradReport:
+    """Compare tape gradients of ``forward`` against central differences
+    with step EPS.
 
     ``forward`` maps named parameter tensors to a scalar tensor and must be
     deterministic (dropout disabled); this is verified by evaluating the
@@ -88,20 +93,20 @@ def grad_check(
         numeric = np.zeros(flat.shape[0])
         for i in range(flat.shape[0]):
             plus = flat.copy()
-            plus[i] += eps
+            plus[i] += EPS
             minus = flat.copy()
-            minus[i] -= eps
+            minus[i] -= EPS
             trial = dict(frozen)
             trial[name] = Tensor(plus.reshape(p.shape))
             f_plus = _eval_scalar(forward, trial)
             trial[name] = Tensor(minus.reshape(p.shape))
             f_minus = _eval_scalar(forward, trial)
-            numeric[i] = (f_plus - f_minus) / (2.0 * eps)
+            numeric[i] = (f_plus - f_minus) / (2.0 * EPS)
         a_flat = a.reshape(-1)
         abs_err = np.abs(a_flat - numeric)
-        denom = np.maximum(1.0, np.maximum(np.abs(a_flat), np.abs(numeric)))
+        denom = np.maximum(FLOOR, np.maximum(np.abs(a_flat), np.abs(numeric)))
         rel_err = abs_err / denom
         max_abs = float(abs_err.max(initial=0.0))
         max_rel = float(rel_err.max(initial=0.0))
-        entries.append(GradEntry(name, max_abs, max_rel, max_rel <= tol))
-    return GradReport(entries, tol)
+        entries.append(GradEntry(name, max_abs, max_rel, max_rel <= TOL))
+    return GradReport(entries)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import logsumexp as _logsumexp, softmax as _softmax
 
 from .errors import NonFiniteError, ShapeError
-from .tensor import Tensor, apply_op
+from .tensor import Tensor, add, apply_op, hadamard
 
 # ---------------------------------------------------------------------------
 # linear algebra
@@ -51,8 +51,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias for x of shape (B, F), weight (F, K), bias (K,)."""
-    from .tensor import add
-
     return add(matmul(x, weight), bias)
 
 
@@ -314,17 +312,6 @@ def index_select(x: Tensor, axis: int, index: int) -> Tensor:
 # reductions and classification helpers
 
 
-def sum_along(x: Tensor, axis) -> Tensor:
-    axis = tuple(np.atleast_1d(axis).tolist()) if not isinstance(axis, tuple) else axis
-    out = x.data.sum(axis=axis)
-
-    def bwd(g):
-        g_exp = np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, x.shape).copy(),)
-
-    return apply_op("sum", (x,), out, bwd)
-
-
 def mean_along(x: Tensor, axis) -> Tensor:
     axis = tuple(np.atleast_1d(axis).tolist()) if not isinstance(axis, tuple) else axis
     count = int(np.prod([x.shape[a] for a in axis]))
@@ -386,6 +373,4 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p == 0.0:
         return x
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    from .tensor import hadamard
-
     return hadamard(x, Tensor(mask))

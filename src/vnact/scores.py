@@ -162,13 +162,13 @@ class MetricsReport:
                          f"{row['precision']:.4f},{row['recall']:.4f}\n")
 
 
-def compute_metrics(table: ScoreTable, labels: Dict[str, tuple], top_k: int = 5) -> MetricsReport:
+def compute_metrics(table: ScoreTable, labels: Dict[str, tuple]) -> MetricsReport:
     values = {}
     for task in TASKS:
         p, r = macro_precision_recall(table, labels, task)
         values[task] = {
             "top1": 100.0 * topk_accuracy(table, labels, task, 1),
-            "top5": 100.0 * topk_accuracy(table, labels, task, top_k),
+            "top5": 100.0 * topk_accuracy(table, labels, task, 5),
             "precision": 100.0 * p,
             "recall": 100.0 * r,
         }

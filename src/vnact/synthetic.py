@@ -159,8 +159,6 @@ def _draw_labels(space: LabelSpace, n_samples: int, seed: int):
 
 def _render_modality(space, verbs, nouns, t_len, channels, height, width,
                      noise_sigma, seed, modality) -> np.ndarray:
-    if modality not in MODALITY_GAINS:
-        raise ValidationError(f"unknown modality '{modality}' (have {sorted(MODALITY_GAINS)})")
     gains = MODALITY_GAINS[modality]
     rng = rng_for(seed, modality)
     n = len(verbs)
@@ -174,8 +172,8 @@ def _render_modality(space, verbs, nouns, t_len, channels, height, width,
 
 def make_synthetic(space: LabelSpace, n_samples: int, t_len: int, channels: int,
                    height: int, width: int, noise_sigma: float, seed: int,
-                   modality: str = "appearance", split_tag: str = "custom") -> SyntheticDataset:
-    """Generate labeled single-modality clips; same seed, same bits."""
+                   split_tag: str = "custom") -> SyntheticDataset:
+    """Generate labeled appearance clips (input key ``frames``); same seed, same bits."""
     if space.num_actions == 0:
         raise ValidationError("label space has no actions")
     if min(n_samples, t_len, channels, height, width) < 1:
@@ -183,11 +181,10 @@ def make_synthetic(space: LabelSpace, n_samples: int, t_len: int, channels: int,
     if noise_sigma < 0:
         raise ValidationError(f"noise_sigma must be nonnegative, got {noise_sigma}")
     verbs, nouns, actions = _draw_labels(space, n_samples, seed)
-    key = "flow" if modality == "flow" else "frames"
     clips = _render_modality(space, verbs, nouns, t_len, channels, height, width,
-                             noise_sigma, seed, modality)
+                             noise_sigma, seed, "appearance")
     ids = [f"{split_tag}_{i:05d}" for i in range(n_samples)]
-    return SyntheticDataset(space=space, segment_ids=ids, inputs={key: clips},
+    return SyntheticDataset(space=space, segment_ids=ids, inputs={"frames": clips},
                             verbs=verbs, nouns=nouns, actions=actions, split_tag=split_tag)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NonFiniteError, ShapeError, ValidationError
 from .heads import ScoreTriple, multi_task_loss
 from .init import rng_for
-from .scores import ScoreTable
+from .scores import TASKS, ScoreTable, topk_accuracy
 from .tensor import Tape, Tensor
 
 
@@ -45,7 +45,6 @@ class StageSchedule:
     trainable_groups: tuple
     loss_tasks: tuple = ("verb", "noun", "action")
     per_epoch_decay: Optional[float] = None
-    sgd_momentum: float = 0.9
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -213,10 +212,10 @@ def bilinear_resize(arr: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 def augment_clip(clip: np.ndarray, aug: AugmentationConfig, rng: np.random.Generator,
-                 flip: Optional[bool] = None) -> np.ndarray:
-    """Apply scale jitter and horizontal flip to one clip (T, C, H, W).
+                 flip: bool) -> np.ndarray:
+    """Apply scale jitter and, if ``flip``, a horizontal flip to one clip (T, C, H, W).
 
-    The flip decision can be passed in so paired modalities of one sample
+    The caller draws the flip decision so paired modalities of one sample
     share it.
     """
     out = clip
@@ -229,8 +228,6 @@ def augment_clip(clip: np.ndarray, aug: AugmentationConfig, rng: np.random.Gener
         top = int(rng.integers(0, h - ch + 1))
         left = int(rng.integers(0, w - cw + 1))
         out = bilinear_resize(out[..., top:top + ch, left:left + cw], h, w)
-    if flip is None:
-        flip = bool(rng.random() < aug.horizontal_flip)
     if flip:
         out = out[..., ::-1]
     return np.ascontiguousarray(out)
@@ -243,7 +240,7 @@ class CropSpec:
     mode: str
 
     def __post_init__(self):
-        if self.mode not in ("lsta_10view", "tsn_10crop", "center"):
+        if self.mode not in ("lsta_10view", "center"):
             raise ValidationError(f"unknown crop mode '{self.mode}'")
 
 
@@ -282,11 +279,10 @@ def optimizer_step(
     grads: Dict[str, np.ndarray],
     lr: float,
     state: Optional[OptimizerState] = None,
-    trainable: Optional[set] = None,
-    momentum: float = 0.9,
 ):
-    """One update over the trainable subset; untouched entries keep their
-    exact Tensor objects. Returns (new params, state)."""
+    """One update of every parameter that has a gradient; the other entries
+    keep their exact Tensor objects. SGD uses momentum 0.9, Adam the betas
+    (0.9, 0.999). Returns (new params, state)."""
     if kind not in ("adam", "sgd"):
         raise ValidationError(f"optimizer must be adam or sgd, got '{kind}'")
     if state is None:
@@ -295,13 +291,11 @@ def optimizer_step(
         raise ValidationError(f"optimizer state is for '{state.kind}', not '{kind}'")
     state.step += 1
     t = state.step
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    beta1, beta2, eps, momentum = 0.9, 0.999, 1e-8, 0.9
     new = dict(params)
     for name in sorted(grads):
         if name not in params:
             raise ValidationError(f"gradient for unknown parameter '{name}'")
-        if trainable is not None and name not in trainable:
-            continue
         p = params[name]
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
@@ -419,17 +413,6 @@ def _batch_accuracy(triple: ScoreTriple, labels) -> tuple:
     return tuple(out)
 
 
-def _table_accuracy(table: ScoreTable, dataset) -> tuple:
-    labels = dataset.labels_by_segment()
-    hits = np.zeros(3)
-    for seg in table.segments():
-        triple = table.results[seg]
-        for j, task in enumerate(("verb", "noun", "action")):
-            if int(np.argmax(triple[task])) == labels[seg][j]:
-                hits[j] += 1
-    return tuple(hits / max(1, len(table.segments())))
-
-
 def run_stage(
     model,
     dataset,
@@ -485,8 +468,7 @@ def run_stage(
                     ) from exc
                 grads = {name: grads_by_uid[params[name].uid].data
                          for name in trainable if params[name].uid in grads_by_uid}
-                params, state = optimizer_step(schedule.optimizer, params, grads, lr, state,
-                                               trainable=trainable, momentum=schedule.sgd_momentum)
+                params, state = optimizer_step(schedule.optimizer, params, grads, lr, state)
                 model.set_params(params)
                 bs = len(idx)
                 loss_sum += lval * bs
@@ -504,8 +486,9 @@ def run_stage(
                     epoch % eval_every == 0 or epoch == schedule.epochs):
                 table = evaluate(model, eval_dataset, frames_t=schedule.frames_T,
                                  batch_size=schedule.batch_size)
-                ev, en, ea = _table_accuracy(table, eval_dataset)
-                row.update(eval_acc_verb=ev, eval_acc_noun=en, eval_acc_action=ea)
+                labels = eval_dataset.labels_by_segment()
+                row.update({f"eval_acc_{task}": topk_accuracy(table, labels, task, 1)
+                            for task in TASKS})
             log.rows.append(row)
         return log
     finally:

@@ -20,7 +20,6 @@ from vnact.ops import (
     softmax_spatial,
     softmax_spatial_scaled,
     spatial_avg_pool,
-    sum_along,
     take_rows,
     transpose,
 )
@@ -34,8 +33,13 @@ from vnact.tensor import (
     scale,
     sigmoid,
     tanh,
-    tensor,
 )
+
+
+def total(x):
+    """Sum of every entry, as a product with ones: each entry's adjoint is
+    exactly the upstream gradient."""
+    return matmul(reshape(x, (1, x.size)), Tensor(np.ones((x.size, 1))))
 
 
 def grad_of(tape, grads, t):
@@ -48,21 +52,21 @@ def grad_of(tape, grads, t):
 
 
 def test_no_tape_records_nothing():
-    a = tensor([1.0, 2.0], grad_enabled=True)
+    a = Tensor([1.0, 2.0], grad_enabled=True)
     out = add(a, a)
     assert active_tape() is None
     assert not out.grad_enabled
 
 
 def test_grad_disabled_inputs_record_nothing():
-    a, b = tensor([1.0]), tensor([2.0])
+    a, b = Tensor([1.0]), Tensor([2.0])
     with Tape() as tape:
         add(a, b)
     assert len(tape) == 0
 
 
 def test_leaf_registration_is_lazy_and_shared():
-    a = tensor([1.0, 2.0], grad_enabled=True)
+    a = Tensor([1.0, 2.0], grad_enabled=True)
     with Tape() as tape:
         u = add(a, a)
         v = hadamard(u, a)
@@ -75,7 +79,7 @@ def test_leaf_registration_is_lazy_and_shared():
 
 
 def test_tape_single_traversal():
-    a = tensor([3.0], grad_enabled=True)
+    a = Tensor([3.0], grad_enabled=True)
     with Tape() as tape:
         loss = mean_all(hadamard(a, a))
     tape.backward(loss)
@@ -84,20 +88,20 @@ def test_tape_single_traversal():
 
 
 def test_backward_requires_recorded_scalar_loss():
-    a = tensor([[1.0, 2.0]], grad_enabled=True)
+    a = Tensor([[1.0, 2.0]], grad_enabled=True)
     with Tape() as tape:
         out = add(a, a)
     with pytest.raises(ShapeError):
         tape.backward(out)  # not scalar
     with Tape() as tape2:
         _ = add(a, a)
-    stray = tensor([0.0])
+    stray = Tensor([0.0])
     with pytest.raises(TapeError):
         tape2.backward(stray)
 
 
 def test_nested_tapes_record_independently():
-    a = tensor([2.0], grad_enabled=True)
+    a = Tensor([2.0], grad_enabled=True)
     with Tape() as outer:
         u = hadamard(a, a)
         with Tape() as inner:
@@ -115,7 +119,7 @@ def test_nested_tapes_record_independently():
 
 
 def test_fanout_accumulates():
-    x = tensor([1.5], grad_enabled=True)
+    x = Tensor([1.5], grad_enabled=True)
     with Tape() as tape:
         y = add(hadamard(x, x), scale(x, 3.0))  # x^2 + 3x
         loss = mean_all(y)
@@ -124,10 +128,10 @@ def test_fanout_accumulates():
 
 
 def test_broadcast_bias_gradient_sums_rows():
-    x = tensor(np.ones((4, 3)), grad_enabled=True)
-    b = tensor(np.zeros(3), grad_enabled=True)
+    x = Tensor(np.ones((4, 3)), grad_enabled=True)
+    b = Tensor(np.zeros(3), grad_enabled=True)
     with Tape() as tape:
-        loss = sum_along(add(x, b), (0, 1))
+        loss = total(add(x, b))
     grads = tape.backward(loss)
     assert np.array_equal(grads[b.uid].data, np.full(3, 4.0))
     assert np.array_equal(grads[x.uid].data, np.ones((4, 3)))
@@ -135,52 +139,52 @@ def test_broadcast_bias_gradient_sums_rows():
 
 def test_matmul_gradients_closed_form():
     rng = np.random.default_rng(0)
-    a = tensor(rng.normal(size=(3, 4)), grad_enabled=True)
-    b = tensor(rng.normal(size=(4, 2)), grad_enabled=True)
+    a = Tensor(rng.normal(size=(3, 4)), grad_enabled=True)
+    b = Tensor(rng.normal(size=(4, 2)), grad_enabled=True)
     g_out = rng.normal(size=(3, 2))
     with Tape() as tape:
         out = matmul(a, b)
-        loss = sum_along(hadamard(out, tensor(g_out)), (0, 1))
+        loss = total(hadamard(out, Tensor(g_out)))
     grads = tape.backward(loss)
     assert np.allclose(grads[a.uid].data, g_out @ b.data.T)
     assert np.allclose(grads[b.uid].data, a.data.T @ g_out)
 
 
 def test_slice_gradients_scatter():
-    x = tensor(np.arange(12.0).reshape(3, 4), grad_enabled=True)
+    x = Tensor(np.arange(12.0).reshape(3, 4), grad_enabled=True)
     with Tape() as tape:
         part = narrow(x, 1, 1, 2)
-        loss = sum_along(part, (0, 1))
+        loss = total(part)
     g = tape.backward(loss)[x.uid].data
     expect = np.zeros((3, 4))
     expect[:, 1:3] = 1.0
     assert np.array_equal(g, expect)
 
-    x2 = tensor(np.arange(6.0).reshape(2, 3), grad_enabled=True)
+    x2 = Tensor(np.arange(6.0).reshape(2, 3), grad_enabled=True)
     with Tape() as tape:
         row = index_select(x2, 0, 1)
-        loss = sum_along(row, (0,))
+        loss = total(row)
     g2 = tape.backward(loss)[x2.uid].data
     assert np.array_equal(g2, np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
 
 
 def test_concat_routes_gradients_to_parts():
-    a = tensor(np.ones((2, 2)), grad_enabled=True)
-    b = tensor(np.ones((2, 3)), grad_enabled=True)
+    a = Tensor(np.ones((2, 2)), grad_enabled=True)
+    b = Tensor(np.ones((2, 3)), grad_enabled=True)
     w = np.concatenate([np.full((2, 2), 2.0), np.full((2, 3), 5.0)], axis=1)
     with Tape() as tape:
         cat = concat([a, b], axis=1)
-        loss = sum_along(hadamard(cat, tensor(w)), (0, 1))
+        loss = total(hadamard(cat, Tensor(w)))
     grads = tape.backward(loss)
     assert np.array_equal(grads[a.uid].data, np.full((2, 2), 2.0))
     assert np.array_equal(grads[b.uid].data, np.full((2, 3), 5.0))
 
 
 def test_take_rows_gradient_scatter():
-    x = tensor(np.zeros((3, 4)), grad_enabled=True)
+    x = Tensor(np.zeros((3, 4)), grad_enabled=True)
     idx = np.array([1, 1, 3])
     with Tape() as tape:
-        loss = sum_along(take_rows(x, idx), (0,))
+        loss = total(take_rows(x, idx))
     g = tape.backward(loss)[x.uid].data
     expect = np.zeros((3, 4))
     expect[np.arange(3), idx] = 1.0
@@ -190,10 +194,10 @@ def test_take_rows_gradient_scatter():
 def test_softmax_gradient_orthogonal_to_constants():
     # d softmax / dx applied to a constant upstream gradient vanishes.
     rng = np.random.default_rng(1)
-    x = tensor(rng.normal(size=(1, 5, 4)), grad_enabled=True)
+    x = Tensor(rng.normal(size=(1, 5, 4)), grad_enabled=True)
     with Tape() as tape:
         out = softmax_spatial(x)
-        loss = sum_along(out, (0, 1, 2))
+        loss = total(out)
     g = tape.backward(loss)[x.uid].data
     assert np.max(np.abs(g)) <= 1e-14
 
@@ -206,7 +210,7 @@ def quadratic_probe(rng, shape):
     w = rng.normal(size=shape)
 
     def weigh(out):
-        return mean_all(hadamard(out, tensor(w)))
+        return mean_all(hadamard(out, Tensor(w)))
 
     return weigh
 
@@ -215,9 +219,9 @@ def quadratic_probe(rng, shape):
 def test_grad_check_composite_expression(seed):
     rng = np.random.default_rng(seed)
     params = {
-        "x": tensor(rng.normal(size=(3, 4))),
-        "w": tensor(rng.normal(size=(4, 5))),
-        "b": tensor(rng.normal(size=5)),
+        "x": Tensor(rng.normal(size=(3, 4))),
+        "w": Tensor(rng.normal(size=(4, 5))),
+        "b": Tensor(rng.normal(size=5)),
     }
     probe = quadratic_probe(rng, (3, 5))
 
@@ -232,7 +236,7 @@ def test_grad_check_composite_expression(seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_grad_check_shape_ops(seed):
     rng = np.random.default_rng(10 + seed)
-    params = {"x": tensor(rng.normal(size=(2, 3, 4)))}
+    params = {"x": Tensor(rng.normal(size=(2, 3, 4)))}
     probe = quadratic_probe(rng, (4, 3, 2))
 
     def forward(p):
@@ -247,8 +251,8 @@ def test_grad_check_shape_ops(seed):
 def test_grad_check_conv_pool_softmax(seed):
     rng = np.random.default_rng(20 + seed)
     params = {
-        "x": tensor(rng.normal(size=(2, 2, 4, 4))),
-        "k": tensor(rng.normal(size=(1, 2, 3, 3)) * 0.5),
+        "x": Tensor(rng.normal(size=(2, 2, 4, 4))),
+        "k": Tensor(rng.normal(size=(1, 2, 3, 3)) * 0.5),
     }
     probe = quadratic_probe(rng, (2, 2))
 
@@ -263,7 +267,7 @@ def test_grad_check_conv_pool_softmax(seed):
 
 def test_grad_check_logsumexp_take_rows():
     rng = np.random.default_rng(30)
-    params = {"logits": tensor(rng.normal(size=(4, 6)))}
+    params = {"logits": Tensor(rng.normal(size=(4, 6)))}
     labels = np.array([0, 2, 5, 3])
 
     def forward(p):
@@ -281,7 +285,7 @@ def test_grad_check_relu_at_safe_points():
     # Keep inputs away from the kink so central differences are valid.
     x = rng.normal(size=(3, 3))
     x[np.abs(x) < 0.05] = 0.5
-    params = {"x": tensor(x)}
+    params = {"x": Tensor(x)}
     probe = quadratic_probe(rng, (3, 3))
 
     def forward(p):
@@ -301,13 +305,32 @@ def test_grad_check_detects_wrong_gradient():
 
         return apply_op("bad_square", (t,), out, bwd)
 
-    params = {"x": tensor(np.array([1.0, 2.0]))}
+    params = {"x": Tensor(np.array([1.0, 2.0]))}
 
     def forward(p):
         return mean_all(bad_square(p["x"]))
 
     report = grad_check(forward, params)
     assert not report.passed
+
+
+def test_grad_check_sees_a_small_error_in_a_small_gradient():
+    """A backward rule 0.1% off fails even where every gradient is of order
+    1e-2, as under a mean-reduced loss like the battery's probe losses."""
+    from vnact.tensor import apply_op
+
+    def sigmoid_off_by_1e3(t):
+        out = 1.0 / (1.0 + np.exp(-t.data))
+
+        def bwd(g):
+            return (g * out * (1.0 - out) * 1.001,)
+
+        return apply_op("sigmoid_off", (t,), out, bwd)
+
+    params = {"x": Tensor(np.random.default_rng(60).normal(size=(4, 5)))}
+    assert grad_check(lambda p: mean_all(sigmoid(p["x"])), params).passed
+    report = grad_check(lambda p: mean_all(sigmoid_off_by_1e3(p["x"])), params)
+    assert not report.passed, report.summary()
 
 
 def test_grad_check_rejects_nondeterministic_forward():
@@ -320,7 +343,7 @@ def test_grad_check_rejects_nondeterministic_forward():
         return mean_all(scale(p["x"], float(state["n"])))
 
     with pytest.raises(DeterminismError):
-        grad_check(forward, {"x": tensor(np.ones(2))})
+        grad_check(forward, {"x": Tensor(np.ones(2))})
 
 
 def test_backward_determinism_bitwise():
@@ -329,8 +352,8 @@ def test_backward_determinism_bitwise():
     w_data = rng.normal(size=(5, 4))
 
     def run():
-        x = tensor(x_data, grad_enabled=True)
-        w = tensor(w_data, grad_enabled=True)
+        x = Tensor(x_data, grad_enabled=True)
+        w = Tensor(w_data, grad_enabled=True)
         with Tape() as tape:
             h = tanh(matmul(x, w))
             loss = mean_all(hadamard(h, h))
@@ -376,10 +399,10 @@ def check_conv_gradients(conv, lead, c, co, spatial, ks, seed):
     x_data = dyadic(rng, lead + (c,) + spatial)
     k_data = dyadic(rng, (co, c) + ks)
     g = dyadic(rng, lead + (co,) + spatial)
-    x, k = tensor(x_data, grad_enabled=True), tensor(k_data, grad_enabled=True)
+    x, k = Tensor(x_data, grad_enabled=True), Tensor(k_data, grad_enabled=True)
     with Tape() as tape:
         out = conv(x, k)
-        loss = sum_along(hadamard(out, tensor(g)), tuple(range(out.ndim)))
+        loss = total(hadamard(out, Tensor(g)))
     grads = tape.backward(loss)
     gx, gk = conv_adjoint_oracle(x_data, k_data, g)
     assert np.array_equal(grads[x.uid].data, gx)
@@ -420,10 +443,10 @@ def test_conv_kernel_gradient_without_input_gradient(monkeypatch):
     for conv, x_shape, k_shape in ((conv2d, (2, 3, 5, 4), (4, 3, 3, 3)),
                                    (conv3d, (2, 3, 4, 5, 3), (2, 3, 3, 3, 3))):
         x_data, k_data = rng.normal(size=x_shape), rng.normal(size=k_shape)
-        probe = tensor(rng.normal(size=x_shape[:1] + k_shape[:1] + x_shape[2:]))
+        probe = Tensor(rng.normal(size=x_shape[:1] + k_shape[:1] + x_shape[2:]))
         gks = []
         for x_grad in (True, False):
-            x, k = tensor(x_data, grad_enabled=x_grad), tensor(k_data, grad_enabled=True)
+            x, k = Tensor(x_data, grad_enabled=x_grad), Tensor(k_data, grad_enabled=True)
             with Tape() as tape:
                 loss = mean_all(hadamard(conv(x, k), probe))
             col2im_calls.clear()

@@ -17,7 +17,7 @@ from vnact.cells import (
 from vnact.errors import ShapeError
 from vnact.gradcheck import grad_check
 from vnact.ops import conv2d, mean_all, spatial_avg_pool
-from vnact.tensor import Tensor, hadamard, tensor
+from vnact.tensor import Tensor, add, hadamard
 
 
 def sigmoid(x):
@@ -25,7 +25,7 @@ def sigmoid(x):
 
 
 def conv_same(x, k):
-    return conv2d(tensor(x), tensor(k)).data
+    return conv2d(Tensor(x), Tensor(k)).data
 
 
 def lsta_oracle(x, c, h, p, bias=None):
@@ -56,10 +56,10 @@ def gru_oracle(x, h, p):
 
 def random_lsta_params(rng, c=3, d=4, k=3):
     return LstaParams(
-        attn_kernel=tensor(rng.normal(size=(1, c + d, k, k)) * 0.3),
-        gate_kernel=tensor(rng.normal(size=(4 * d, c + d, k, k)) * 0.3),
-        gate_bias=tensor(rng.normal(size=4 * d) * 0.3),
-        pool_kernel=tensor(rng.normal(size=(d, d, 1, 1)) * 0.3),
+        attn_kernel=Tensor(rng.normal(size=(1, c + d, k, k)) * 0.3),
+        gate_kernel=Tensor(rng.normal(size=(4 * d, c + d, k, k)) * 0.3),
+        gate_bias=Tensor(rng.normal(size=4 * d) * 0.3),
+        pool_kernel=Tensor(rng.normal(size=(d, d, 1, 1)) * 0.3),
     )
 
 
@@ -74,7 +74,7 @@ def test_lsta_step_matches_numpy_oracle():
     x = rng.normal(size=(c, hw, hw))
     c0 = rng.normal(size=(d, hw, hw))
     h0 = rng.normal(size=(d, hw, hw)) * 0.5
-    state, alpha = lsta_step(tensor(x), LstaState(tensor(c0), tensor(h0)), params)
+    state, alpha = lsta_step(Tensor(x), LstaState(Tensor(c0), Tensor(h0)), params)
     p = {k: getattr(params, k).data for k in ("attn_kernel", "gate_kernel", "gate_bias", "pool_kernel")}
     c_ref, h_ref, a_ref = lsta_oracle(x, c0, h0, p)
     assert np.allclose(state.c.data, c_ref, rtol=1e-12, atol=1e-12)
@@ -87,7 +87,7 @@ def test_lsta_attention_normalizes_per_sample():
     params = random_lsta_params(rng, c=2, d=3)
     x = rng.normal(size=(4, 2, 6, 6))
     state = LstaState.zeros((4, 3, 6, 6))
-    _, alpha = lsta_step(tensor(x), state, params)
+    _, alpha = lsta_step(Tensor(x), state, params)
     sums = alpha.data.sum(axis=(-2, -1))
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
@@ -96,10 +96,10 @@ def test_lsta_gate_bias_shifts_preactivations():
     rng = np.random.default_rng(2)
     params = random_lsta_params(rng, c=2, d=2)
     x = rng.normal(size=(2, 4, 4))
-    st = LstaState(tensor(rng.normal(size=(2, 4, 4))), tensor(rng.normal(size=(2, 4, 4)) * 0.3))
+    st = LstaState(Tensor(rng.normal(size=(2, 4, 4))), Tensor(rng.normal(size=(2, 4, 4)) * 0.3))
     maps = [rng.normal(size=(2, 4, 4)) * 0.5 for _ in range(4)]
-    bias = GateBias(*(tensor(m) for m in maps))
-    state, _ = lsta_step(tensor(x), st, params, bias=bias)
+    bias = GateBias(*(Tensor(m) for m in maps))
+    state, _ = lsta_step(Tensor(x), st, params, bias=bias)
     p = {k: getattr(params, k).data for k in ("attn_kernel", "gate_kernel", "gate_bias", "pool_kernel")}
     c_ref, h_ref, _ = lsta_oracle(x, st.c.data, st.h.data, p, bias=maps)
     assert np.allclose(state.c.data, c_ref, rtol=1e-12, atol=1e-12)
@@ -109,7 +109,7 @@ def test_lsta_gate_bias_shifts_preactivations():
 def test_zero_gate_bias_changes_nothing_bitwise():
     rng = np.random.default_rng(3)
     params = random_lsta_params(rng, c=2, d=2)
-    x = tensor(rng.normal(size=(2, 4, 4)))
+    x = Tensor(rng.normal(size=(2, 4, 4)))
     st = LstaState.zeros((2, 4, 4))
     zero = GateBias(*(Tensor(np.zeros((2, 4, 4))) for _ in range(4)))
     plain, _ = lsta_step(x, st, params)
@@ -130,13 +130,13 @@ def test_forget_bias_initialized_to_one():
 def test_gate_bias_from_stacked_layout():
     rng = np.random.default_rng(4)
     stacked = rng.normal(size=(8, 3, 3))  # 4 gates x memory 2
-    gb = GateBias.from_stacked(tensor(stacked), memory=2)
+    gb = GateBias.from_stacked(Tensor(stacked), memory=2)
     assert np.array_equal(gb.i.data, stacked[0:2])
     assert np.array_equal(gb.f.data, stacked[2:4])
     assert np.array_equal(gb.g.data, stacked[4:6])
     assert np.array_equal(gb.o.data, stacked[6:8])
     with pytest.raises(ShapeError):
-        GateBias.from_stacked(tensor(stacked), memory=3)
+        GateBias.from_stacked(Tensor(stacked), memory=3)
 
 
 def test_lsta_state_shape_validation():
@@ -161,12 +161,12 @@ def test_convlstm_matches_oracle_and_differs_from_attentive():
     rng = np.random.default_rng(5)
     c, d, hw = 2, 3, 5
     params = ConvLstmParams(
-        gate_kernel=tensor(rng.normal(size=(4 * d, c + d, 3, 3)) * 0.3),
-        gate_bias=tensor(rng.normal(size=4 * d) * 0.3),
+        gate_kernel=Tensor(rng.normal(size=(4 * d, c + d, 3, 3)) * 0.3),
+        gate_bias=Tensor(rng.normal(size=4 * d) * 0.3),
     )
     x = rng.normal(size=(c, hw, hw))
     c0, h0 = rng.normal(size=(d, hw, hw)), rng.normal(size=(d, hw, hw)) * 0.5
-    state = convlstm_step(tensor(x), LstaState(tensor(c0), tensor(h0)), params)
+    state = convlstm_step(Tensor(x), LstaState(Tensor(c0), Tensor(h0)), params)
 
     z = conv_same(np.concatenate([x, h0], axis=0), params.gate_kernel.data)
     z = z + params.gate_bias.data.reshape(4 * d, 1, 1)
@@ -192,7 +192,7 @@ def test_gru_step_matches_numpy_oracle():
     cin, d = 5, 4
     params = GruParams.create(input_dim=cin, hidden=d, seed=3)
     x, h = rng.normal(size=cin), rng.normal(size=d)
-    out = gru_step(tensor(x[None]), tensor(h[None]), params)
+    out = gru_step(Tensor(x[None]), Tensor(h[None]), params)
     p = {k: getattr(params, k).data for k in (
         "w_update", "b_update", "w_reset", "b_reset", "w_cand", "b_cand")}
     assert out.shape == (1, d)
@@ -203,9 +203,9 @@ def test_gru_step_batched_matches_per_sample():
     rng = np.random.default_rng(7)
     params = GruParams.create(input_dim=3, hidden=2, seed=4)
     xs, hs = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
-    batched = gru_step(tensor(xs), tensor(hs), params)
+    batched = gru_step(Tensor(xs), Tensor(hs), params)
     for i in range(4):
-        single = gru_step(tensor(xs[i:i + 1]), tensor(hs[i:i + 1]), params)
+        single = gru_step(Tensor(xs[i:i + 1]), Tensor(hs[i:i + 1]), params)
         assert np.allclose(batched.data[i], single.data[0], rtol=1e-14, atol=1e-14)
 
 
@@ -216,16 +216,16 @@ def test_gru_interpolates_between_candidate_and_state():
     big["g.b_update"] = Tensor(np.full(3, 50.0))
     params_hold = GruParams.from_dict("g", big)
     h = np.array([0.3, -0.7, 1.1])
-    out = gru_step(tensor(np.zeros((1, 2))), tensor(h[None]), params_hold)
+    out = gru_step(Tensor(np.zeros((1, 2))), Tensor(h[None]), params_hold)
     assert np.allclose(out.data[0], h, atol=1e-12)
 
 
 def test_gru_shape_validation():
     params = GruParams.create(input_dim=2, hidden=2, seed=6)
     with pytest.raises(ShapeError):
-        gru_step(tensor(np.zeros((3, 2))), tensor(np.zeros((2, 2))), params)
+        gru_step(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 2))), params)
     with pytest.raises(ShapeError):  # unbatched vectors
-        gru_step(tensor(np.zeros(2)), tensor(np.zeros(2)), params)
+        gru_step(Tensor(np.zeros(2)), Tensor(np.zeros(2)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +239,12 @@ def test_run_lsta_gru_shapes_and_batch_consistency():
     gru_b = GruParams.create(input_dim=3, hidden=4, seed=8, name="b")
     frames = rng.normal(size=(2, 5, 2, 4, 4))
 
-    lsta_desc, gru_desc = run_lsta_gru(tensor(frames), lsta, gru_a, gru_b)
+    lsta_desc, gru_desc = run_lsta_gru(Tensor(frames), lsta, gru_a, gru_b)
     assert lsta_desc.shape == (2, 3)
     assert gru_desc.shape == (2, 8)
 
     # A batch of one must agree with the batched rows.
-    d0, g0 = run_lsta_gru(tensor(frames[:1]), lsta, gru_a, gru_b)
+    d0, g0 = run_lsta_gru(Tensor(frames[:1]), lsta, gru_a, gru_b)
     assert d0.shape == (1, 3) and g0.shape == (1, 8)
     assert np.allclose(d0.data[0], lsta_desc.data[0], rtol=1e-12, atol=1e-12)
     assert np.allclose(g0.data[0], gru_desc.data[0], rtol=1e-12, atol=1e-12)
@@ -264,12 +264,12 @@ def test_run_lsta_gru_matches_manual_unroll():
     pb = {k: getattr(gru_b, k).data for k in (
         "w_update", "b_update", "w_reset", "b_reset", "w_cand", "b_cand")}
     for t in range(3):
-        state, _ = lsta_step(tensor(frames[:, t]), state, lsta)
+        state, _ = lsta_step(Tensor(frames[:, t]), state, lsta)
         pooled = state.h.data[0].mean(axis=(-2, -1))
         ha = gru_oracle(pooled, ha, pa)
         hb = gru_oracle(pooled, hb, pb)
 
-    lsta_desc, gru_desc = run_lsta_gru(tensor(frames), lsta, gru_a, gru_b)
+    lsta_desc, gru_desc = run_lsta_gru(Tensor(frames), lsta, gru_a, gru_b)
     assert np.allclose(lsta_desc.data, state.c.data.mean(axis=(-2, -1)), rtol=1e-12, atol=1e-12)
     assert np.allclose(gru_desc.data[0], np.concatenate([ha, hb]), rtol=1e-12, atol=1e-12)
 
@@ -280,11 +280,11 @@ def test_run_lsta_gru_rejects_empty_and_bad_rank():
     gru_a = GruParams.create(input_dim=2, hidden=2, seed=12, name="a")
     gru_b = GruParams.create(input_dim=2, hidden=2, seed=13, name="b")
     with pytest.raises(ShapeError):
-        run_lsta_gru(tensor(np.zeros((2, 4, 4))), lsta, gru_a, gru_b)
+        run_lsta_gru(Tensor(np.zeros((2, 4, 4))), lsta, gru_a, gru_b)
     with pytest.raises(ShapeError):  # an unbatched clip
-        run_lsta_gru(tensor(np.zeros((3, 2, 4, 4))), lsta, gru_a, gru_b)
+        run_lsta_gru(Tensor(np.zeros((3, 2, 4, 4))), lsta, gru_a, gru_b)
     with pytest.raises(ShapeError):
-        run_lsta_gru(tensor(np.zeros((1, 0, 2, 4, 4))), lsta, gru_a, gru_b)
+        run_lsta_gru(Tensor(np.zeros((1, 0, 2, 4, 4))), lsta, gru_a, gru_b)
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +299,20 @@ def test_lsta_step_gradients():
     probe_c = rng.normal(size=(d, hw, hw))
     probe_h = rng.normal(size=(d, hw, hw))
     params = {
-        "attn_kernel": tensor(rng.normal(size=(1, c + d, 3, 3)) * 0.3),
-        "gate_kernel": tensor(rng.normal(size=(4 * d, c + d, 3, 3)) * 0.3),
-        "gate_bias": tensor(rng.normal(size=4 * d) * 0.3),
-        "pool_kernel": tensor(rng.normal(size=(d, d, 1, 1)) * 0.3),
-        "x": tensor(x),
-        "c0": tensor(c0),
-        "h0": tensor(h0),
+        "attn_kernel": Tensor(rng.normal(size=(1, c + d, 3, 3)) * 0.3),
+        "gate_kernel": Tensor(rng.normal(size=(4 * d, c + d, 3, 3)) * 0.3),
+        "gate_bias": Tensor(rng.normal(size=4 * d) * 0.3),
+        "pool_kernel": Tensor(rng.normal(size=(d, d, 1, 1)) * 0.3),
+        "x": Tensor(x),
+        "c0": Tensor(c0),
+        "h0": Tensor(h0),
     }
 
     def forward(p):
         cell = LstaParams(p["attn_kernel"], p["gate_kernel"], p["gate_bias"], p["pool_kernel"])
         state, _ = lsta_step(p["x"], LstaState(p["c0"], p["h0"]), cell)
         return mean_all(
-            hadamard(state.c, tensor(probe_c)) + hadamard(state.h, tensor(probe_h))
+            add(hadamard(state.c, Tensor(probe_c)), hadamard(state.h, Tensor(probe_h)))
         )
 
     report = grad_check(forward, params)
@@ -322,14 +322,14 @@ def test_lsta_step_gradients():
 def test_gru_step_gradients():
     rng = np.random.default_rng(14)
     params = {
-        "w_update": tensor(rng.normal(size=(5, 2)) * 0.4),
-        "b_update": tensor(rng.normal(size=2) * 0.4),
-        "w_reset": tensor(rng.normal(size=(5, 2)) * 0.4),
-        "b_reset": tensor(rng.normal(size=2) * 0.4),
-        "w_cand": tensor(rng.normal(size=(5, 2)) * 0.4),
-        "b_cand": tensor(rng.normal(size=2) * 0.4),
-        "x": tensor(rng.normal(size=(2, 3))),
-        "h": tensor(rng.normal(size=(2, 2))),
+        "w_update": Tensor(rng.normal(size=(5, 2)) * 0.4),
+        "b_update": Tensor(rng.normal(size=2) * 0.4),
+        "w_reset": Tensor(rng.normal(size=(5, 2)) * 0.4),
+        "b_reset": Tensor(rng.normal(size=2) * 0.4),
+        "w_cand": Tensor(rng.normal(size=(5, 2)) * 0.4),
+        "b_cand": Tensor(rng.normal(size=2) * 0.4),
+        "x": Tensor(rng.normal(size=(2, 3))),
+        "h": Tensor(rng.normal(size=(2, 2))),
     }
     probe = rng.normal(size=(2, 2))
 
@@ -337,7 +337,7 @@ def test_gru_step_gradients():
         cell = GruParams(p["w_update"], p["b_update"], p["w_reset"], p["b_reset"],
                          p["w_cand"], p["b_cand"])
         out = gru_step(p["x"], p["h"], cell)
-        return mean_all(hadamard(out, tensor(probe)))
+        return mean_all(hadamard(out, Tensor(probe)))
 
     report = grad_check(forward, params)
     assert report.passed, report.summary()

@@ -3,6 +3,9 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +116,10 @@ def test_train_errors_map_to_exit_code_one(workspace, tmp_path, capsys):
     ({"overrides": {"memory_D": "x"}}, "config 'memory_D' must be int"),
     ({"overrides": {"epochs": "x"}}, "schedule override of the wrong type"),
     ({"overrides": {"trainable_groups": 5}}, "schedule override of the wrong type"),
+    ({"augmentation": {"temporal_jitter": "false"}}, "config 'temporal_jitter' must be bool"),
+    ({"augmentation": {"horizontal_flip": True}}, "config 'horizontal_flip' must be float"),
+    ({"seed": 3.7}, "config 'seed' must be int"),
+    ({"seed": True}, "config 'seed' must be int"),
 ])
 def test_train_config_values_of_the_wrong_shape_exit_one(workspace, tmp_path, capsys,
                                                           entry, message):
@@ -129,6 +136,10 @@ def test_train_config_values_of_the_wrong_shape_exit_one(workspace, tmp_path, ca
     ({"train_samples": [4]}, "config 'train_samples' must be int"),
     ({"noise_sigma": "x"}, "config 'noise_sigma' must be float"),
     ({"flow_channels": {"n": 4}}, "config 'flow_channels' must be int"),
+    ({"two_stream": "false"}, "config 'two_stream' must be bool"),
+    ({"seed": 3.7}, "config 'seed' must be int"),
+    ({"seed": True}, "config 'seed' must be int"),
+    ({"noise_sigma": True}, "config 'noise_sigma' must be float"),
 ])
 def test_make_synthetic_config_scalars_of_the_wrong_type_exit_one(tmp_path, capsys,
                                                                   entry, message):
@@ -254,3 +265,38 @@ def test_gradcheck_command_smoke(capsys):
     out = capsys.readouterr().out
     assert "worst relative error" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--bogus"],
+    ["eval"],  # required flags missing
+    ["gradcheck", "--instances", "x"],
+    ["gradcheck", "--tol", "1"],
+    ["gradcheck", "--config", "c.json"],
+    ["eval", "--model", "m", "--dataset", "d", "--out", "o", "--seed", "1"],
+    ["ensemble", "a.json", "--out", "o.json", "--config", "c.json"],
+    ["metrics", "--scores", "s.json", "--dataset", "d", "--seed", "1"],
+    ["submit", "--scores", "s.json", "--out", "o.json", "--config", "c.json"],
+    ["no-such-command"],
+])
+def test_usage_errors_exit_one(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_usage_error_exits_one_without_a_traceback():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "vnact.cli", "gradcheck", "--bogus"],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "usage:" in proc.stderr and "unrecognized arguments: --bogus" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gradcheck", "--help"])
+    assert exit_info.value.code == 0
+    assert "--instances" in capsys.readouterr().out

@@ -16,7 +16,7 @@ from vnact.heads import (
     structured_forward,
 )
 from vnact.ops import affine, mean_all
-from vnact.tensor import Tensor, hadamard, tensor
+from vnact.tensor import Tensor, hadamard
 
 
 def toy_space():
@@ -88,7 +88,7 @@ def test_build_label_space_validates_ids():
 
 
 def test_score_triple_task_and_detach():
-    st = ScoreTriple(verb=tensor([1.0]), noun=tensor([2.0]), action=np.array([3.0]))
+    st = ScoreTriple(verb=Tensor([1.0]), noun=Tensor([2.0]), action=np.array([3.0]))
     assert st.task("verb") is st.verb
     with pytest.raises(ValidationError):
         st.task("pair")
@@ -106,10 +106,10 @@ def test_structured_forward_matches_affine_oracle():
     space = toy_space()
     head = StructuredHeadParams.create(feature_dim=5, space=space, seed=1)
     # Give the bias maps real values so the coupling is exercised.
-    d = {k: tensor(rng.normal(size=v.shape) * 0.3) for k, v in head.as_dict("h").items()}
+    d = {k: Tensor(rng.normal(size=v.shape) * 0.3) for k, v in head.as_dict("h").items()}
     head = StructuredHeadParams.from_dict("h", d)
     x = rng.normal(size=(4, 5))
-    out = structured_forward(tensor(x), head, space)
+    out = structured_forward(Tensor(x), head, space)
     act = x @ head.w_act.data + head.b_act.data
     verb = x @ head.w_verb.data + head.b_verb.data + act @ head.bias_verb.data
     noun = x @ head.w_noun.data + head.b_noun.data + act @ head.bias_noun.data
@@ -123,7 +123,7 @@ def test_structured_forward_zero_bias_maps_decouple_bitwise():
     space = toy_space()
     head = StructuredHeadParams.create(feature_dim=4, space=space, seed=2)
     assert np.array_equal(head.bias_verb.data, np.zeros((3, 2)))
-    x = tensor(rng.normal(size=(3, 4)))
+    x = Tensor(rng.normal(size=(3, 4)))
     out = structured_forward(x, head, space)
     plain_verb = affine(x, head.w_verb, head.b_verb)
     plain_noun = affine(x, head.w_noun, head.b_noun)
@@ -135,22 +135,22 @@ def test_structured_forward_validation():
     space = toy_space()
     head = StructuredHeadParams.create(feature_dim=4, space=space, seed=4)
     with pytest.raises(ShapeError):
-        structured_forward(tensor(np.zeros((2, 5))), head, space)
+        structured_forward(Tensor(np.zeros((2, 5))), head, space)
     # One unbatched feature vector is not a batch.
     with pytest.raises(ShapeError):
-        structured_forward(tensor(np.zeros(4)), head, space)
+        structured_forward(Tensor(np.zeros(4)), head, space)
     with pytest.raises(ValidationError):
-        structured_forward(tensor(np.zeros((2, 4))), head, space, train=True, dropout_p=0.5)
+        structured_forward(Tensor(np.zeros((2, 4))), head, space, train=True, dropout_p=0.5)
     bigger = LabelSpace(verbs=("a", "b", "c"), nouns=("x",), actions=((0, 0), (1, 0)))
     with pytest.raises(ShapeError):
-        structured_forward(tensor(np.zeros((2, 4))), head, bigger, train=False)
+        structured_forward(Tensor(np.zeros((2, 4))), head, bigger, train=False)
 
 
 def test_structured_forward_dropout_determinism():
     rng_data = np.random.default_rng(3)
     space = toy_space()
     head = StructuredHeadParams.create(feature_dim=6, space=space, seed=5)
-    x = tensor(rng_data.normal(size=(4, 6)))
+    x = Tensor(rng_data.normal(size=(4, 6)))
     a = structured_forward(x, head, space, train=True,
                            rng=np.random.default_rng(11), dropout_p=0.5)
     b = structured_forward(x, head, space, train=True,
@@ -168,7 +168,7 @@ def test_cross_entropy_matches_log_softmax_oracle():
     rng = np.random.default_rng(4)
     logits = rng.normal(size=(5, 4)) * 2.0
     labels = rng.integers(0, 4, size=5)
-    loss = cross_entropy(tensor(logits), labels)
+    loss = cross_entropy(Tensor(logits), labels)
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     expect = -logp[np.arange(5), labels].mean()
@@ -176,27 +176,27 @@ def test_cross_entropy_matches_log_softmax_oracle():
 
 
 def test_cross_entropy_uniform_logits_is_log_k():
-    loss = cross_entropy(tensor(np.zeros((3, 7))), np.array([0, 3, 6]))
+    loss = cross_entropy(Tensor(np.zeros((3, 7))), np.array([0, 3, 6]))
     assert np.isclose(loss.item(), np.log(7.0), rtol=0, atol=1e-15)
 
 
 def test_cross_entropy_label_range_check():
     with pytest.raises(ValidationError):
-        cross_entropy(tensor(np.zeros((2, 3))), np.array([0, 3]))
+        cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
     with pytest.raises(ValidationError):
-        cross_entropy(tensor(np.zeros((2, 3))), np.array([-1, 0]))
+        cross_entropy(Tensor(np.zeros((2, 3))), np.array([-1, 0]))
     # One unbatched logit row is not a batch.
     with pytest.raises(ShapeError):
-        cross_entropy(tensor(np.zeros(3)), np.array([0]))
+        cross_entropy(Tensor(np.zeros(3)), np.array([0]))
 
 
 def test_multi_task_loss_sums_per_task_terms():
     rng = np.random.default_rng(5)
     space = toy_space()
     scores = ScoreTriple(
-        verb=tensor(rng.normal(size=(4, 2))),
-        noun=tensor(rng.normal(size=(4, 3))),
-        action=tensor(rng.normal(size=(4, 3))),
+        verb=Tensor(rng.normal(size=(4, 2))),
+        noun=Tensor(rng.normal(size=(4, 3))),
+        action=Tensor(rng.normal(size=(4, 3))),
     )
     labels = (np.array([0, 1, 0, 1]), np.array([0, 1, 2, 0]), np.array([0, 2, 1, 0]))
     total = multi_task_loss(scores, labels)
@@ -215,9 +215,9 @@ def test_structured_head_gradients_through_loss():
     rng = np.random.default_rng(6)
     space = toy_space()
     base = StructuredHeadParams.create(feature_dim=4, space=space, seed=7)
-    params = {k: tensor(v.data + 0.1 * rng.normal(size=v.shape))
+    params = {k: Tensor(v.data + 0.1 * rng.normal(size=v.shape))
               for k, v in base.as_dict("head").items()}
-    params["x"] = tensor(rng.normal(size=(3, 4)))
+    params["x"] = Tensor(rng.normal(size=(3, 4)))
     labels = (np.array([0, 1, 1]), np.array([0, 2, 1]), np.array([0, 1, 2]))
 
     def forward(p):

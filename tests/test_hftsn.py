@@ -16,11 +16,11 @@ from vnact.hftsn import (
     hf_tsn_forward,
 )
 from vnact.ops import mean_all
-from vnact.tensor import Tensor, hadamard, tensor
+from vnact.tensor import Tensor, hadamard
 
 
 def random_block(rng, c):
-    return HfBlockParams(w0=tensor(rng.normal(size=c)), w1=tensor(rng.normal(size=c)))
+    return HfBlockParams(w0=Tensor(rng.normal(size=c)), w1=Tensor(rng.normal(size=c)))
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +32,7 @@ def test_hf_block_matches_successor_oracle():
     t, c, hw = 5, 3, 4
     f = rng.normal(size=(t, c, hw, hw))
     params = random_block(rng, c)
-    out = hf_block(tensor(f[None]), params).data[0]
+    out = hf_block(Tensor(f[None]), params).data[0]
     w0 = params.w0.data.reshape(c, 1, 1)
     w1 = params.w1.data.reshape(c, 1, 1)
     for i in range(t - 1):
@@ -43,7 +43,7 @@ def test_hf_block_matches_successor_oracle():
 def test_hf_block_identity_init_is_bitwise_noop():
     rng = np.random.default_rng(1)
     f = rng.normal(size=(2, 6, 4, 5, 5))
-    out = hf_block(tensor(f), HfBlockParams.create(4))
+    out = hf_block(Tensor(f), HfBlockParams.create(4))
     assert np.array_equal(out.data, f)
 
 
@@ -51,30 +51,30 @@ def test_hf_block_single_frame_keeps_own_term_only():
     rng = np.random.default_rng(2)
     f = rng.normal(size=(1, 1, 2, 3, 3))
     params = random_block(rng, 2)
-    out = hf_block(tensor(f), params).data
+    out = hf_block(Tensor(f), params).data
     assert np.allclose(out[0, 0], params.w0.data.reshape(2, 1, 1) * f[0, 0], rtol=1e-14, atol=1e-14)
 
 
 def test_hf_block_shape_checks():
     rng = np.random.default_rng(3)
     with pytest.raises(ShapeError):
-        hf_block(tensor(rng.normal(size=(3, 4, 4))), random_block(rng, 4))
+        hf_block(Tensor(rng.normal(size=(3, 4, 4))), random_block(rng, 4))
     with pytest.raises(ShapeError):
-        hf_block(tensor(rng.normal(size=(1, 2, 3, 4, 4))), random_block(rng, 4))
+        hf_block(Tensor(rng.normal(size=(1, 2, 3, 4, 4))), random_block(rng, 4))
     with pytest.raises(ShapeError):  # an unbatched clip
-        hf_block(tensor(rng.normal(size=(2, 4, 4, 4))), random_block(rng, 4))
+        hf_block(Tensor(rng.normal(size=(2, 4, 4, 4))), random_block(rng, 4))
 
 
 def test_hf_block_gradients():
     rng = np.random.default_rng(4)
     f = rng.normal(size=(1, 3, 2, 3, 3))
     probe = rng.normal(size=(1, 3, 2, 3, 3))
-    params = {"w0": tensor(rng.normal(size=2)), "w1": tensor(rng.normal(size=2)),
-              "f": tensor(f)}
+    params = {"w0": Tensor(rng.normal(size=2)), "w1": Tensor(rng.normal(size=2)),
+              "f": Tensor(f)}
 
     def forward(p):
         out = hf_block(p["f"], HfBlockParams(p["w0"], p["w1"]))
-        return mean_all(hadamard(out, tensor(probe)))
+        return mean_all(hadamard(out, Tensor(probe)))
 
     report = grad_check(forward, params)
     assert report.passed, report.summary()
@@ -87,7 +87,7 @@ def test_hf_block_gradients():
 def test_backbone_stage_geometry():
     params = BackboneParams.create(in_channels=3, stage_channels=[4, 6, 8], seed=0)
     assert params.num_stages == 3 and params.feature_dim == 8
-    x = tensor(np.random.default_rng(5).normal(size=(2, 3, 3, 16, 16)))
+    x = Tensor(np.random.default_rng(5).normal(size=(2, 3, 3, 16, 16)))
     out = backbone_forward(x, params)
     # Two inter-stage 2x2 pools: 16 -> 8 -> 4.
     assert out.shape == (2, 3, 8, 4, 4)
@@ -96,7 +96,7 @@ def test_backbone_stage_geometry():
 def test_backbone_identity_blocks_change_nothing_bitwise():
     rng = np.random.default_rng(6)
     params = BackboneParams.create(in_channels=2, stage_channels=[3, 4], seed=1)
-    x = tensor(rng.normal(size=(1, 3, 2, 8, 8)))
+    x = Tensor(rng.normal(size=(1, 3, 2, 8, 8)))
     plain = backbone_forward(x, params)
     with_blocks = backbone_forward(
         x, params, hf={0: HfBlockParams.create(2), 1: HfBlockParams.create(3)})
@@ -105,12 +105,12 @@ def test_backbone_identity_blocks_change_nothing_bitwise():
 
 def test_backbone_rejects_bad_block_positions():
     params = BackboneParams.create(in_channels=2, stage_channels=[3], seed=2)
-    x = tensor(np.zeros((1, 2, 2, 4, 4)))
+    x = Tensor(np.zeros((1, 2, 2, 4, 4)))
     with pytest.raises(ValidationError, match="interaction positions"):
         backbone_forward(x, params, hf={1: HfBlockParams.create(3)})
     # One unbatched (T, C, H, W) clip is not a batch.
     with pytest.raises(ShapeError):
-        backbone_forward(tensor(np.zeros((2, 2, 4, 4))), params)
+        backbone_forward(Tensor(np.zeros((2, 2, 4, 4))), params)
 
 
 def test_backbone_params_round_trip():
@@ -146,19 +146,19 @@ def test_config_validation():
 def test_consensus_is_time_mean():
     rng = np.random.default_rng(7)
     s = rng.normal(size=(5, 7))
-    assert np.array_equal(consensus(tensor(s[None])).data[0], s.mean(axis=0))
+    assert np.array_equal(consensus(Tensor(s[None])).data[0], s.mean(axis=0))
     sb = rng.normal(size=(2, 5, 7))
-    assert np.array_equal(consensus(tensor(sb)).data, sb.mean(axis=1))
+    assert np.array_equal(consensus(Tensor(sb)).data, sb.mean(axis=1))
     with pytest.raises(ShapeError):
-        consensus(tensor(np.zeros(3)))
+        consensus(Tensor(np.zeros(3)))
     with pytest.raises(ShapeError):  # unbatched (T, K) scores
-        consensus(tensor(s))
+        consensus(Tensor(s))
 
 
 def test_consensus_constant_segments_fixed_point():
     row = np.array([0.5, -1.25, 2.0])
     stacked = np.tile(row, (1, 6, 1))
-    assert np.array_equal(consensus(tensor(stacked)).data[0], row)
+    assert np.array_equal(consensus(Tensor(stacked)).data[0], row)
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +180,14 @@ def test_hf_tsn_forward_shapes_and_batch_row_equivalence():
     rng = np.random.default_rng(8)
     space, cfg, backbone, hf, head = small_setup(rng)
     frames = rng.normal(size=(2, 3, 2, 8, 8))
-    out = hf_tsn_forward(tensor(frames), cfg, backbone, hf, head, space)
+    out = hf_tsn_forward(Tensor(frames), cfg, backbone, hf, head, space)
     assert out.verb.shape == (2, 2) and out.noun.shape == (2, 3) and out.action.shape == (2, 3)
-    one = hf_tsn_forward(tensor(frames[1:2]), cfg, backbone, hf, head, space)
+    one = hf_tsn_forward(Tensor(frames[1:2]), cfg, backbone, hf, head, space)
     assert one.verb.shape == (1, 2)
     assert np.allclose(one.verb.data[0], out.verb.data[1], rtol=1e-12, atol=1e-12)
     assert np.allclose(one.action.data[0], out.action.data[1], rtol=1e-12, atol=1e-12)
     with pytest.raises(ShapeError):  # an unbatched clip
-        hf_tsn_forward(tensor(frames[1]), cfg, backbone, hf, head, space)
+        hf_tsn_forward(Tensor(frames[1]), cfg, backbone, hf, head, space)
 
 
 def test_hf_tsn_forward_is_consensus_of_per_segment_scores():
@@ -196,9 +196,9 @@ def test_hf_tsn_forward_is_consensus_of_per_segment_scores():
     # With interaction weights at identity each frame scores independently,
     # so the clip score is the mean of single-segment clip scores.
     frames = rng.normal(size=(1, 3, 2, 8, 8))
-    clip = hf_tsn_forward(tensor(frames), cfg, backbone, hf, head, space)
+    clip = hf_tsn_forward(Tensor(frames), cfg, backbone, hf, head, space)
     cfg1 = HfTsnConfig(segments=1, stages=cfg.stages, hf_positions=cfg.hf_positions)
-    per = [hf_tsn_forward(tensor(frames[:, t : t + 1]), cfg1, backbone, hf, head, space)
+    per = [hf_tsn_forward(Tensor(frames[:, t : t + 1]), cfg1, backbone, hf, head, space)
            for t in range(3)]
     mean_verb = np.mean([p.verb.data for p in per], axis=0)
     mean_action = np.mean([p.action.data for p in per], axis=0)
@@ -210,7 +210,7 @@ def test_hf_tsn_forward_segment_count_check():
     rng = np.random.default_rng(10)
     space, cfg, backbone, hf, head = small_setup(rng)
     with pytest.raises(ShapeError):
-        hf_tsn_forward(tensor(rng.normal(size=(1, 4, 2, 8, 8))), cfg, backbone, hf, head, space)
+        hf_tsn_forward(Tensor(rng.normal(size=(1, 4, 2, 8, 8))), cfg, backbone, hf, head, space)
 
 
 def test_hf_tsn_end_to_end_gradients():
@@ -224,14 +224,14 @@ def test_hf_tsn_end_to_end_gradients():
     params.update(hf[1].as_dict("hf1"))
     params.update(head.as_dict("head"))
     # Nudge the identity/zero initialisations off their saddle points.
-    params = {k: tensor(v.data + 0.05 * rng.normal(size=v.shape)) for k, v in params.items()}
+    params = {k: Tensor(v.data + 0.05 * rng.normal(size=v.shape)) for k, v in params.items()}
 
     def forward(p):
         bb = BackboneParams.from_dict("bb", p)
         blocks = {0: HfBlockParams.from_dict("hf0", p), 1: HfBlockParams.from_dict("hf1", p)}
         hd = StructuredHeadParams.from_dict("head", p)
-        out = hf_tsn_forward(tensor(frames), cfg, bb, blocks, hd, space)
-        return mean_all(hadamard(out.action, tensor(probe)))
+        out = hf_tsn_forward(Tensor(frames), cfg, bb, blocks, hd, space)
+        return mean_all(hadamard(out.action, Tensor(probe)))
 
     report = grad_check(forward, params)
     assert report.passed, report.summary()

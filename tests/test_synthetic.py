@@ -71,8 +71,7 @@ def test_template_classifier_survives_acceptance_noise():
 
 
 def test_flow_modality_rescales_signatures():
-    data = make_synthetic(SPACE, 4, 4, 2, 8, 8, 0.0, seed=16, modality="flow")
-    assert set(data.inputs) == {"flow"}
+    data = make_two_stream_synthetic(SPACE, 4, 4, 2, 2, 8, 8, 0.0, seed=16)
     for i in range(len(data)):
         expect = clean_clip(int(data.verbs[i]), int(data.nouns[i]), SPACE, 4, 2, 8, 8,
                             verb_gain=1.5, noun_gain=0.4)
@@ -96,8 +95,6 @@ def test_make_synthetic_validation():
         make_synthetic(SPACE, 0, 4, 2, 8, 8, 0.5, seed=19)
     with pytest.raises(ValidationError):
         make_synthetic(SPACE, 4, 4, 2, 8, 8, -0.5, seed=19)
-    with pytest.raises(ValidationError):
-        make_synthetic(SPACE, 4, 4, 2, 8, 8, 0.5, seed=19, modality="depth")
 
 
 def test_default_label_space_covers_both_vocabularies():

@@ -7,7 +7,7 @@ from vnact.cells import ConvLstmParams, LstaParams, LstaState, convlstm_step, ls
 from vnact.errors import ShapeError
 from vnact.gradcheck import grad_check
 from vnact.ops import index_select, mean_all, spatial_avg_pool
-from vnact.tensor import Tensor, hadamard, tensor
+from vnact.tensor import Tensor, add, hadamard
 from vnact.twostream import (
     FusionParams,
     MotionAttentionParams,
@@ -20,17 +20,17 @@ from vnact.heads import ScoreTriple
 
 def random_lsta(rng, c, d, k=3):
     return LstaParams(
-        attn_kernel=tensor(rng.normal(size=(1, c + d, k, k)) * 0.3),
-        gate_kernel=tensor(rng.normal(size=(4 * d, c + d, k, k)) * 0.3),
-        gate_bias=tensor(rng.normal(size=4 * d) * 0.3),
-        pool_kernel=tensor(rng.normal(size=(d, d, 1, 1)) * 0.3),
+        attn_kernel=Tensor(rng.normal(size=(1, c + d, k, k)) * 0.3),
+        gate_kernel=Tensor(rng.normal(size=(4 * d, c + d, k, k)) * 0.3),
+        gate_bias=Tensor(rng.normal(size=4 * d) * 0.3),
+        pool_kernel=Tensor(rng.normal(size=(d, d, 1, 1)) * 0.3),
     )
 
 
 def random_clstm(rng, c, d, k=3):
     return ConvLstmParams(
-        gate_kernel=tensor(rng.normal(size=(4 * d, c + d, k, k)) * 0.3),
-        gate_bias=tensor(rng.normal(size=4 * d) * 0.3),
+        gate_kernel=Tensor(rng.normal(size=(4 * d, c + d, k, k)) * 0.3),
+        gate_bias=Tensor(rng.normal(size=4 * d) * 0.3),
     )
 
 
@@ -41,7 +41,7 @@ def random_clstm(rng, c, d, k=3):
 def test_motion_attention_zero_kernel_is_bitwise_identity():
     rng = np.random.default_rng(3)
     feats = rng.normal(size=(2, 4, 6, 6))
-    out = motion_spatial_attention(tensor(feats), MotionAttentionParams.create(4))
+    out = motion_spatial_attention(Tensor(feats), MotionAttentionParams.create(4))
     assert np.array_equal(out.data, feats)
 
 
@@ -50,9 +50,9 @@ def test_motion_attention_map_averages_to_one():
     from vnact.ops import conv2d, softmax_spatial_scaled
 
     feats = rng.normal(size=(3, 6, 6))
-    params = MotionAttentionParams(kernel=tensor(rng.normal(size=(1, 3, 1, 1))))
-    out = motion_spatial_attention(tensor(feats), params)
-    alpha = softmax_spatial_scaled(conv2d(tensor(feats), params.kernel)).data
+    params = MotionAttentionParams(kernel=Tensor(rng.normal(size=(1, 3, 1, 1))))
+    out = motion_spatial_attention(Tensor(feats), params)
+    alpha = softmax_spatial_scaled(conv2d(Tensor(feats), params.kernel)).data
     assert abs(alpha.mean() - 1.0) <= 1e-12
     assert np.allclose(out.data, feats * alpha, rtol=1e-12, atol=1e-12)
 
@@ -67,8 +67,8 @@ def test_zero_fusion_matches_uncoupled_streams_bitwise():
     lsta = random_lsta(rng, ca, da)
     clstm = random_clstm(rng, cm, dm)
     fusion = FusionParams.create(ca, cm, da, dm)
-    fa = tensor(rng.normal(size=(b, t, ca, hw, hw)))
-    fm = tensor(rng.normal(size=(b, t, cm, hw, hw)))
+    fa = Tensor(rng.normal(size=(b, t, ca, hw, hw)))
+    fm = Tensor(rng.normal(size=(b, t, cm, hw, hw)))
 
     app_desc, mot_desc = cross_modal_rollout(fa, fm, lsta, clstm, fusion)
 
@@ -88,11 +88,11 @@ def test_nonzero_fusion_couples_both_streams():
     clstm = random_clstm(rng, cm, dm)
     zero = FusionParams.create(ca, cm, da, dm)
     live = FusionParams(
-        app_to_motion=tensor(rng.normal(size=zero.app_to_motion.shape) * 0.3),
-        motion_to_app=tensor(rng.normal(size=zero.motion_to_app.shape) * 0.3),
+        app_to_motion=Tensor(rng.normal(size=zero.app_to_motion.shape) * 0.3),
+        motion_to_app=Tensor(rng.normal(size=zero.motion_to_app.shape) * 0.3),
     )
-    fa = tensor(rng.normal(size=(b, t, ca, hw, hw)))
-    fm = tensor(rng.normal(size=(b, t, cm, hw, hw)))
+    fa = Tensor(rng.normal(size=(b, t, ca, hw, hw)))
+    fm = Tensor(rng.normal(size=(b, t, cm, hw, hw)))
     a0, m0 = cross_modal_rollout(fa, fm, lsta, clstm, zero)
     a1, m1 = cross_modal_rollout(fa, fm, lsta, clstm, live)
     assert not np.allclose(a0.data, a1.data)
@@ -109,13 +109,13 @@ def test_cross_modal_rollout_unbatched_squeeze():
     fusion = FusionParams.create(ca, cm, da, dm)
     fa = rng.normal(size=(2, t, ca, hw, hw))
     fm = rng.normal(size=(2, t, cm, hw, hw))
-    a_one, m_one = cross_modal_rollout(tensor(fa[:1]), tensor(fm[:1]), lsta, clstm, fusion)
-    a_batch, m_batch = cross_modal_rollout(tensor(fa), tensor(fm), lsta, clstm, fusion)
+    a_one, m_one = cross_modal_rollout(Tensor(fa[:1]), Tensor(fm[:1]), lsta, clstm, fusion)
+    a_batch, m_batch = cross_modal_rollout(Tensor(fa), Tensor(fm), lsta, clstm, fusion)
     assert a_one.shape == (1, da) and m_one.shape == (1, dm)
     assert np.array_equal(a_one.data[0], a_batch.data[0])
     assert np.array_equal(m_one.data[0], m_batch.data[0])
     with pytest.raises(ShapeError):
-        cross_modal_rollout(tensor(fa[0]), tensor(fm[0]), lsta, clstm, fusion)
+        cross_modal_rollout(Tensor(fa[0]), Tensor(fm[0]), lsta, clstm, fusion)
 
 
 def test_cross_modal_rollout_layout_checks():
@@ -123,11 +123,11 @@ def test_cross_modal_rollout_layout_checks():
     lsta = random_lsta(rng, 2, 2)
     clstm = random_clstm(rng, 2, 2)
     fusion = FusionParams.create(2, 2, 2, 2)
-    fa = tensor(rng.normal(size=(1, 3, 2, 4, 4)))
+    fa = Tensor(rng.normal(size=(1, 3, 2, 4, 4)))
     with pytest.raises(ShapeError):
-        cross_modal_rollout(fa, tensor(rng.normal(size=(1, 2, 2, 4, 4))), lsta, clstm, fusion)
+        cross_modal_rollout(fa, Tensor(rng.normal(size=(1, 2, 2, 4, 4))), lsta, clstm, fusion)
     with pytest.raises(ShapeError):
-        cross_modal_rollout(fa, tensor(rng.normal(size=(1, 3, 2, 5, 5))), lsta, clstm, fusion)
+        cross_modal_rollout(fa, Tensor(rng.normal(size=(1, 3, 2, 5, 5))), lsta, clstm, fusion)
 
 
 def test_cross_modal_rollout_gradients():
@@ -138,22 +138,22 @@ def test_cross_modal_rollout_gradients():
     probe_a = rng.normal(size=(b, da))
     probe_m = rng.normal(size=(b, dm))
     params = {
-        "attn_kernel": tensor(rng.normal(size=(1, ca + da, 3, 3)) * 0.3),
-        "gate_kernel": tensor(rng.normal(size=(4 * da, ca + da, 3, 3)) * 0.3),
-        "gate_bias": tensor(rng.normal(size=4 * da) * 0.3),
-        "pool_kernel": tensor(rng.normal(size=(da, da, 1, 1)) * 0.3),
-        "m_gate_kernel": tensor(rng.normal(size=(4 * dm, cm + dm, 3, 3)) * 0.3),
-        "m_gate_bias": tensor(rng.normal(size=4 * dm) * 0.3),
-        "app_to_motion": tensor(rng.normal(size=(4 * dm, ca, 3, 3, 3)) * 0.2),
-        "motion_to_app": tensor(rng.normal(size=(4 * da, cm, 3, 3)) * 0.2),
+        "attn_kernel": Tensor(rng.normal(size=(1, ca + da, 3, 3)) * 0.3),
+        "gate_kernel": Tensor(rng.normal(size=(4 * da, ca + da, 3, 3)) * 0.3),
+        "gate_bias": Tensor(rng.normal(size=4 * da) * 0.3),
+        "pool_kernel": Tensor(rng.normal(size=(da, da, 1, 1)) * 0.3),
+        "m_gate_kernel": Tensor(rng.normal(size=(4 * dm, cm + dm, 3, 3)) * 0.3),
+        "m_gate_bias": Tensor(rng.normal(size=4 * dm) * 0.3),
+        "app_to_motion": Tensor(rng.normal(size=(4 * dm, ca, 3, 3, 3)) * 0.2),
+        "motion_to_app": Tensor(rng.normal(size=(4 * da, cm, 3, 3)) * 0.2),
     }
 
     def forward(p):
         lsta = LstaParams(p["attn_kernel"], p["gate_kernel"], p["gate_bias"], p["pool_kernel"])
         clstm = ConvLstmParams(p["m_gate_kernel"], p["m_gate_bias"])
         fusion = FusionParams(p["app_to_motion"], p["motion_to_app"])
-        a, m = cross_modal_rollout(tensor(fa), tensor(fm), lsta, clstm, fusion)
-        return mean_all(hadamard(a, tensor(probe_a)) + hadamard(m, tensor(probe_m)))
+        a, m = cross_modal_rollout(Tensor(fa), Tensor(fm), lsta, clstm, fusion)
+        return mean_all(add(hadamard(a, Tensor(probe_a)), hadamard(m, Tensor(probe_m))))
 
     report = grad_check(forward, params)
     assert report.passed, report.summary()
@@ -165,8 +165,8 @@ def test_cross_modal_rollout_gradients():
 
 def test_fuse_scores_is_elementwise_mean():
     rng = np.random.default_rng(10)
-    a = ScoreTriple(*(tensor(rng.normal(size=(3, 4))) for _ in range(3)))
-    b = ScoreTriple(*(tensor(rng.normal(size=(3, 4))) for _ in range(3)))
+    a = ScoreTriple(*(Tensor(rng.normal(size=(3, 4))) for _ in range(3)))
+    b = ScoreTriple(*(Tensor(rng.normal(size=(3, 4))) for _ in range(3)))
     out = fuse_scores(a, b)
     assert np.array_equal(out.verb.data, (a.verb.data + b.verb.data) * 0.5)
     assert np.array_equal(out.action.data, (a.action.data + b.action.data) * 0.5)
@@ -175,13 +175,13 @@ def test_fuse_scores_is_elementwise_mean():
 def test_fuse_scores_identical_inputs_fixed_point():
     rng = np.random.default_rng(11)
     vals = [rng.normal(size=5) for _ in range(3)]
-    a = ScoreTriple(*(tensor(v) for v in vals))
+    a = ScoreTriple(*(Tensor(v) for v in vals))
     out = fuse_scores(a, a)
     for got, want in zip((out.verb, out.noun, out.action), vals):
         assert np.array_equal(got.data, want)
 
 
 def test_fuse_scores_shape_mismatch():
-    a = ScoreTriple(tensor(np.ones(3)), tensor(np.ones(2)), tensor(np.ones(4)))
+    a = ScoreTriple(Tensor(np.ones(3)), Tensor(np.ones(2)), Tensor(np.ones(4)))
     with pytest.raises(ShapeError):
-        fuse_scores(a, ScoreTriple(tensor(np.zeros(4)), tensor(np.zeros(2)), tensor(np.zeros(4))))
+        fuse_scores(a, ScoreTriple(Tensor(np.zeros(4)), Tensor(np.zeros(2)), Tensor(np.zeros(4))))
