@@ -14,6 +14,7 @@ import numpy as np
 
 from .cells import (
     ConvLstmParams,
+    GateBias,
     GruParams,
     LstaParams,
     LstaState,
@@ -60,40 +61,36 @@ def _entry_conv3d(rng) -> Entry:
     return "conv3d", lambda p: _probe_loss(conv3d(p["x"], p["k"]), probe), params
 
 
-def _entry_lsta_step(rng) -> Entry:
-    c, d, h, w = 3, 3, 4, 4
-    base = LstaParams.create(c, d, int(rng.integers(1 << 30)), "g")
+def _cell_entry(rng, step, cls, prefix: str, c: int, d: int, biased: bool) -> Entry:
+    """One cell step from a random state. A biased entry runs a batch of 2
+    with an external gate-bias map shared by the batch, so the batch sums of
+    the gate_bias and bias-map gradients are checked too."""
+    b, h, w = (2 if biased else 1), 4, 4
+    base = cls.create(c, d, int(rng.integers(1 << 30)), "g")
     params = {
-        "x": _param(rng, (1, c, h, w)),
-        "c0": _param(rng, (1, d, h, w)), "h0": _param(rng, (1, d, h, w)),
-        **base.as_dict("lsta"),
+        "x": _param(rng, (b, c, h, w)),
+        "c0": _param(rng, (b, d, h, w)), "h0": _param(rng, (b, d, h, w)),
+        **base.as_dict(prefix),
     }
-    pc, ph = rng.normal(size=(1, d, h, w)), rng.normal(size=(1, d, h, w))
+    if biased:
+        params["bias"] = _param(rng, (4 * d, h, w))
+    pc, ph = rng.normal(size=(b, d, h, w)), rng.normal(size=(b, d, h, w))
 
     def forward(p):
-        state, _ = lsta_step(p["x"], LstaState(c=p["c0"], h=p["h0"]),
-                             LstaParams.from_dict("lsta", p))
+        state = step(p["x"], LstaState(c=p["c0"], h=p["h0"]), cls.from_dict(prefix, p),
+                     GateBias(p["bias"]) if biased else None)
+        state = state[0] if step is lsta_step else state
         return add(_probe_loss(state.c, pc), _probe_loss(state.h, ph))
 
-    return "lsta_step", forward, params
+    return step.__name__ + ("_biased" if biased else ""), forward, params
 
 
-def _entry_convlstm_step(rng) -> Entry:
-    c, d, h, w = 3, 2, 4, 4
-    base = ConvLstmParams.create(c, d, int(rng.integers(1 << 30)), "g")
-    params = {
-        "x": _param(rng, (1, c, h, w)),
-        "c0": _param(rng, (1, d, h, w)), "h0": _param(rng, (1, d, h, w)),
-        **base.as_dict("convlstm"),
-    }
-    pc, ph = rng.normal(size=(1, d, h, w)), rng.normal(size=(1, d, h, w))
+def _entry_lsta_step(rng, biased=False) -> Entry:
+    return _cell_entry(rng, lsta_step, LstaParams, "lsta", 3, 3, biased)
 
-    def forward(p):
-        state = convlstm_step(p["x"], LstaState(c=p["c0"], h=p["h0"]),
-                              ConvLstmParams.from_dict("convlstm", p))
-        return add(_probe_loss(state.c, pc), _probe_loss(state.h, ph))
 
-    return "convlstm_step", forward, params
+def _entry_convlstm_step(rng, biased=False) -> Entry:
+    return _cell_entry(rng, convlstm_step, ConvLstmParams, "convlstm", 3, 2, biased)
 
 
 def _entry_gru_step(rng) -> Entry:
@@ -224,7 +221,8 @@ def standard_battery(seed: int = 0, instances: int = 3) -> List[Entry]:
     makers = [
         _entry_matmul, _entry_conv2d, _entry_conv3d, _entry_lsta_step,
         _entry_convlstm_step, _entry_gru_step, _entry_hf_block, _entry_consensus,
-        _entry_motion_attention,
+        _entry_motion_attention, lambda rng: _entry_lsta_step(rng, biased=True),
+        lambda rng: _entry_convlstm_step(rng, biased=True),
     ]
     entries: List[Entry] = []
     for i in range(instances):

@@ -14,40 +14,25 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ShapeError
 from .init import ParamStruct, uniform_fan_in, zeros_param
-from .ops import (
-    affine,
-    concat,
-    conv2d,
-    index_select,
-    narrow,
-    reshape,
-    softmax_spatial,
-    spatial_avg_pool,
-)
-from .tensor import Tensor, add, hadamard, sigmoid, subtract, tanh
+from .ops import concat, conv2d, index_select, softmax_spatial, spatial_avg_pool
+from .tensor import Tensor, _check_broadcastable, _unbroadcast, apply_op, hadamard, tanh
 
 
 @dataclass
 class GateBias:
-    """Per-gate additive pre-activation maps, one per gate."""
+    """External gate pre-activation maps, stacked (..., 4D, H, W) in gate order."""
 
-    i: Tensor
-    f: Tensor
-    g: Tensor
-    o: Tensor
+    stacked: Tensor
 
     @classmethod
     def from_stacked(cls, stacked: Tensor, memory: int) -> "GateBias":
-        return cls(*_split_gates(stacked, memory))
-
-
-def _split_gates(z: Tensor, memory: int):
-    if z.shape[-3] != 4 * memory:
-        raise ShapeError(f"gate stack has {z.shape[-3]} channels, expected {4 * memory}")
-    return tuple(narrow(z, -3, k * memory, memory) for k in range(4))
+        if stacked.shape[-3] != 4 * memory:
+            raise ShapeError(f"gate stack has {stacked.shape[-3]} channels, expected {4 * memory}")
+        return cls(stacked)
 
 
 def _forget_one_bias(memory: int) -> Tensor:
@@ -98,19 +83,39 @@ class LstaParams(ParamStruct):
 
 
 def _gate_update(z: Tensor, gate_bias: Tensor, c: Tensor, bias: Optional[GateBias]):
-    """The four-gate update shared by both cells.
+    """The four-gate update shared by both cells, as one fused tape node.
 
-    Adds the per-gate bias vector and any external bias maps to the gate
+    Adds the per-gate bias vector and any external bias map to the gate
     pre-activations z (..., 4D, H, W), applies the gate nonlinearities and
-    returns the next memory and the output gate.
+    returns the next memory and the output gate. The backward rule repeats
+    the per-op tape's expressions in its order, so gradients keep their bits.
+    A tape node has one output, so the output gate gets a node of its own
+    whose rule only hands its adjoint over: recorded later, it runs first.
     """
     d = gate_bias.shape[0] // 4
-    z = add(z, reshape(gate_bias, (4 * d, 1, 1)))
-    zi, zf, zg, zo = _split_gates(z, d)
+    zd = z.data + gate_bias.data.reshape(4 * d, 1, 1)
+    parents = (z, gate_bias, c) + ((bias.stacked,) if bias is not None else ())
     if bias is not None:
-        zi, zf, zg, zo = add(zi, bias.i), add(zf, bias.f), add(zg, bias.g), add(zo, bias.o)
-    i, f, g, o = sigmoid(zi), sigmoid(zf), tanh(zg), sigmoid(zo)
-    return add(hadamard(f, c), hadamard(i, g)), o
+        _check_broadcastable(zd, bias.stacked.data, "gate bias")
+        zd = zd + bias.stacked.data
+    gates = [np.ascontiguousarray(zd[..., k * d:(k + 1) * d, :, :]) for k in range(4)]
+    i, f, g, o = expit(gates[0]), expit(gates[1]), np.tanh(gates[2]), expit(gates[3])
+    cd, shape, parent_shapes = c.data, zd.shape, [t.shape for t in parents]
+    adj_o = []
+
+    def bwd(gc):
+        dz = np.zeros(shape)
+        if adj_o:
+            dz[..., 3 * d:, :, :] += adj_o.pop() * o * (1.0 - o)
+        dz[..., 2 * d:3 * d, :, :] += gc * i * (1.0 - g * g)
+        dz[..., d:2 * d, :, :] += gc * cd * f * (1.0 - f)
+        dz[..., :d, :, :] += gc * g * i * (1.0 - i)
+        zs, gbs, cs, *bs = parent_shapes
+        return (_unbroadcast(dz, zs), _unbroadcast(dz, (4 * d, 1, 1)).reshape(gbs),
+                _unbroadcast(gc * f, cs), *(_unbroadcast(dz, s) for s in bs))
+
+    c_next = apply_op("gate_update", parents, f * cd + i * g, bwd)
+    return c_next, apply_op("gate_output", (c_next,), o, lambda go: (adj_o.append(go),))
 
 
 def lsta_step(
@@ -191,15 +196,34 @@ class GruParams(ParamStruct):
 
 
 def gru_step(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
-    """One gated-recurrence step on x (B, C) with state h (B, D)."""
+    """One gated-recurrence step on x (B, C) with state h (B, D), as one tape node.
+
+    The backward rule repeats the per-op tape's expressions in its order; x
+    and h are parents once per use, so their adjoints add up in that order too.
+    """
     if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
         raise ShapeError(f"gru_step expects matching batches, got {x.shape} and {h.shape}")
-    xh = concat([x, h], 1)
-    z = sigmoid(affine(xh, params.w_update, params.b_update))
-    r = sigmoid(affine(xh, params.w_reset, params.b_reset))
-    n = tanh(affine(concat([x, hadamard(r, h)], 1), params.w_cand, params.b_cand))
-    ones = Tensor(np.ones(z.shape))
-    return add(hadamard(subtract(ones, z), n), hadamard(z, h))
+    p, xd, hd, cx = params, x.data, h.data, x.shape[1]
+    xh = np.concatenate([xd, hd], 1)
+    z = expit(xh @ p.w_update.data + p.b_update.data)
+    r = expit(xh @ p.w_reset.data + p.b_reset.data)
+    xrh = np.concatenate([xd, r * hd], 1)
+    n = np.tanh(xrh @ p.w_cand.data + p.b_cand.data)
+    omz = 1.0 - z
+
+    def bwd(g):
+        dzn = g * omz * (1.0 - n * n)
+        dxrh = dzn @ p.w_cand.data.T
+        drh = dxrh[:, cx:]
+        dzr = drh * hd * r * (1.0 - r)
+        dzu = (g * hd + -(g * n)) * z * (1.0 - z)
+        dxh = dzr @ p.w_reset.data.T + dzu @ p.w_update.data.T
+        return (dxrh[:, :cx], dxh[:, :cx], g * z, drh * r, dxh[:, cx:],
+                xh.T @ dzu, dzu.sum(axis=0), xh.T @ dzr, dzr.sum(axis=0),
+                xrh.T @ dzn, dzn.sum(axis=0))
+
+    parents = (x, x, h, h, h, p.w_update, p.b_update, p.w_reset, p.b_reset, p.w_cand, p.b_cand)
+    return apply_op("gru_step", parents, omz * n + z * hd, bwd)
 
 
 def rollout(frames: Tensor, params, bias_at=None):

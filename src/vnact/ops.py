@@ -7,28 +7,33 @@ correlation semantics with zero padding; reductions use numpy's fixed
 deterministic accumulation so replays are bit-identical.
 
 conv2d and conv3d are one same-padded correlation over the trailing axes
-(im2col, one matmul, col2im). Their backward rules keep the unpadded input
-and rebuild the column matrix when run, trading one im2col per call for not
-holding a 9× or 27× copy of the input until backward. A rule skips the
-gradient of an input or kernel that is not grad-enabled (raw frames and
-flow, frozen parameters): no matmul and no col2im runs for it. col2im
-accumulates into a (*padded spatial, B·C) buffer, so each kernel offset is
-one addition over the whole batch and channel axis rather than one per
-image row; every pixel still receives its offsets in the same nested order,
-so the bits are those of a row-by-row loop. ``avg_pool2x2``
-adds its four strided quarters in the order numpy's mean uses, so the
-faster forward gives the same bits.
+(im2col, one matmul, col2im). im2col copies each sample once into a row
+with one trailing zero slot and gathers the columns with ``np.take``
+through a cached index table, one per (channels, extent, kernel), that
+sends every padding entry to the zero slot. col2im scatters back through
+the same table with ``np.bincount``, which adds in memory order, so every
+pixel starts at 0.0 and receives its kernel offsets in nested order: the
+bits of a per-pixel loop. The backward rules keep the unpadded input and
+rebuild the columns when run, rather than hold a 9× or 27× copy of the
+input until backward. A rule skips the gradient of an input or kernel
+that is not grad-enabled (raw frames and flow, frozen parameters): no
+matmul and no col2im runs for it. ``avg_pool2x2`` adds its four strided
+quarters in the order numpy's mean uses, so the faster forward gives the
+same bits.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 
 import numpy as np
 from scipy.special import logsumexp as _logsumexp, softmax as _softmax
 
 from .errors import NonFiniteError, ShapeError
 from .tensor import Tensor, add, apply_op, hadamard
+
+# Column entries scattered per np.bincount call in _col2im.
+_SCATTER_ENTRIES = 1 << 18
 
 # ---------------------------------------------------------------------------
 # linear algebra
@@ -58,39 +63,46 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 # convolution
 
 
+@functools.lru_cache(maxsize=64)
+def _column_index(c: int, spatial: tuple, ks: tuple, pads: tuple) -> np.ndarray:
+    """Source slot of every column entry, (C·∏k, ∏S), in a (C·∏S + 1) row
+    whose last slot is the zero padding."""
+    n = int(np.prod(spatial))
+    src = (np.indices(ks).reshape(len(ks), -1, 1) - np.array(pads)[:, None, None]
+           + np.indices(spatial).reshape(len(spatial), 1, -1))
+    inside = np.all((src >= 0) & (src < np.array(spatial)[:, None, None]), axis=0)
+    flat = np.ravel_multi_index(tuple(np.where(inside, src, 0)), spatial)
+    index = np.where(inside, flat + n * np.arange(c)[:, None, None], c * n).reshape(-1, n)
+    index.flags.writeable = False
+    return index
+
+
 def _im2col(xb: np.ndarray, ks: tuple, pads: tuple) -> np.ndarray:
     """Columns (B, C·∏k, ∏S) of a (B, C, *S) array for a same-padded kernel."""
-    spatial = xb.shape[2:]
-    if any(pads):
-        xp = np.zeros(xb.shape[:2] + tuple(n + 2 * p for n, p in zip(spatial, pads)))
-        xp[(Ellipsis,) + tuple(slice(p, p + n) for p, n in zip(pads, spatial))] = xb
-    else:
-        xp = xb
-    s = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp, xp.shape[:2] + ks + spatial, s + s[2:], writeable=False
-    )
-    return view.reshape(xb.shape[0], -1, int(np.prod(spatial)))
+    b, c, *spatial = xb.shape
+    if not any(pads):
+        return xb.reshape(b, c, -1)
+    slotted = np.zeros((b, xb[0].size + 1))
+    slotted[:, :-1] = xb.reshape(b, -1)
+    return np.take(slotted, _column_index(c, tuple(spatial), ks, pads), axis=1)
 
 
 def _col2im(gcols: np.ndarray, shape: tuple, ks: tuple, pads: tuple) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: (B, C·∏k, ∏S) columns back to a (B, C, *S) array.
-
-    Kernel offsets are accumulated in nested loop order (last axis fastest)
-    into a (*padded S, B·C) buffer, so each addition runs over the whole
-    batch and channel axis at once; the axis moves back to the front at the end.
-    """
+    """Adjoint of :func:`_im2col`: (B, C·∏k, ∏S) columns back to a (B, C, *S) array,
+    scattered a few samples at a time so the shifted index stays small."""
     if not any(pads):
         return gcols.reshape(shape)
     b, c, *spatial = shape
-    per_offset = np.moveaxis(gcols.reshape(b * c, *ks, *spatial), 0, -1)
-    gxp = np.zeros(tuple(n + 2 * p for n, p in zip(spatial, pads)) + (b * c,))
-    for offset in itertools.product(*map(range, ks)):
-        window = tuple(slice(o, o + n) for o, n in zip(offset, spatial))
-        gxp[window] += per_offset[offset]
-    inner = gxp[tuple(slice(p, p + n) for p, n in zip(pads, spatial))]
-    # Copied back to row-major so a matmul reading this adjoint stays on BLAS.
-    return np.ascontiguousarray(np.moveaxis(inner, -1, 0)).reshape(shape)
+    index = _column_index(c, tuple(spatial), ks, pads)
+    slots = c * index.shape[1] + 1
+    out = np.empty((b, slots - 1))
+    step = max(1, _SCATTER_ENTRIES // index.size)
+    for start in range(0, b, step):
+        part = gcols[start:start + step]
+        shifted = index + slots * np.arange(len(part))[:, None, None]
+        sums = np.bincount(shifted.ravel(), part.ravel(), len(part) * slots)
+        out[start:start + len(part)] = sums.reshape(len(part), slots)[:, :-1]
+    return out.reshape(shape)
 
 
 def _correlate(kind: str, x: Tensor, kernel: Tensor):

@@ -8,8 +8,8 @@ the backward rule. All arithmetic is 64-bit so finite-difference checks
 have headroom.
 
 Storage and elementwise arithmetic are delegated to numpy; the tape, the
-recording discipline and all backward rules are local to this module and
-:mod:`vnact.ops`.
+recording discipline and all backward rules are local to this module,
+:mod:`vnact.ops` and the fused cell nodes of :mod:`vnact.cells`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NonFiniteError, ShapeError, TapeError
 
@@ -298,15 +297,6 @@ def scale(a: Tensor, factor: float) -> Tensor:
         return (g * factor,)
 
     return apply_op("scale", (a,), out, bwd)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = expit(a.data)
-
-    def bwd(g):
-        return (g * out * (1.0 - out),)
-
-    return apply_op("sigmoid", (a,), out, bwd)
 
 
 def tanh(a: Tensor) -> Tensor:

@@ -47,6 +47,12 @@ class StageSchedule:
     per_epoch_decay: Optional[float] = None
 
     def __post_init__(self):
+        # cli._typed's rules: a bool is not a number, a fraction is not an int.
+        for key, kind in (("epochs", int), ("batch_size", int), ("frames_T", int),
+                          ("base_lr", float), ("decay_factor", float), ("dropout_p", float)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, kind)):
+                raise ValidationError(f"schedule '{key}' must be {kind.__name__}, got {value!r}")
         if self.epochs < 0:
             raise ValidationError(f"epochs must be nonnegative, got {self.epochs}")
         if self.base_lr <= 0:
@@ -359,8 +365,10 @@ def evaluate(model, dataset, frames_t: Optional[int] = None, batch_size: int = 3
     Frames are center-sampled down to ``frames_t``; with a CropSpec the
     per-view score triples are averaged in the documented view order.
     """
-    if crop is not None and crop_size is None:
-        raise ValidationError("crop evaluation requires crop_size")
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be positive, got {batch_size}")
+    if crop is not None and (crop_size is None or crop_size < 1):
+        raise ValidationError(f"crop evaluation requires a positive crop_size, got {crop_size}")
     table = ScoreTable(split=dataset.split_tag, label_space_hash=dataset.space.space_hash())
     n = len(dataset)
     for start in range(0, n, batch_size):

@@ -16,6 +16,10 @@ from vnact.cells import (
 )
 from vnact.errors import ShapeError
 from vnact.gradcheck import grad_check
+from vnact.models import create_model
+from vnact.synthetic import default_label_space, make_synthetic, make_two_stream_synthetic
+from vnact.tensor import Tape
+from vnact.training import PRESETS, apply_overrides, run_stage
 from vnact.ops import conv2d, mean_all, spatial_avg_pool
 from vnact.tensor import Tensor, add, hadamard
 
@@ -98,7 +102,7 @@ def test_lsta_gate_bias_shifts_preactivations():
     x = rng.normal(size=(2, 4, 4))
     st = LstaState(Tensor(rng.normal(size=(2, 4, 4))), Tensor(rng.normal(size=(2, 4, 4)) * 0.3))
     maps = [rng.normal(size=(2, 4, 4)) * 0.5 for _ in range(4)]
-    bias = GateBias(*(Tensor(m) for m in maps))
+    bias = GateBias(Tensor(np.concatenate(maps)))
     state, _ = lsta_step(Tensor(x), st, params, bias=bias)
     p = {k: getattr(params, k).data for k in ("attn_kernel", "gate_kernel", "gate_bias", "pool_kernel")}
     c_ref, h_ref, _ = lsta_oracle(x, st.c.data, st.h.data, p, bias=maps)
@@ -111,7 +115,7 @@ def test_zero_gate_bias_changes_nothing_bitwise():
     params = random_lsta_params(rng, c=2, d=2)
     x = Tensor(rng.normal(size=(2, 4, 4)))
     st = LstaState.zeros((2, 4, 4))
-    zero = GateBias(*(Tensor(np.zeros((2, 4, 4))) for _ in range(4)))
+    zero = GateBias(Tensor(np.zeros((8, 4, 4))))
     plain, _ = lsta_step(x, st, params)
     biased, _ = lsta_step(x, st, params, bias=zero)
     assert np.array_equal(plain.c.data, biased.c.data)
@@ -128,15 +132,23 @@ def test_forget_bias_initialized_to_one():
 
 
 def test_gate_bias_from_stacked_layout():
+    """The stacked map is kept whole, and its channel blocks bias the gates
+    in (input, forget, candidate, output) order."""
     rng = np.random.default_rng(4)
-    stacked = rng.normal(size=(8, 3, 3))  # 4 gates x memory 2
-    gb = GateBias.from_stacked(Tensor(stacked), memory=2)
-    assert np.array_equal(gb.i.data, stacked[0:2])
-    assert np.array_equal(gb.f.data, stacked[2:4])
-    assert np.array_equal(gb.g.data, stacked[4:6])
-    assert np.array_equal(gb.o.data, stacked[6:8])
+    params = random_lsta_params(rng, c=2, d=2)
+    x = rng.normal(size=(2, 3, 3))
+    st = LstaState(Tensor(rng.normal(size=(2, 3, 3))), Tensor(rng.normal(size=(2, 3, 3)) * 0.3))
+    stacked = Tensor(rng.normal(size=(8, 3, 3)))  # 4 gates x memory 2
+    gb = GateBias.from_stacked(stacked, memory=2)
+    assert gb.stacked is stacked
+    state, _ = lsta_step(Tensor(x), st, params, bias=gb)
+    p = {k: getattr(params, k).data for k in ("attn_kernel", "gate_kernel", "gate_bias", "pool_kernel")}
+    blocks = [stacked.data[2 * k:2 * k + 2] for k in range(4)]
+    c_ref, h_ref, _ = lsta_oracle(x, st.c.data, st.h.data, p, bias=blocks)
+    assert np.allclose(state.c.data, c_ref, rtol=1e-12, atol=1e-12)
+    assert np.allclose(state.h.data, h_ref, rtol=1e-12, atol=1e-12)
     with pytest.raises(ShapeError):
-        GateBias.from_stacked(Tensor(stacked), memory=3)
+        GateBias.from_stacked(stacked, memory=3)
 
 
 def test_lsta_state_shape_validation():
@@ -341,3 +353,37 @@ def test_gru_step_gradients():
 
     report = grad_check(forward, params)
     assert report.passed, report.summary()
+
+
+DESK_STAGES = {"stage_channels": [8, 12, 16], "memory": 16}
+
+
+@pytest.mark.parametrize("family, limit", [("lsta_gru", 230), ("two_stream", 290)])
+def test_desk_training_step_records_few_tape_nodes(monkeypatch, family, limit):
+    """One training step at the desk configuration (T=8, 16x16 frames,
+    stages 8/12/16, memory 16): every gate update and GRU step is fused."""
+    space = default_label_space(6, 8, 12, seed=0)
+    if family == "lsta_gru":
+        model = create_model(family, {"input_channels": 3, "gru_hidden": 16, **DESK_STAGES},
+                             space, seed=1)
+        data = make_synthetic(space, 2, 8, 3, 16, 16, 0.5, seed=2)
+        schedule = apply_overrides(PRESETS["lsta_stage1"], {
+            "epochs": 1, "frames_T": 8, "batch_size": 2,
+            "trainable_groups": ("heads", "lsta", "grus", "backbone", "backbone_last_stage")})
+    else:
+        model = create_model(family, {"app": {"input_channels": 3, **DESK_STAGES},
+                                      "motion": {"flow_channels": 4, **DESK_STAGES}},
+                             space, seed=1)
+        data = make_two_stream_synthetic(space, 2, 8, 3, 4, 16, 16, 0.5, seed=2)
+        schedule = apply_overrides(PRESETS["two_stream"],
+                                   {"epochs": 1, "frames_T": 8, "batch_size": 2})
+    sizes = []
+    true_backward = Tape.backward
+
+    def counting(tape, loss):
+        sizes.append(len(tape.nodes))
+        return true_backward(tape, loss)
+
+    monkeypatch.setattr(Tape, "backward", counting)
+    run_stage(model, data, schedule, seed=3)
+    assert len(sizes) == 1 and sizes[0] <= limit

@@ -120,6 +120,9 @@ def test_train_errors_map_to_exit_code_one(workspace, tmp_path, capsys):
     ({"augmentation": {"horizontal_flip": True}}, "config 'horizontal_flip' must be float"),
     ({"seed": 3.7}, "config 'seed' must be int"),
     ({"seed": True}, "config 'seed' must be int"),
+    ({"overrides": {"batch_size": 2.5}}, "schedule 'batch_size' must be int, got 2.5"),
+    ({"overrides": {"epochs": True}}, "schedule 'epochs' must be int, got True"),
+    ({"overrides": {"dropout_p": False}}, "schedule 'dropout_p' must be float, got False"),
 ])
 def test_train_config_values_of_the_wrong_shape_exit_one(workspace, tmp_path, capsys,
                                                           entry, message):
@@ -196,6 +199,19 @@ def test_eval_multiview_flag(workspace, tmp_path):
     assert main(["eval", "--model", str(workspace["run"] / "model"),
                  "--dataset", str(workspace["data"] / "test"),
                  "--out", str(scores), "--crop", "center"]) == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--batch-size", "0"], "batch_size must be positive, got 0"),
+    (["--crop", "center", "--crop-size", "0"], "requires a positive crop_size, got 0"),
+])
+def test_eval_nonpositive_sizes_exit_one(workspace, tmp_path, capsys, flags, message):
+    assert main(["eval", "--model", str(workspace["run"] / "model"),
+                 "--dataset", str(workspace["data"] / "test"),
+                 "--out", str(tmp_path / "s.json"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_ensemble_command_averages(workspace, tmp_path, capsys):

@@ -1,7 +1,7 @@
 """The golden tool in tools/ compares two source trees' numerics.
 
 A tree compared with itself must be equal in every record, and a copy
-whose sigmoid backward is perturbed in the ninth digit must be reported
+whose tanh backward is perturbed in the ninth digit must be reported
 as different in its gradients while its forward scores stay equal.
 """
 
@@ -34,10 +34,10 @@ def test_golden_reports_a_perturbed_backward(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     tensor_py = tmp_path / "src" / "vnact" / "tensor.py"
-    exact = "return (g * out * (1.0 - out),)"
+    exact = "return (g * (1.0 - out * out),)"
     text = tensor_py.read_text()
     assert text.count(exact) == 1
-    tensor_py.write_text(text.replace(exact, "return (g * out * (1.0 - out) * (1.0 + 1e-9),)"))
+    tensor_py.write_text(text.replace(exact, "return (g * (1.0 - out * out) * (1.0 + 1e-9),)"))
     code, out = run_golden(ROOT, tmp_path)
     assert code == 1, out
     lines = out.splitlines()

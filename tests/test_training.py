@@ -99,6 +99,16 @@ def test_apply_overrides_rejects_unknown_keys_and_name():
         apply_overrides(PRESETS["lsta_stage1"], {"name": "other"})
 
 
+@pytest.mark.parametrize("overrides", [
+    {"batch_size": 2.5}, {"epochs": True, "dropout_p": False}, {"dropout_p": False},
+    {"frames_T": 8.0}, {"base_lr": True},
+])
+def test_apply_overrides_rejects_bools_and_fractions_for_numbers(overrides):
+    with pytest.raises(ValidationError, match="must be"):
+        apply_overrides(PRESETS["hf_tsn"], overrides)
+    assert apply_overrides(PRESETS["hf_tsn"], {"dropout_p": 0, "batch_size": 3}).batch_size == 3
+
+
 def test_apply_overrides_filters_unreachable_decay_points():
     out = apply_overrides(PRESETS["lsta_stage1"], {"epochs": 30})
     assert out.epochs == 30 and out.decay_epochs == (25,)
