@@ -27,7 +27,7 @@ from .heads import StructuredHeadParams, multi_task_loss, structured_forward
 from .hftsn import HfBlockParams, consensus, hf_block
 from .init import rng_for
 from .models import create_model
-from .ops import conv2d, conv3d, matmul, mean_all
+from .ops import conv2d, conv3d, matmul, mean_along
 from .synthetic import default_label_space
 from .tensor import Tensor, add, hadamard
 from .twostream import FusionParams, MotionAttentionParams, cross_modal_rollout, motion_spatial_attention
@@ -40,7 +40,7 @@ def _param(rng, shape) -> Tensor:
 
 
 def _probe_loss(out: Tensor, probe: np.ndarray) -> Tensor:
-    return mean_all(hadamard(out, Tensor(probe)))
+    return mean_along(hadamard(out, Tensor(probe)), None)
 
 
 def _entry_matmul(rng) -> Entry:

@@ -6,6 +6,9 @@ input and previous hidden state before the usual four-gate update. Gate
 pre-activations can additionally be biased by externally supplied maps,
 which is how the two-stream coupling injects one modality into the other.
 Gate layout along the channel axis is (input, forget, candidate, output).
+
+The fused gate update and GRU step, with their backward rules, live in
+:mod:`vnact.ops`; this module composes them and records no node itself.
 """
 
 from __future__ import annotations
@@ -14,12 +17,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ShapeError
 from .init import ParamStruct, uniform_fan_in, zeros_param
-from .ops import concat, conv2d, index_select, softmax_spatial, spatial_avg_pool
-from .tensor import Tensor, _check_broadcastable, _unbroadcast, apply_op, hadamard, tanh
+from .ops import concat, conv2d, gate_update, gru_step, index_select, mean_along, softmax_spatial
+from .tensor import Tensor, hadamard, tanh
 
 
 @dataclass
@@ -82,42 +84,6 @@ class LstaParams(ParamStruct):
         )
 
 
-def _gate_update(z: Tensor, gate_bias: Tensor, c: Tensor, bias: Optional[GateBias]):
-    """The four-gate update shared by both cells, as one fused tape node.
-
-    Adds the per-gate bias vector and any external bias map to the gate
-    pre-activations z (..., 4D, H, W), applies the gate nonlinearities and
-    returns the next memory and the output gate. The backward rule repeats
-    the per-op tape's expressions in its order, so gradients keep their bits.
-    A tape node has one output, so the output gate gets a node of its own
-    whose rule only hands its adjoint over: recorded later, it runs first.
-    """
-    d = gate_bias.shape[0] // 4
-    zd = z.data + gate_bias.data.reshape(4 * d, 1, 1)
-    parents = (z, gate_bias, c) + ((bias.stacked,) if bias is not None else ())
-    if bias is not None:
-        _check_broadcastable(zd, bias.stacked.data, "gate bias")
-        zd = zd + bias.stacked.data
-    gates = [np.ascontiguousarray(zd[..., k * d:(k + 1) * d, :, :]) for k in range(4)]
-    i, f, g, o = expit(gates[0]), expit(gates[1]), np.tanh(gates[2]), expit(gates[3])
-    cd, shape, parent_shapes = c.data, zd.shape, [t.shape for t in parents]
-    adj_o = []
-
-    def bwd(gc):
-        dz = np.zeros(shape)
-        if adj_o:
-            dz[..., 3 * d:, :, :] += adj_o.pop() * o * (1.0 - o)
-        dz[..., 2 * d:3 * d, :, :] += gc * i * (1.0 - g * g)
-        dz[..., d:2 * d, :, :] += gc * cd * f * (1.0 - f)
-        dz[..., :d, :, :] += gc * g * i * (1.0 - i)
-        zs, gbs, cs, *bs = parent_shapes
-        return (_unbroadcast(dz, zs), _unbroadcast(dz, (4 * d, 1, 1)).reshape(gbs),
-                _unbroadcast(gc * f, cs), *(_unbroadcast(dz, s) for s in bs))
-
-    c_next = apply_op("gate_update", parents, f * cd + i * g, bwd)
-    return c_next, apply_op("gate_output", (c_next,), o, lambda go: (adj_o.append(go),))
-
-
 def lsta_step(
     x: Tensor,
     state: LstaState,
@@ -133,7 +99,7 @@ def lsta_step(
     alpha = softmax_spatial(conv2d(concat([x, state.h], -3), params.attn_kernel))
     x_att = hadamard(x, alpha)
     z = conv2d(concat([x_att, state.h], -3), params.gate_kernel)
-    c, o = _gate_update(z, params.gate_bias, state.c, bias)
+    c, o = gate_update(z, params.gate_bias, state.c, None if bias is None else bias.stacked)
     h = hadamard(o, tanh(conv2d(c, params.pool_kernel)))
     return LstaState(c=c, h=h), alpha
 
@@ -165,7 +131,7 @@ def convlstm_step(
 ) -> LstaState:
     """One convolutional LSTM step: the plain four-gate update, no attention."""
     z = conv2d(concat([x, state.h], -3), params.gate_kernel)
-    c, o = _gate_update(z, params.gate_bias, state.c, bias)
+    c, o = gate_update(z, params.gate_bias, state.c, None if bias is None else bias.stacked)
     return LstaState(c=c, h=hadamard(o, tanh(c)))
 
 
@@ -193,37 +159,6 @@ class GruParams(ParamStruct):
             w_cand=uniform_fan_in((cin, hidden), cin, seed, f"{name}.w_cand"),
             b_cand=zeros_param((hidden,)),
         )
-
-
-def gru_step(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
-    """One gated-recurrence step on x (B, C) with state h (B, D), as one tape node.
-
-    The backward rule repeats the per-op tape's expressions in its order; x
-    and h are parents once per use, so their adjoints add up in that order too.
-    """
-    if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
-        raise ShapeError(f"gru_step expects matching batches, got {x.shape} and {h.shape}")
-    p, xd, hd, cx = params, x.data, h.data, x.shape[1]
-    xh = np.concatenate([xd, hd], 1)
-    z = expit(xh @ p.w_update.data + p.b_update.data)
-    r = expit(xh @ p.w_reset.data + p.b_reset.data)
-    xrh = np.concatenate([xd, r * hd], 1)
-    n = np.tanh(xrh @ p.w_cand.data + p.b_cand.data)
-    omz = 1.0 - z
-
-    def bwd(g):
-        dzn = g * omz * (1.0 - n * n)
-        dxrh = dzn @ p.w_cand.data.T
-        drh = dxrh[:, cx:]
-        dzr = drh * hd * r * (1.0 - r)
-        dzu = (g * hd + -(g * n)) * z * (1.0 - z)
-        dxh = dzr @ p.w_reset.data.T + dzu @ p.w_update.data.T
-        return (dxrh[:, :cx], dxh[:, :cx], g * z, drh * r, dxh[:, cx:],
-                xh.T @ dzu, dzu.sum(axis=0), xh.T @ dzr, dzr.sum(axis=0),
-                xrh.T @ dzn, dzn.sum(axis=0))
-
-    parents = (x, x, h, h, h, p.w_update, p.b_update, p.w_reset, p.b_reset, p.w_cand, p.b_cand)
-    return apply_op("gru_step", parents, omz * n + z * hd, bwd)
 
 
 def rollout(frames: Tensor, params, bias_at=None):
@@ -265,10 +200,10 @@ def run_lsta_gru(
     for state in rollout(frames, lsta):
         # Pooled before the next step reads h: the tape sums fan-out
         # adjoints in reverse record order, so this order fixes the bits.
-        pooled.append(spatial_avg_pool(state.h))
+        pooled.append(mean_along(state.h, (-2, -1)))
     ha = Tensor(np.zeros((frames.shape[0], gru_a.hidden)))
     hb = Tensor(np.zeros((frames.shape[0], gru_b.hidden)))
     for p in pooled:
         ha = gru_step(p, ha, gru_a)
         hb = gru_step(p, hb, gru_b)
-    return spatial_avg_pool(state.c), concat([ha, hb], 1)
+    return mean_along(state.c, (-2, -1)), concat([ha, hb], 1)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .init import ParamStruct, uniform_fan_in, zeros_param
-from .ops import affine, dropout, logsumexp_rows, matmul, mean_all, take_rows
-from .tensor import Tensor, add, subtract
+from .ops import affine, cross_entropy, dropout, matmul
+from .tensor import Tensor, add
 
 
 @dataclass(frozen=True)
@@ -206,16 +206,6 @@ def structured_forward(
     verb = add(affine(f, params.w_verb, params.b_verb), matmul(act, params.bias_verb))
     noun = add(affine(f, params.w_noun, params.b_noun), matmul(act, params.bias_noun))
     return ScoreTriple(verb=verb, noun=noun, action=act)
-
-
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean softmax cross-entropy of (B, K) logits against integer labels."""
-    if logits.ndim != 2:
-        raise ShapeError(f"expected (B, K) logits, got {logits.shape}")
-    idx = np.asarray(labels, dtype=np.int64)
-    if idx.min(initial=0) < 0 or idx.max(initial=-1) >= logits.shape[1]:
-        raise ValidationError(f"label outside class range [0, {logits.shape[1]})")
-    return mean_all(subtract(logsumexp_rows(logits), take_rows(logits, idx)))
 
 
 def multi_task_loss(

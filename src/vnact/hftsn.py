@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 from .heads import LabelSpace, ScoreTriple, StructuredHeadParams, structured_forward
 from .init import ParamStruct, uniform_fan_in, zeros_param
-from .ops import avg_pool2x2, concat, conv2d, mean_along, narrow, reshape, spatial_avg_pool
+from .ops import avg_pool2x2, concat, conv2d, mean_along, narrow, reshape
 from .tensor import Tensor, add, hadamard, relu
 
 
@@ -177,7 +177,7 @@ def hf_tsn_forward(
     if t_len != config.segments:
         raise ShapeError(f"clip has {t_len} segments, config expects {config.segments}")
     feats = backbone_forward(frames, backbone, hf=hf_params)
-    pooled = spatial_avg_pool(feats)  # (B, T, F)
+    pooled = mean_along(feats, (-2, -1))  # (B, T, F)
     flat = reshape(pooled, (b * t_len, pooled.shape[-1]))
     per_seg = structured_forward(flat, head, space, train=train, rng=rng, dropout_p=dropout_p)
     return ScoreTriple(*(consensus(reshape(logits, (b, t_len, logits.shape[-1])))

@@ -21,7 +21,7 @@ from .cells import ConvLstmParams, GruParams, LstaParams, rollout, run_lsta_gru
 from .errors import ShapeError, ValidationError
 from .heads import LabelSpace, ScoreTriple, StructuredHeadParams, structured_forward
 from .hftsn import BackboneParams, HfBlockParams, HfTsnConfig, backbone_forward, hf_tsn_forward
-from .ops import spatial_avg_pool
+from .ops import mean_along
 from .tensor import Tensor
 from .tnsf import load_bundle, save_bundle
 from .twostream import (
@@ -171,7 +171,7 @@ class LstaModel(ModelBase):
         feats = backbone_forward(_get_input(inputs, "frames"),
                                  BackboneParams.from_dict("backbone", self._params))
         *_, state = rollout(feats, LstaParams.from_dict("lsta", self._params))
-        return self._head("head", spatial_avg_pool(state.c), train, rng, dropout_p)
+        return self._head("head", mean_along(state.c, (-2, -1)), train, rng, dropout_p)
 
 
 class LstaGruModel(ModelBase):
@@ -263,7 +263,7 @@ class MotionModel(ModelBase):
                              BackboneParams.from_dict("backbone", self._params)),
             MotionAttentionParams.from_dict("attn", self._params))
         *_, state = rollout(feats, ConvLstmParams.from_dict("convlstm", self._params))
-        return self._head("head", spatial_avg_pool(state.c), train, rng, dropout_p)
+        return self._head("head", mean_along(state.c, (-2, -1)), train, rng, dropout_p)
 
 
 class TwoStreamModel(ModelBase):

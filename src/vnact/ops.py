@@ -1,4 +1,5 @@
-"""Structural tensor operations: linear maps, convolutions, pooling, reductions.
+"""Every tape rule that is not elementwise: linear maps, convolutions, pooling,
+reductions, the loss and the fused recurrent cells, one rule per concept.
 
 All operations accept the per-sample ranks used throughout the package
 (matrices, C×H×W maps, C×T×H×W stacks) and, where noted, extra leading
@@ -20,17 +21,23 @@ that is not grad-enabled (raw frames and flow, frozen parameters): no
 matmul and no col2im runs for it. ``avg_pool2x2`` adds its four strided
 quarters in the order numpy's mean uses, so the faster forward gives the
 same bits.
+
+``cross_entropy``, ``gate_update`` and ``gru_step`` are fused nodes with
+hand-written rules that add their adjoints in the order the equivalent
+per-op tape did, so they keep its bits. :mod:`vnact.cells` holds the cell
+parameters and the rollout and calls these rules; it records no node itself.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp as _logsumexp, softmax as _softmax
+from scipy.special import expit, logsumexp as _logsumexp, softmax as _softmax
 
-from .errors import NonFiniteError, ShapeError
-from .tensor import Tensor, add, apply_op, hadamard
+from .errors import NonFiniteError, ShapeError, ValidationError
+from .tensor import Tensor, _check_broadcastable, _unbroadcast, add, apply_op, hadamard
 
 # Column entries scattered per np.bincount call in _col2im.
 _SCATTER_ENTRIES = 1 << 18
@@ -209,20 +216,6 @@ def softmax_spatial_scaled(x: Tensor) -> Tensor:
     return apply_op("softmax_spatial_scaled", (x,), out, bwd)
 
 
-def spatial_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the trailing H×W plane: (..., C, H, W) -> (..., C)."""
-    if x.ndim < 3:
-        raise ShapeError(f"spatial_avg_pool needs at least rank 3, got {x.shape}")
-    h, w = x.shape[-2:]
-    out = x.data.mean(axis=(-2, -1))
-    inv = 1.0 / (h * w)
-
-    def bwd(g):
-        return (np.broadcast_to(g[..., None, None] * inv, x.shape).copy(),)
-
-    return apply_op("spatial_avg_pool", (x,), out, bwd)
-
-
 def avg_pool2x2(x: Tensor) -> Tensor:
     """2×2 mean downsampling of (..., C, H, W); H and W must be even."""
     h, w = x.shape[-2:]
@@ -321,11 +314,12 @@ def index_select(x: Tensor, axis: int, index: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions and classification helpers
+# reductions, the loss and dropout
 
 
 def mean_along(x: Tensor, axis) -> Tensor:
-    axis = tuple(np.atleast_1d(axis).tolist()) if not isinstance(axis, tuple) else axis
+    """Mean over ``axis``: an int, a tuple of ints, or None for every axis."""
+    axis = tuple(range(x.ndim)) if axis is None else tuple(np.atleast_1d(axis).tolist())
     count = int(np.prod([x.shape[a] for a in axis]))
     out = x.data.mean(axis=axis)
     inv = 1.0 / count
@@ -337,45 +331,33 @@ def mean_along(x: Tensor, axis) -> Tensor:
     return apply_op("mean", (x,), out, bwd)
 
 
-def mean_all(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.mean())
-    inv = 1.0 / x.size
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean softmax cross-entropy of (B, K) logits against B integer labels.
+
+    One node: the forward is the mean over rows of logsumexp(row) minus the
+    labelled logit. The backward adds the two parts of the logits' adjoint
+    in the order a per-op tape of logsumexp, pick, subtract and mean summed
+    them, the scattered −1/B at the labels first, so gradients keep their bits.
+    """
+    if logits.ndim != 2:
+        raise ShapeError(f"expected (B, K) logits, got {logits.shape}")
+    idx = np.asarray(labels, dtype=np.int64)
+    if idx.min(initial=0) < 0 or idx.max(initial=-1) >= logits.shape[1]:
+        raise ValidationError(f"label outside class range [0, {logits.shape[1]})")
+    if idx.shape != logits.shape[:1]:
+        raise ShapeError(f"label shape {idx.shape} mismatches logits {logits.shape}")
+    xd, rows = logits.data, np.arange(logits.shape[0])
+    with np.errstate(over="ignore"):
+        per = _logsumexp(xd, axis=-1) - xd[rows, idx]
+    inv = 1.0 / per.size
 
     def bwd(g):
-        return (np.full(x.shape, float(g) * inv),)
+        gm = np.full(per.shape, float(g) * inv)
+        take = np.zeros(xd.shape)
+        take[rows, idx] = -gm
+        return (take + gm[:, None] * _softmax(xd, axis=-1),)
 
-    return apply_op("mean_all", (x,), out, bwd)
-
-
-def logsumexp_rows(x: Tensor) -> Tensor:
-    """Stable log-sum-exp over the last axis."""
-    out = _logsumexp(x.data, axis=-1)
-    soft = _softmax(x.data, axis=-1)
-
-    def bwd(g):
-        return (g[..., None] * soft,)
-
-    return apply_op("logsumexp", (x,), out, bwd)
-
-
-def take_rows(x: Tensor, index: np.ndarray) -> Tensor:
-    """Pick x[i, index[i]] from a (B, K) tensor -> (B,)."""
-    if x.ndim != 2:
-        raise ShapeError(f"take_rows expects a matrix, got {x.shape}")
-    idx = np.asarray(index, dtype=np.int64)
-    if idx.ndim != 1 or idx.shape[0] != x.shape[0]:
-        raise ShapeError(f"take_rows index shape {idx.shape} mismatches {x.shape}")
-    if idx.min(initial=0) < 0 or idx.max(initial=0) >= x.shape[1]:
-        raise ShapeError("take_rows index out of class range")
-    rows = np.arange(x.shape[0])
-    out = x.data[rows, idx]
-
-    def bwd(g):
-        gx = np.zeros(x.shape)
-        gx[rows, idx] = g
-        return (gx,)
-
-    return apply_op("take_rows", (x,), out, bwd)
+    return apply_op("cross_entropy", (logits,), np.asarray(per.mean()), bwd)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -386,3 +368,82 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
         return x
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
     return hadamard(x, Tensor(mask))
+
+
+# ---------------------------------------------------------------------------
+# fused recurrent cells
+
+
+def gate_update(z: Tensor, gate_bias: Tensor, c: Tensor, bias: Optional[Tensor]):
+    """The four-gate update of both convolutional cells, as two tape nodes.
+
+    Adds the per-gate bias vector (4D,) and any external bias map to the
+    gate pre-activations z (..., 4D, H, W), split along the channel axis as
+    (input, forget, candidate, output), and returns the next memory and the
+    output gate. The ``gate_update`` node reads the first three gates and c;
+    the ``gate_output`` node reads the output gate alone. Each fills only its
+    own slice of dz and leaves the other's zero, so the tape's sum of the two
+    is exact. The rules repeat the per-op tape's expressions in its order, so
+    gradients keep their bits.
+    """
+    d = gate_bias.shape[0] // 4
+    zd = z.data + gate_bias.data.reshape(4 * d, 1, 1)
+    pre = (z, gate_bias) + ((bias,) if bias is not None else ())
+    if bias is not None:
+        _check_broadcastable(zd, bias.data, "gate bias")
+        zd = zd + bias.data
+    gates = [np.ascontiguousarray(zd[..., k * d:(k + 1) * d, :, :]) for k in range(4)]
+    i, f, g, o = expit(gates[0]), expit(gates[1]), np.tanh(gates[2]), expit(gates[3])
+    cd, shape, pre_shapes = c.data, zd.shape, [t.shape for t in pre]
+
+    def pre_adjoints(dz):
+        zs, gbs, *bs = pre_shapes
+        return (_unbroadcast(dz, zs), _unbroadcast(dz, (4 * d, 1, 1)).reshape(gbs),
+                *(_unbroadcast(dz, s) for s in bs))
+
+    def update_bwd(gc):
+        dz = np.zeros(shape)
+        dz[..., 2 * d:3 * d, :, :] += gc * i * (1.0 - g * g)
+        dz[..., d:2 * d, :, :] += gc * cd * f * (1.0 - f)
+        dz[..., :d, :, :] += gc * g * i * (1.0 - i)
+        return (_unbroadcast(gc * f, cd.shape), *pre_adjoints(dz))
+
+    def output_bwd(go):
+        dz = np.zeros(shape)
+        dz[..., 3 * d:, :, :] += go * o * (1.0 - o)
+        return pre_adjoints(dz)
+
+    return (apply_op("gate_update", (c,) + pre, f * cd + i * g, update_bwd),
+            apply_op("gate_output", pre, o, output_bwd))
+
+
+def gru_step(x: Tensor, h: Tensor, params) -> Tensor:
+    """One gated-recurrence step on x (B, C) with state h (B, D), as one tape node.
+
+    ``params`` is a :class:`vnact.cells.GruParams`. The backward rule repeats
+    the per-op tape's expressions in its order; x and h are parents once per
+    use, so their adjoints add up in that order too.
+    """
+    if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
+        raise ShapeError(f"gru_step expects matching batches, got {x.shape} and {h.shape}")
+    p, xd, hd, cx = params, x.data, h.data, x.shape[1]
+    xh = np.concatenate([xd, hd], 1)
+    z = expit(xh @ p.w_update.data + p.b_update.data)
+    r = expit(xh @ p.w_reset.data + p.b_reset.data)
+    xrh = np.concatenate([xd, r * hd], 1)
+    n = np.tanh(xrh @ p.w_cand.data + p.b_cand.data)
+    omz = 1.0 - z
+
+    def bwd(g):
+        dzn = g * omz * (1.0 - n * n)
+        dxrh = dzn @ p.w_cand.data.T
+        drh = dxrh[:, cx:]
+        dzr = drh * hd * r * (1.0 - r)
+        dzu = (g * hd + -(g * n)) * z * (1.0 - z)
+        dxh = dzr @ p.w_reset.data.T + dzu @ p.w_update.data.T
+        return (dxrh[:, :cx], dxh[:, :cx], g * z, drh * r, dxh[:, cx:],
+                xh.T @ dzu, dzu.sum(axis=0), xh.T @ dzr, dzr.sum(axis=0),
+                xrh.T @ dzn, dzn.sum(axis=0))
+
+    parents = (x, x, h, h, h, p.w_update, p.b_update, p.w_reset, p.b_reset, p.w_cand, p.b_cand)
+    return apply_op("gru_step", parents, omz * n + z * hd, bwd)

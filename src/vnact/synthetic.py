@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List
 
 import numpy as np
@@ -192,18 +192,16 @@ def make_two_stream_synthetic(space: LabelSpace, n_samples: int, t_len: int,
                               channels: int, flow_channels: int, height: int, width: int,
                               noise_sigma: float, seed: int,
                               split_tag: str = "custom") -> SyntheticDataset:
-    """Generate paired appearance and flow clips sharing the same labels."""
-    if flow_channels % 2:
-        raise ValidationError(f"flow channel count must be even (x/y pairs), got {flow_channels}")
-    verbs, nouns, actions = _draw_labels(space, n_samples, seed)
-    frames = _render_modality(space, verbs, nouns, t_len, channels, height, width,
-                              noise_sigma, seed, "appearance")
-    flow = _render_modality(space, verbs, nouns, t_len, flow_channels, height, width,
+    """:func:`make_synthetic`'s appearance clips, checked and drawn the same way,
+    plus flow clips (input key ``flow``) sharing their labels."""
+    if flow_channels < 2 or flow_channels % 2:
+        raise ValidationError(f"flow channel count must be a positive even number (x/y pairs), "
+                              f"got {flow_channels}")
+    ds = make_synthetic(space, n_samples, t_len, channels, height, width, noise_sigma, seed,
+                        split_tag)
+    flow = _render_modality(space, ds.verbs, ds.nouns, t_len, flow_channels, height, width,
                             noise_sigma, seed, "flow")
-    ids = [f"{split_tag}_{i:05d}" for i in range(n_samples)]
-    return SyntheticDataset(space=space, segment_ids=ids,
-                            inputs={"frames": frames, "flow": flow},
-                            verbs=verbs, nouns=nouns, actions=actions, split_tag=split_tag)
+    return replace(ds, inputs={**ds.inputs, "flow": flow})
 
 
 def default_label_space(num_verbs: int = 6, num_nouns: int = 8, num_actions: int = 12,

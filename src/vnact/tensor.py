@@ -7,9 +7,10 @@ active and an input participates in differentiation, record a node holding
 the backward rule. All arithmetic is 64-bit so finite-difference checks
 have headroom.
 
-Storage and elementwise arithmetic are delegated to numpy; the tape, the
-recording discipline and all backward rules are local to this module,
-:mod:`vnact.ops` and the fused cell nodes of :mod:`vnact.cells`.
+Storage and elementwise arithmetic are delegated to numpy. The tape and
+the recording discipline live here. Every backward rule lives here (the
+elementwise ones) or in :mod:`vnact.ops` (all others): no other module
+calls :func:`apply_op`, and no rule reads what another node's rule writes.
 """
 
 from __future__ import annotations
@@ -263,17 +264,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
     return apply_op("add", (a, b), out, bwd)
-
-
-def subtract(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcastable(a.data, b.data, "subtract")
-    with np.errstate(over="ignore"):
-        out = a.data - b.data
-
-    def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return apply_op("subtract", (a, b), out, bwd)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:

@@ -64,13 +64,18 @@ class StageSchedule:
         if self.batch_size < 1 or self.frames_T < 1:
             raise ValidationError("batch_size and frames_T must be positive")
         d = tuple(self.decay_epochs)
+        if any(isinstance(e, bool) or not isinstance(e, int) for e in d):
+            raise ValidationError(f"decay_epochs entries must be int, got {d}")
         if any(d[i] >= d[i + 1] for i in range(len(d) - 1)):
             raise ValidationError(f"decay_epochs must be strictly increasing, got {d}")
         if d and (d[0] < 1 or d[-1] >= self.epochs):
             raise ValidationError(f"decay_epochs must lie in [1, {self.epochs}), got {d}")
-        if self.per_epoch_decay is not None:
-            if not 0.0 < self.per_epoch_decay <= 1.0:
-                raise ValidationError(f"per_epoch_decay must be in (0, 1], got {self.per_epoch_decay}")
+        rate = self.per_epoch_decay
+        if rate is not None:
+            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+                raise ValidationError(f"schedule 'per_epoch_decay' must be float, got {rate!r}")
+            if not 0.0 < rate <= 1.0:
+                raise ValidationError(f"per_epoch_decay must be in (0, 1], got {rate}")
             if d:
                 raise ValidationError("per-epoch decay and stepped decay are mutually exclusive")
         elif not 0.0 < self.decay_factor <= 1.0:
@@ -376,20 +381,16 @@ def evaluate(model, dataset, frames_t: Optional[int] = None, batch_size: int = 3
         inputs, _ = dataset.batch(idx)
         t_target = frames_t or next(iter(inputs.values())).shape[1]
         sampled = {k: _gather_frames(v, t_target, None) for k, v in inputs.items()}
-        if crop is None:
-            triple = model.forward(sampled, train=False).detached()
-        else:
-            views = {k: eval_multiview(v, crop, crop_size) for k, v in sampled.items()}
-            count = len(next(iter(views.values())))
-            acc = None
-            for vi in range(count):
-                one = model.forward({k: views[k][vi] for k in views}, train=False).detached()
-                if acc is None:
-                    acc = one
-                else:
-                    acc = ScoreTriple(acc.verb + one.verb, acc.noun + one.noun,
-                                      acc.action + one.action)
-            triple = ScoreTriple(acc.verb / count, acc.noun / count, acc.action / count)
+        # Without a CropSpec the whole frame is the one view; dividing by 1 is exact.
+        views = {k: [v] if crop is None else eval_multiview(v, crop, crop_size)
+                 for k, v in sampled.items()}
+        count = len(next(iter(views.values())))
+        acc = None
+        for vi in range(count):
+            one = model.forward({k: views[k][vi] for k in views}, train=False).detached()
+            acc = one if acc is None else ScoreTriple(acc.verb + one.verb, acc.noun + one.noun,
+                                                      acc.action + one.action)
+        triple = ScoreTriple(acc.verb / count, acc.noun / count, acc.action / count)
         for row, seg in enumerate(dataset.segment_ids[start:start + len(idx)]):
             table.add(seg, ScoreTriple(triple.verb[row], triple.noun[row], triple.action[row]))
     return table

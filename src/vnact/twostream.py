@@ -20,7 +20,7 @@ from .cells import ConvLstmParams, GateBias, LstaParams, rollout
 from .errors import ShapeError
 from .heads import ScoreTriple
 from .init import ParamStruct
-from .ops import conv2d, conv3d, index_select, softmax_spatial_scaled, spatial_avg_pool, transpose
+from .ops import conv2d, conv3d, index_select, mean_along, softmax_spatial_scaled, transpose
 from .tensor import Tensor, add, hadamard, scale
 
 
@@ -96,7 +96,7 @@ def cross_modal_rollout(
         conv2d(index_select(fm, 1, t), fusion.motion_to_app), lsta.memory))
     *_, mot_state = rollout(fm, clstm, bias_at=lambda t: GateBias.from_stacked(
         index_select(app_bias_all, 2, t), clstm.memory))
-    return spatial_avg_pool(app_state.c), spatial_avg_pool(mot_state.c)
+    return mean_along(app_state.c, (-2, -1)), mean_along(mot_state.c, (-2, -1))
 
 
 def fuse_scores(a: ScoreTriple, b: ScoreTriple) -> ScoreTriple:

@@ -29,7 +29,7 @@ from vnact.heads import ScoreTriple, StructuredHeadParams, structured_forward
 from vnact.hftsn import BackboneParams, HfBlockParams, HfTsnConfig, hf_tsn_forward
 from vnact.init import derive_seed
 from vnact.models import TwoStreamModel, create_model
-from vnact.ops import affine, spatial_avg_pool
+from vnact.ops import affine, mean_along
 from vnact.scores import (
     ScoreTable,
     average_tables,
@@ -136,8 +136,8 @@ def test_identity_reductions():
     for t in range(t_len):
         sa, _ = lsta_step(Tensor(app.data[:, t]), sa, lsta)
         sm = convlstm_step(Tensor(mot.data[:, t]), sm, clstm)
-    fusion_ok = (np.array_equal(app_desc.data, spatial_avg_pool(sa.c).data)
-                 and np.array_equal(mot_desc.data, spatial_avg_pool(sm.c).data))
+    fusion_ok = (np.array_equal(app_desc.data, mean_along(sa.c, (-2, -1)).data)
+                 and np.array_equal(mot_desc.data, mean_along(sm.c, (-2, -1)).data))
 
     # (iii) zero coupling maps decouple the verb/noun classifiers bit-exactly
     head_dec = StructuredHeadParams.create(feature_dim=6, space=space, seed=5)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import softmax as scipy_softmax
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,15 +13,13 @@ from vnact.ops import (
     conv2d,
     conv3d,
     index_select,
-    logsumexp_rows,
+    cross_entropy,
     matmul,
-    mean_all,
+    mean_along,
     narrow,
     reshape,
     softmax_spatial,
     softmax_spatial_scaled,
-    spatial_avg_pool,
-    take_rows,
     transpose,
 )
 from vnact.tensor import (
@@ -69,7 +68,7 @@ def test_leaf_registration_is_lazy_and_shared():
     with Tape() as tape:
         u = add(a, a)
         v = hadamard(u, a)
-        loss = mean_all(v)
+        loss = mean_along(v, None)
     # One leaf node for `a` despite three uses.
     assert sum(1 for n in tape.nodes if n.leaf is a) == 1
     grads = tape.backward(loss)
@@ -80,7 +79,7 @@ def test_leaf_registration_is_lazy_and_shared():
 def test_tape_single_traversal():
     a = Tensor([3.0], grad_enabled=True)
     with Tape() as tape:
-        loss = mean_all(hadamard(a, a))
+        loss = mean_along(hadamard(a, a), None)
     tape.backward(loss)
     with pytest.raises(TapeError):
         tape.backward(loss)
@@ -105,8 +104,8 @@ def test_nested_tapes_record_independently():
         u = hadamard(a, a)
         with Tape() as inner:
             v = hadamard(a, a)
-            inner_loss = mean_all(v)
-        outer_loss = mean_all(u)
+            inner_loss = mean_along(v, None)
+        outer_loss = mean_along(u, None)
     g_in = inner.backward(inner_loss)
     g_out = outer.backward(outer_loss)
     assert np.allclose(g_in[a.uid].data, 4.0)
@@ -121,7 +120,7 @@ def test_fanout_accumulates():
     x = Tensor([1.5], grad_enabled=True)
     with Tape() as tape:
         y = add(hadamard(x, x), scale(x, 3.0))  # x^2 + 3x
-        loss = mean_all(y)
+        loss = mean_along(y, None)
     g = tape.backward(loss)[x.uid].data
     assert np.allclose(g, 2.0 * 1.5 + 3.0)
 
@@ -179,15 +178,23 @@ def test_concat_routes_gradients_to_parts():
     assert np.array_equal(grads[b.uid].data, np.full((2, 3), 5.0))
 
 
-def test_take_rows_gradient_scatter():
-    x = Tensor(np.zeros((3, 4)), grad_enabled=True)
-    idx = np.array([1, 1, 3])
+def test_cross_entropy_gradient_keeps_the_per_op_accumulation_order():
+    """The one-node loss returns, bit for bit, what a per-op tape of
+    logsumexp, pick, subtract and mean summed: in reverse record order the
+    pick's scatter of −g/B lands first, then the logsumexp's softmax·g/B."""
+    rng = np.random.default_rng(3)
+    x_data = rng.normal(size=(5, 7)) * 3.0
+    idx = np.array([1, 1, 6, 0, 4])
+    x = Tensor(x_data, grad_enabled=True)
     with Tape() as tape:
-        loss = total(take_rows(x, idx))
+        loss = scale(cross_entropy(x, idx), 0.7)
     g = tape.backward(loss)[x.uid].data
-    expect = np.zeros((3, 4))
-    expect[np.arange(3), idx] = 1.0
-    assert np.array_equal(g, expect)
+
+    gm = np.full(5, 0.7 * (1.0 / 5))  # mean's rule, fed the scale's adjoint
+    take = np.zeros((5, 7))
+    take[np.arange(5), idx] = -gm  # subtract negates, the pick scatters
+    ref = take + gm[..., None] * scipy_softmax(x_data, axis=-1)
+    assert g.tobytes() == ref.tobytes()
 
 
 def test_softmax_gradient_orthogonal_to_constants():
@@ -209,7 +216,7 @@ def quadratic_probe(rng, shape):
     w = rng.normal(size=shape)
 
     def weigh(out):
-        return mean_all(hadamard(out, Tensor(w)))
+        return mean_along(hadamard(out, Tensor(w)), None)
 
     return weigh
 
@@ -259,24 +266,16 @@ def test_grad_check_conv_pool_softmax(seed):
         m = conv2d(p["x"], p["k"])
         a = softmax_spatial_scaled(m)
         gated = hadamard(p["x"], a)
-        return probe(spatial_avg_pool(gated))
+        return probe(mean_along(gated, (-2, -1)))
 
     assert grad_check(forward, params).passed
 
 
-def test_grad_check_logsumexp_take_rows():
+def test_grad_check_cross_entropy():
     rng = np.random.default_rng(30)
     params = {"logits": Tensor(rng.normal(size=(4, 6)))}
     labels = np.array([0, 2, 5, 3])
-
-    def forward(p):
-        lse = logsumexp_rows(p["logits"])
-        picked = take_rows(p["logits"], labels)
-        # Mean negative log-likelihood written with the raw ops.
-        diff = add(lse, scale(picked, -1.0))
-        return mean_all(diff)
-
-    assert grad_check(forward, params).passed
+    assert grad_check(lambda p: cross_entropy(p["logits"], labels), params).passed
 
 
 def test_grad_check_relu_at_safe_points():
@@ -307,7 +306,7 @@ def test_grad_check_detects_wrong_gradient():
     params = {"x": Tensor(np.array([1.0, 2.0]))}
 
     def forward(p):
-        return mean_all(bad_square(p["x"]))
+        return mean_along(bad_square(p["x"]), None)
 
     report = grad_check(forward, params)
     assert not report.passed
@@ -327,8 +326,8 @@ def test_grad_check_sees_a_small_error_in_a_small_gradient():
         return apply_op("sigmoid_off", (t,), out, bwd)
 
     params = {"x": Tensor(np.random.default_rng(60).normal(size=(4, 5)))}
-    assert grad_check(lambda p: mean_all(sigmoid_off_by(p["x"], 1.0)), params).passed
-    report = grad_check(lambda p: mean_all(sigmoid_off_by(p["x"], 1.001)), params)
+    assert grad_check(lambda p: mean_along(sigmoid_off_by(p["x"], 1.0), None), params).passed
+    report = grad_check(lambda p: mean_along(sigmoid_off_by(p["x"], 1.001), None), params)
     assert not report.passed, report.summary()
 
 
@@ -339,7 +338,7 @@ def test_grad_check_rejects_nondeterministic_forward():
 
     def forward(p):
         state["n"] += 1
-        return mean_all(scale(p["x"], float(state["n"])))
+        return mean_along(scale(p["x"], float(state["n"])), None)
 
     with pytest.raises(DeterminismError):
         grad_check(forward, {"x": Tensor(np.ones(2))})
@@ -355,7 +354,7 @@ def test_backward_determinism_bitwise():
         w = Tensor(w_data, grad_enabled=True)
         with Tape() as tape:
             h = tanh(matmul(x, w))
-            loss = mean_all(hadamard(h, h))
+            loss = mean_along(hadamard(h, h), None)
         grads = tape.backward(loss)
         return grads[x.uid].data, grads[w.uid].data
 
@@ -447,7 +446,7 @@ def test_conv_kernel_gradient_without_input_gradient(monkeypatch):
         for x_grad in (True, False):
             x, k = Tensor(x_data, grad_enabled=x_grad), Tensor(k_data, grad_enabled=True)
             with Tape() as tape:
-                loss = mean_all(hadamard(conv(x, k), probe))
+                loss = mean_along(hadamard(conv(x, k), probe), None)
             col2im_calls.clear()
             grads = tape.backward(loss)
             assert (x.uid in grads) == x_grad

@@ -20,7 +20,7 @@ from vnact.models import create_model
 from vnact.synthetic import default_label_space, make_synthetic, make_two_stream_synthetic
 from vnact.tensor import Tape
 from vnact.training import PRESETS, apply_overrides, run_stage
-from vnact.ops import conv2d, mean_all, spatial_avg_pool
+from vnact.ops import conv2d, gate_update, mean_along
 from vnact.tensor import Tensor, add, hadamard
 
 
@@ -323,8 +323,8 @@ def test_lsta_step_gradients():
     def forward(p):
         cell = LstaParams(p["attn_kernel"], p["gate_kernel"], p["gate_bias"], p["pool_kernel"])
         state, _ = lsta_step(p["x"], LstaState(p["c0"], p["h0"]), cell)
-        return mean_all(
-            add(hadamard(state.c, Tensor(probe_c)), hadamard(state.h, Tensor(probe_h)))
+        return mean_along(
+            add(hadamard(state.c, Tensor(probe_c)), hadamard(state.h, Tensor(probe_h))), None
         )
 
     report = grad_check(forward, params)
@@ -349,7 +349,27 @@ def test_gru_step_gradients():
         cell = GruParams(p["w_update"], p["b_update"], p["w_reset"], p["b_reset"],
                          p["w_cand"], p["b_cand"])
         out = gru_step(p["x"], p["h"], cell)
-        return mean_all(hadamard(out, Tensor(probe)))
+        return mean_along(hadamard(out, Tensor(probe)), None)
+
+    report = grad_check(forward, params)
+    assert report.passed, report.summary()
+
+
+def test_gate_output_rule_needs_no_other_node():
+    """A loss on the output gate alone reaches z, the gate bias and the
+    external bias through the gate_output node's own rule: nothing waits for
+    the memory's node, which here receives no adjoint and never runs."""
+    rng = np.random.default_rng(15)
+    d = 2
+    params = {"z": Tensor(rng.normal(size=(2, 4 * d, 3, 3))),
+              "gate_bias": Tensor(rng.normal(size=4 * d)),
+              "bias": Tensor(rng.normal(size=(4 * d, 3, 3))),
+              "c": Tensor(rng.normal(size=(2, d, 3, 3)))}
+    probe = Tensor(rng.normal(size=(2, d, 3, 3)))
+
+    def forward(p):
+        _, o = gate_update(p["z"], p["gate_bias"], p["c"], p["bias"])
+        return mean_along(hadamard(o, probe), None)
 
     report = grad_check(forward, params)
     assert report.passed, report.summary()

@@ -71,6 +71,20 @@ def test_make_synthetic_two_stream(tmp_path):
     assert train.inputs["flow"].shape[2] == 4
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--flow-channels", "0"], "flow channel count"),
+    (["--flow-channels", "3"], "flow channel count"),
+    (["--noise-sigma", "-1"], "noise_sigma must be nonnegative"),
+    (["--t-len", "0"], "extents must be positive"),
+    (["--train-samples", "0"], "extents must be positive"),
+])
+def test_make_synthetic_two_stream_bad_sizes_exit_one(tmp_path, capsys, flags, message):
+    """The two-stream maker runs the single-stream checks, plus its own flow check."""
+    assert main(["make-synthetic", "--out-dir", str(tmp_path / "data"), "--two-stream",
+                 "--train-samples", "2", "--test-samples", "2", *flags]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_train_writes_artifacts(workspace):
     run = workspace["run"]
     for name in ("model", "log.csv", "summary.json", "test_scores.json"):

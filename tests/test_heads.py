@@ -15,7 +15,7 @@ from vnact.heads import (
     multi_task_loss,
     structured_forward,
 )
-from vnact.ops import affine, mean_all
+from vnact.ops import affine
 from vnact.tensor import Tensor, hadamard
 
 

@@ -15,7 +15,7 @@ from vnact.hftsn import (
     hf_block,
     hf_tsn_forward,
 )
-from vnact.ops import mean_all
+from vnact.ops import mean_along
 from vnact.tensor import Tensor, hadamard
 
 
@@ -74,7 +74,7 @@ def test_hf_block_gradients():
 
     def forward(p):
         out = hf_block(p["f"], HfBlockParams(p["w0"], p["w1"]))
-        return mean_all(hadamard(out, Tensor(probe)))
+        return mean_along(hadamard(out, Tensor(probe)), None)
 
     report = grad_check(forward, params)
     assert report.passed, report.summary()
@@ -231,7 +231,7 @@ def test_hf_tsn_end_to_end_gradients():
         blocks = {0: HfBlockParams.from_dict("hf0", p), 1: HfBlockParams.from_dict("hf1", p)}
         hd = StructuredHeadParams.from_dict("head", p)
         out = hf_tsn_forward(Tensor(frames), cfg, bb, blocks, hd, space)
-        return mean_all(hadamard(out.action, Tensor(probe)))
+        return mean_along(hadamard(out.action, Tensor(probe)), None)
 
     report = grad_check(forward, params)
     assert report.passed, report.summary()

@@ -1,4 +1,5 @@
-"""Every top-level function and class of the library is used by the library.
+"""Every top-level function and class of the library is used by the library,
+and every tape rule lives in ``tensor.py`` or ``ops.py``.
 
 A definition counts as used when its own module reads its bare name, when
 another module imports it with a relative ``from .module import name``, or
@@ -45,3 +46,30 @@ def test_guard_sees_a_planted_unused_function():
 def test_every_definition_has_a_library_caller():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unused_definitions(sources) == []
+
+
+RULE_MODULES = {"tensor", "ops"}
+
+
+def apply_op_callers(sources: dict) -> list:
+    """Modules, other than tensor and ops, that call ``apply_op`` (each call
+    records a node with a backward rule), given module name -> source text."""
+    def called(node):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+    return sorted(name for name, text in sources.items() if name not in RULE_MODULES
+                  and any(isinstance(n, ast.Call) and called(n) == "apply_op"
+                          for n in ast.walk(ast.parse(text))))
+
+
+def test_rule_guard_sees_a_planted_apply_op_call():
+    sources = {"ops": "def f(x):\n    return apply_op('f', (x,), x, None)\n",
+               "cells": "from . import tensor\n\n"
+                        "g = lambda x: tensor.apply_op('g', (x,), x, None)\n",
+               "heads": "from .ops import f\n"}
+    assert apply_op_callers(sources) == ["cells"]
+
+
+def test_every_tape_rule_lives_in_tensor_or_ops():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert apply_op_callers(sources) == []

@@ -49,5 +49,9 @@ def test_tracer_and_forward_checks_find_their_hooks(family):
     assert (tracer.calls["cells.rollout_fwd"] > 0) == (family != "hf_tsn")
     assert (tracer.calls["twostream.fusion_fwd"] > 0) == (family == "two_stream")
     assert (tracer.calls["hftsn.hf_block_fwd"] > 0) == (family == "hf_tsn")
+    # The loss and the fused cell rules sit in ops, where the tracer wraps
+    # them: one ops.other forward per call (a gate update records two nodes).
+    fused = sum(node.kind in ("cross_entropy", "gate_update", "gru_step") for node in tape.nodes)
+    assert fused >= 3 and tracer.op_calls["other"] == fused and tracer.op_fwd["other"] > 0
 
     checks.forward_properties(model, inputs)

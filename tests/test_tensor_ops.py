@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnact.errors import NonFiniteError, ShapeError
+from vnact.errors import NonFiniteError, ShapeError, ValidationError
 from vnact.ops import (
     avg_pool2x2,
     affine,
@@ -14,19 +14,16 @@ from vnact.ops import (
     conv3d,
     dropout,
     index_select,
-    logsumexp_rows,
+    cross_entropy,
     matmul,
-    mean_all,
     mean_along,
     narrow,
     reshape,
     softmax_spatial,
     softmax_spatial_scaled,
-    spatial_avg_pool,
-    take_rows,
     transpose,
 )
-from vnact.tensor import Tensor, add, hadamard, scale, subtract
+from vnact.tensor import Tensor, add, hadamard, scale
 
 
 def dyadic(rng, shape, denom=8, span=8):
@@ -64,7 +61,6 @@ def test_elementwise_ops_match_numpy():
     x, y = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
     a, b = Tensor(x), Tensor(y)
     assert np.array_equal(add(a, b).data, x + y)
-    assert np.array_equal(subtract(a, b).data, x - y)
     assert np.array_equal(hadamard(a, b).data, x * y)
     assert np.array_equal(scale(a, 2.5).data, x * 2.5)
 
@@ -226,7 +222,7 @@ def test_softmax_spatial_scaled_equals_softmax_times_area():
 def test_spatial_avg_pool_and_avg_pool2x2():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(2, 3, 4, 6))
-    assert np.array_equal(spatial_avg_pool(Tensor(x)).data, x.mean(axis=(-2, -1)))
+    assert np.array_equal(mean_along(Tensor(x), (-2, -1)).data, x.mean(axis=(-2, -1)))
     pooled = avg_pool2x2(Tensor(x))
     assert pooled.shape == (2, 3, 2, 3)
     assert np.allclose(
@@ -283,29 +279,25 @@ def test_reductions_match_numpy():
     x = rng.normal(size=(3, 4, 5))
     t = Tensor(x)
     assert np.array_equal(mean_along(t, 2).data, x.mean(axis=2))
-    assert np.array_equal(mean_all(t).data, np.asarray(x.mean()))
+    assert np.array_equal(mean_along(t, None).data, np.asarray(x.mean()))
 
 
-def test_logsumexp_rows_stable_and_correct():
+def test_cross_entropy_is_stable_and_picks_the_labelled_logit():
     rng = np.random.default_rng(15)
     x = rng.normal(size=(6, 9))
-    out = logsumexp_rows(Tensor(x))
-    ref = np.log(np.exp(x).sum(axis=-1))
-    assert np.allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+    idx = np.array([2, 0, 8, 3, 3, 5])
+    out = cross_entropy(Tensor(x), idx)
+    ref = np.log(np.exp(x).sum(axis=-1)) - x[np.arange(6), idx]
+    assert out.shape == ()
+    assert np.allclose(out.data, ref.mean(), rtol=1e-12, atol=1e-12)
     # Stability: huge logits must not overflow.
-    big = logsumexp_rows(Tensor(np.array([[1000.0, 1000.0]])))
-    assert np.allclose(big.data, 1000.0 + np.log(2.0))
-
-
-def test_take_rows():
-    x = np.arange(12.0).reshape(3, 4)
-    idx = np.array([2, 0, 3])
-    out = take_rows(Tensor(x), idx)
-    assert np.array_equal(out.data, np.array([2.0, 4.0, 11.0]))
+    big = cross_entropy(Tensor(np.array([[1000.0, 1000.0]])), np.array([1]))
+    assert np.allclose(big.data, np.log(2.0))
+    # The label count must match the batch; labels outside [0, K) are refused.
     with pytest.raises(ShapeError):
-        take_rows(Tensor(x), np.array([0, 1]))
-    with pytest.raises(ShapeError):
-        take_rows(Tensor(x), np.array([0, 1, 4]))
+        cross_entropy(Tensor(x), idx[:2])
+    with pytest.raises(ValidationError):
+        cross_entropy(Tensor(x), np.array([0, 1, 9, 0, 0, 0]))
 
 
 # ---------------------------------------------------------------------------

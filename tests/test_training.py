@@ -102,6 +102,8 @@ def test_apply_overrides_rejects_unknown_keys_and_name():
 @pytest.mark.parametrize("overrides", [
     {"batch_size": 2.5}, {"epochs": True, "dropout_p": False}, {"dropout_p": False},
     {"frames_T": 8.0}, {"base_lr": True},
+    {"decay_epochs": [True, 2.5]}, {"decay_epochs": [50, 60.5]},
+    {"decay_epochs": [], "per_epoch_decay": True},
 ])
 def test_apply_overrides_rejects_bools_and_fractions_for_numbers(overrides):
     with pytest.raises(ValidationError, match="must be"):

@@ -6,7 +6,7 @@ import pytest
 from vnact.cells import ConvLstmParams, LstaParams, LstaState, convlstm_step, lsta_step
 from vnact.errors import ShapeError
 from vnact.gradcheck import grad_check
-from vnact.ops import index_select, mean_all, spatial_avg_pool
+from vnact.ops import index_select, mean_along
 from vnact.tensor import Tensor, add, hadamard
 from vnact.twostream import (
     FusionParams,
@@ -77,8 +77,8 @@ def test_zero_fusion_matches_uncoupled_streams_bitwise():
     for step in range(t):
         app_state, _ = lsta_step(index_select(fa, 1, step), app_state, lsta)
         mot_state = convlstm_step(index_select(fm, 1, step), mot_state, clstm)
-    assert np.array_equal(app_desc.data, spatial_avg_pool(app_state.c).data)
-    assert np.array_equal(mot_desc.data, spatial_avg_pool(mot_state.c).data)
+    assert np.array_equal(app_desc.data, mean_along(app_state.c, (-2, -1)).data)
+    assert np.array_equal(mot_desc.data, mean_along(mot_state.c, (-2, -1)).data)
 
 
 def test_nonzero_fusion_couples_both_streams():
@@ -153,7 +153,7 @@ def test_cross_modal_rollout_gradients():
         clstm = ConvLstmParams(p["m_gate_kernel"], p["m_gate_bias"])
         fusion = FusionParams(p["app_to_motion"], p["motion_to_app"])
         a, m = cross_modal_rollout(Tensor(fa), Tensor(fm), lsta, clstm, fusion)
-        return mean_all(add(hadamard(a, Tensor(probe_a)), hadamard(m, Tensor(probe_m))))
+        return mean_along(add(hadamard(a, Tensor(probe_a)), hadamard(m, Tensor(probe_m))), None)
 
     report = grad_check(forward, params)
     assert report.passed, report.summary()
