@@ -282,7 +282,8 @@ def test_reductions_match_numpy():
     assert np.array_equal(mean_along(t, None).data, np.asarray(x.mean()))
 
 
-def test_cross_entropy_is_stable_and_picks_the_labelled_logit():
+def test_logsumexp_rows_stable_and_correct():
+    # cross_entropy's logsumexp over rows, against numpy.
     rng = np.random.default_rng(15)
     x = rng.normal(size=(6, 9))
     idx = np.array([2, 0, 8, 3, 3, 5])
@@ -293,11 +294,26 @@ def test_cross_entropy_is_stable_and_picks_the_labelled_logit():
     # Stability: huge logits must not overflow.
     big = cross_entropy(Tensor(np.array([[1000.0, 1000.0]])), np.array([1]))
     assert np.allclose(big.data, np.log(2.0))
+
+
+def test_take_rows():
+    # cross_entropy picks the labelled logit of each row.
+    x = np.arange(12.0).reshape(3, 4)
+    idx = np.array([2, 0, 3])
+    out = cross_entropy(Tensor(x), idx)
+    picked = np.array([2.0, 4.0, 11.0])
+    ref = np.log(np.exp(x).sum(axis=-1)) - picked
+    assert np.allclose(out.data, ref.mean(), rtol=1e-12, atol=1e-12)
     # The label count must match the batch; labels outside [0, K) are refused.
     with pytest.raises(ShapeError):
-        cross_entropy(Tensor(x), idx[:2])
+        cross_entropy(Tensor(x), np.array([0, 1]))
     with pytest.raises(ValidationError):
-        cross_entropy(Tensor(x), np.array([0, 1, 9, 0, 0, 0]))
+        cross_entropy(Tensor(x), np.array([0, 1, 4]))
+    y = np.random.default_rng(15).normal(size=(6, 9))
+    with pytest.raises(ShapeError):
+        cross_entropy(Tensor(y), np.array([2, 0]))
+    with pytest.raises(ValidationError):
+        cross_entropy(Tensor(y), np.array([0, 1, 9, 0, 0, 0]))
 
 
 # ---------------------------------------------------------------------------
