@@ -14,10 +14,11 @@ import sys
 import time
 from typing import Dict, Optional
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _typed
 from .init import derive_seed
 from .models import FAMILIES, TwoStreamModel, create_model, load_model
 from .scores import (
+    TASKS,
     average_tables,
     compute_metrics,
     decode,
@@ -65,19 +66,6 @@ def _pick(flag, config_value, default):
     if config_value is not None:
         return config_value
     return default
-
-
-def _typed(value, kind, key: str):
-    """``value`` converted by ``kind``; a value that ``kind`` rejects is a
-    ValidationError naming the config entry ``key``. Only a bool is a bool,
-    a bool is not a number, and a float with a fractional part is not an int."""
-    if ((kind is bool) != isinstance(value, bool)
-            or kind is int and isinstance(value, float) and not value.is_integer()):
-        raise ValidationError(f"config '{key}' must be {kind.__name__}, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config '{key}' must be {kind.__name__}, got {value!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +228,7 @@ def cmd_train(args) -> int:
         write_score_json(os.path.join(args.out_dir, "test_scores.json"), table)
         report = compute_metrics(table, test_ds.labels_by_segment())
         summary["test"] = report.values
-        for task in ("verb", "noun", "action"):
-            print(f"test {task}: top1 {report.values[task]['top1']:.2f}% "
-                  f"top5 {report.values[task]['top5']:.2f}%")
+        _print_top_k(report, "test ")
     with open(os.path.join(args.out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     print(f"trained {schedule.epochs} epochs in {elapsed:.1f}s; artifacts in {args.out_dir}")
@@ -253,6 +239,12 @@ def cmd_train(args) -> int:
 # eval / ensemble / metrics / submit / gradcheck
 
 
+def _print_top_k(report, prefix: str) -> None:
+    for task in TASKS:
+        print(f"{prefix}{task}: top1 {report.values[task]['top1']:.2f}% "
+              f"top5 {report.values[task]['top5']:.2f}%")
+
+
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     dataset = SyntheticDataset.load(args.dataset)
@@ -260,10 +252,7 @@ def cmd_eval(args) -> int:
     table = evaluate(model, dataset, frames_t=args.frames_t, batch_size=args.batch_size,
                      crop=crop, crop_size=args.crop_size)
     write_score_json(args.out, table)
-    report = compute_metrics(table, dataset.labels_by_segment())
-    for task in ("verb", "noun", "action"):
-        print(f"{task}: top1 {report.values[task]['top1']:.2f}% "
-              f"top5 {report.values[task]['top5']:.2f}%")
+    _print_top_k(compute_metrics(table, dataset.labels_by_segment()), "")
     print(f"wrote {args.out} ({len(table)} segments)")
     return 0
 
@@ -281,10 +270,7 @@ def cmd_metrics(args) -> int:
     table = read_score_json(args.scores, space=dataset.space)
     labels = dataset.labels_by_segment()
     report = compute_metrics(table, labels)
-    print("task,top1,top5,precision,recall")
-    for task in ("verb", "noun", "action"):
-        row = report.values[task]
-        print(f"{task},{row['top1']:.4f},{row['top5']:.4f},{row['precision']:.4f},{row['recall']:.4f}")
+    print(report.csv_text(), end="")
     if args.out:
         report.to_csv(args.out)
         print(f"wrote {args.out}")

@@ -4,6 +4,12 @@ Actions are the verb-noun pairs observed in the annotations, so the
 action classifier can only name feasible combinations. Its raw logits are
 fed through two linear maps and added to the verb and noun logits as an
 instance-specific bias, coupling the three tasks.
+
+A ScoreTriple's fields name the three tasks once: ``TASKS`` is their
+tuple, and every loop over tasks (loss, fusion, score tables, metrics)
+walks a triple in that order. Scores are logits; wherever a class is
+predicted from them (training accuracy, metrics, decoding), a tie goes
+to the lower class index.
 """
 
 from __future__ import annotations
@@ -11,11 +17,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, _typed
 from .init import ParamStruct, uniform_fan_in, zeros_param
 from .ops import affine, cross_entropy, dropout, matmul
 from .tensor import Tensor, add
@@ -81,7 +87,8 @@ class LabelSpace:
             return cls(
                 verbs=tuple(payload["verbs"]),
                 nouns=tuple(payload["nouns"]),
-                actions=tuple((int(v), int(n)) for v, n in payload["actions"]),
+                actions=tuple((_typed(v, int, "actions"), _typed(n, int, "actions"))
+                          for v, n in payload["actions"]),
             )
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"label space: malformed entries ({exc})") from exc
@@ -130,24 +137,20 @@ def derive_pair(action_id: int, space: LabelSpace) -> tuple:
     return space.actions[action_id]
 
 
-@dataclass
-class ScoreTriple:
-    """Verb, noun and action logits: the unit of prediction and fusion."""
+class ScoreTriple(NamedTuple):
+    """Verb, noun and action logits: the unit of prediction and fusion.
+    Code that handles every task iterates the triple in this field order."""
 
     verb: object
     noun: object
     action: object
 
     def detached(self) -> "ScoreTriple":
-        def unwrap(x):
-            return np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+        return ScoreTriple(*(np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+                             for x in self))
 
-        return ScoreTriple(unwrap(self.verb), unwrap(self.noun), unwrap(self.action))
 
-    def task(self, name: str):
-        if name not in ("verb", "noun", "action"):
-            raise ValidationError(f"unknown task '{name}'")
-        return getattr(self, name)
+TASKS = ScoreTriple._fields
 
 
 @dataclass
@@ -208,23 +211,19 @@ def structured_forward(
     return ScoreTriple(verb=verb, noun=noun, action=act)
 
 
-def multi_task_loss(
-    scores: ScoreTriple,
-    labels: tuple,
-    tasks: Sequence[str] = ("verb", "noun", "action"),
-) -> Tensor:
+def multi_task_loss(scores: ScoreTriple, labels: tuple, tasks: Sequence[str] = TASKS) -> Tensor:
     """Equal-weight sum of the per-task cross-entropies of (B, K) scores.
 
     ``labels`` is (verb_ids, noun_ids, action_ids), each an integer array
     of B ids. ``tasks`` restricts the sum (the flow stream pretrains on
     verbs alone).
     """
-    by_name = dict(zip(("verb", "noun", "action"), labels))
+    by_name = dict(zip(TASKS, labels))
     total = None
     for t in tasks:
         if t not in by_name:
             raise ValidationError(f"unknown task '{t}'")
-        term = cross_entropy(scores.task(t), by_name[t])
+        term = cross_entropy(getattr(scores, t), by_name[t])
         total = term if total is None else add(total, term)
     if total is None:
         raise ValidationError("multi_task_loss needs at least one task")

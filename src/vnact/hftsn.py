@@ -69,10 +69,6 @@ class BackboneParams:
     def num_stages(self) -> int:
         return len(self.kernels)
 
-    @property
-    def feature_dim(self) -> int:
-        return self.kernels[-1].shape[0]
-
     @classmethod
     def create(cls, in_channels: int, stage_channels, seed: int,
                name: str = "backbone") -> "BackboneParams":
@@ -181,4 +177,4 @@ def hf_tsn_forward(
     flat = reshape(pooled, (b * t_len, pooled.shape[-1]))
     per_seg = structured_forward(flat, head, space, train=train, rng=rng, dropout_p=dropout_p)
     return ScoreTriple(*(consensus(reshape(logits, (b, t_len, logits.shape[-1])))
-                         for logits in (per_seg.verb, per_seg.noun, per_seg.action)))
+                         for logits in per_seg))

@@ -18,7 +18,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .cells import ConvLstmParams, GruParams, LstaParams, rollout, run_lsta_gru
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, _typed
 from .heads import LabelSpace, ScoreTriple, StructuredHeadParams, structured_forward
 from .hftsn import BackboneParams, HfBlockParams, HfTsnConfig, backbone_forward, hf_tsn_forward
 from .ops import mean_along
@@ -72,8 +72,8 @@ def _group_map(names) -> Dict[str, str]:
 
 def _read_config(config: dict, *keys) -> list:
     """The values of ``keys`` in a family config: ints, lists of ints, or
-    (two-stream) per-stream config objects. A missing key is a
-    ValidationError that names it."""
+    (two-stream) per-stream config objects. A missing key, or a bool or a
+    fraction where an int belongs, is a ValidationError that names it."""
     if not isinstance(config, dict):
         raise ValidationError(f"model config must be an object, got {type(config).__name__}")
     values = []
@@ -81,13 +81,10 @@ def _read_config(config: dict, *keys) -> list:
         if key not in config:
             raise ValidationError(f"model config lacks key '{key}'")
         v = config[key]
-        try:
-            if isinstance(v, (list, tuple)):
-                v = [int(c) for c in v]
-            elif not isinstance(v, dict):
-                v = int(v)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"model config key '{key}': {exc}") from exc
+        if isinstance(v, (list, tuple)):
+            v = [_typed(c, int, key) for c in v]
+        elif not isinstance(v, dict):
+            v = _typed(v, int, key)
         values.append(v)
     return values
 

@@ -1,7 +1,16 @@
 """Score tables, ensembling, challenge metrics and file formats.
 
 A ScoreTable maps segment ids to verb/noun/action logits under one label
-space. Tables serialize to a canonical JSON layout whose floats carry 17
+space. Metrics, decoding and ensembling read a table as one (N, K)
+matrix per task, one row per segment in table order; the one helper that
+stacks it also rejects an unknown task, an empty table, segments whose
+rows differ in extent and, for metrics, unlabelled segments and labels
+outside the classes. Classes are
+ranked by one rule, a stable sort of the negated logits, so a tie goes to
+the lower class index; top-k accuracy, macro precision/recall, decoding
+and training accuracy all rank through it.
+
+Tables serialize to a canonical JSON layout whose floats carry 17
 significant digits, so write/read round-trips are value-exact. Ensembling
 is the elementwise arithmetic mean accumulated in the given table order,
 making the output bit-deterministic for a fixed order.
@@ -17,9 +26,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .heads import LabelSpace, ScoreTriple, derive_pair
-
-TASKS = ("verb", "noun", "action")
+from .heads import TASKS, LabelSpace, ScoreTriple, derive_pair
 
 
 @dataclass
@@ -31,8 +38,7 @@ class ScoreTable:
     def add(self, segment_id: str, triple: ScoreTriple) -> None:
         if segment_id in self.results:
             raise ValidationError(f"duplicate segment id '{segment_id}'")
-        det = triple.detached()
-        self.results[segment_id] = {"verb": det.verb, "noun": det.noun, "action": det.action}
+        self.results[segment_id] = triple.detached()._asdict()
 
     def segments(self) -> List[str]:
         return list(self.results)
@@ -41,37 +47,67 @@ class ScoreTable:
         return len(self.results)
 
 
+def _matrix(table: ScoreTable, task: str, labels: Optional[Dict[str, tuple]]):
+    """The (N, K) logits of ``task``, one row per segment in table order,
+    and, given ``labels``, the (N,) true class ids (else None)."""
+    if task not in TASKS:
+        raise ValidationError(f"unknown task '{task}'")
+    if not len(table):
+        raise ValidationError("empty score table")
+    try:
+        logits = np.stack([row[task] for row in table.results.values()])
+    except ValueError as exc:
+        raise ValidationError(f"segments disagree on the extent of task '{task}'") from exc
+    if labels is None:
+        return logits, None
+    missing = [s for s in table.results if s not in labels]
+    if missing:
+        raise ValidationError(f"unlabeled segments {missing[:5]} (of {len(missing)})")
+    j = TASKS.index(task)
+    truth = np.array([labels[s][j] for s in table.results], dtype=np.int64)
+    if truth.min() < 0 or truth.max() >= logits.shape[1]:
+        raise ValidationError(f"a '{task}' label lies outside the {logits.shape[1]} classes")
+    return logits, truth
+
+
+def _ranked(logits: np.ndarray, k: int) -> np.ndarray:
+    """The k best classes along the last axis, best first. The sort of the
+    negated logits is stable, so a tie ranks the lower class first."""
+    return np.argsort(-logits, axis=-1, kind="stable")[..., :k]
+
+
+def hit_rate(logits: np.ndarray, truth: np.ndarray, k: int) -> float:
+    """Fraction of the rows of (N, K) logits whose true class is among the k best."""
+    return float(np.mean(np.any(_ranked(logits, k) == truth[:, None], axis=1)))
+
+
 def average_tables(tables: Sequence[ScoreTable]) -> ScoreTable:
     """Elementwise mean of aligned tables, accumulated in list order."""
     if not tables:
         raise ValidationError("need at least one table to ensemble")
     first = tables[0]
-    segs = set(first.results)
     for t in tables[1:]:
         if t.label_space_hash != first.label_space_hash:
             raise ValidationError("tables disagree on the label space")
-        if set(t.results) != segs:
+        if set(t.results) != set(first.results):
             raise ValidationError("tables disagree on the segment set")
+    aligned = [ScoreTable(t.split, t.label_space_hash, {s: t.results[s] for s in first.results})
+               for t in tables]
+    means = []
+    for task in TASKS:
+        base, *rest = (_matrix(t, task, None)[0] for t in aligned)
+        same = np.ones(len(base), dtype=bool)
+        acc = base
+        for nxt in rest:
+            if nxt.shape != base.shape:
+                raise ValidationError(f"tables disagree on the extent of task '{task}'")
+            same &= np.all(nxt == base, axis=1)
+            acc = acc + nxt
+        # The mean of identical rows is the row; bypassing the float
+        # accumulation there keeps replicated ensembling bit-exact.
+        means.append(np.where(same[:, None], base, acc / float(len(tables))))
     out = ScoreTable(split=first.split, label_space_hash=first.label_space_hash)
-    k = float(len(tables))
-    for seg in first.segments():
-        row = {}
-        for task in TASKS:
-            base = tables[0].results[seg][task]
-            rest = [t.results[seg][task] for t in tables[1:]]
-            for nxt in rest:
-                if nxt.shape != base.shape:
-                    raise ValidationError(f"segment '{seg}' task '{task}' extent mismatch")
-            if all(np.array_equal(base, nxt) for nxt in rest):
-                # Mean of identical rows is the row; bypass the float
-                # accumulation so replicated ensembling is bit-exact.
-                row[task] = base.copy()
-                continue
-            acc = base.copy()
-            for nxt in rest:
-                acc = acc + nxt
-            row[task] = acc / k
-        out.results[seg] = row
+    out.results = {seg: dict(zip(TASKS, rows)) for seg, *rows in zip(first.results, *means)}
     return out
 
 
@@ -79,40 +115,23 @@ def average_tables(tables: Sequence[ScoreTable]) -> ScoreTable:
 # metrics
 
 
-def _check_labeled(table: ScoreTable, labels: Dict[str, int]) -> None:
-    missing = [s for s in table.segments() if s not in labels]
-    if missing:
-        raise ValidationError(f"unlabeled segments {missing[:5]} (of {len(missing)})")
-
-
-def _task_labels(labels, task_index: int) -> Dict[str, int]:
-    return {seg: int(trip[task_index]) for seg, trip in labels.items()}
-
-
 def topk_accuracy(table: ScoreTable, labels: Dict[str, tuple], task: str, k: int) -> float:
-    """Fraction of segments whose true class is among the k best logits.
-
-    Ties rank the lower class index first, via a stable sort of negated
-    logits.
-    """
-    if task not in TASKS:
-        raise ValidationError(f"unknown task '{task}'")
+    """Fraction of segments whose true class is among the k best logits."""
     if k < 1:
         raise ValidationError(f"k must be positive, got {k}")
-    if not len(table):
-        raise ValidationError("empty score table")
-    per_task = _task_labels(labels, TASKS.index(task))
-    _check_labeled(table, per_task)
-    hits = 0
-    for seg in table.segments():
-        logits = table.results[seg][task]
-        topk = np.argsort(-logits, kind="stable")[:k]
-        hits += int(per_task[seg] in topk)
-    return hits / len(table)
+    return hit_rate(*_matrix(table, task, labels), k)
 
 
-def _top1(logits: np.ndarray) -> int:
-    return int(np.argmax(logits))
+def _precision_recall(logits: np.ndarray, truth: np.ndarray):
+    pred = _ranked(logits, 1)[:, 0]
+    hit = pred == truth
+    k = logits.shape[1]
+    tp, fp, fn = (np.bincount(ids, minlength=k) for ids in (pred[hit], pred[~hit], truth[~hit]))
+    included = (tp + fn > 0) | (tp + fp > 0)
+    # A class with no predictions (or no ground truth) has tp = 0: 0 / 1 is its 0.
+    precision = tp[included] / np.maximum(tp + fp, 1)[included]
+    recall = tp[included] / np.maximum(tp + fn, 1)[included]
+    return float(np.mean(precision)), float(np.mean(recall))
 
 
 def macro_precision_recall(table: ScoreTable, labels: Dict[str, tuple], task: str):
@@ -121,30 +140,7 @@ def macro_precision_recall(table: ScoreTable, labels: Dict[str, tuple], task: st
     A class joins the average when it has ground truth or predictions;
     classes with ground truth but no predictions contribute precision 0.
     """
-    if task not in TASKS:
-        raise ValidationError(f"unknown task '{task}'")
-    if not len(table):
-        raise ValidationError("empty score table")
-    per_task = _task_labels(labels, TASKS.index(task))
-    _check_labeled(table, per_task)
-    num_classes = len(table.results[table.segments()[0]][task])
-    tp = np.zeros(num_classes)
-    fp = np.zeros(num_classes)
-    fn = np.zeros(num_classes)
-    for seg in table.segments():
-        pred = _top1(table.results[seg][task])
-        true = per_task[seg]
-        if pred == true:
-            tp[pred] += 1
-        else:
-            fp[pred] += 1
-            fn[true] += 1
-    included = (tp + fn > 0) | (tp + fp > 0)
-    precisions, recalls = [], []
-    for c in np.nonzero(included)[0]:
-        precisions.append(tp[c] / (tp[c] + fp[c]) if tp[c] + fp[c] > 0 else 0.0)
-        recalls.append(tp[c] / (tp[c] + fn[c]) if tp[c] + fn[c] > 0 else 0.0)
-    return float(np.mean(precisions)), float(np.mean(recalls))
+    return _precision_recall(*_matrix(table, task, labels))
 
 
 @dataclass(frozen=True)
@@ -153,22 +149,27 @@ class MetricsReport:
 
     values: Dict[str, Dict[str, float]]
 
+    def csv_text(self) -> str:
+        lines = ["task,top1,top5,precision,recall\n"]
+        for task in TASKS:
+            v = self.values[task]
+            lines.append(f"{task},{v['top1']:.4f},{v['top5']:.4f},"
+                         f"{v['precision']:.4f},{v['recall']:.4f}\n")
+        return "".join(lines)
+
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("task,top1,top5,precision,recall\n")
-            for task in TASKS:
-                row = self.values[task]
-                fh.write(f"{task},{row['top1']:.4f},{row['top5']:.4f},"
-                         f"{row['precision']:.4f},{row['recall']:.4f}\n")
+            fh.write(self.csv_text())
 
 
 def compute_metrics(table: ScoreTable, labels: Dict[str, tuple]) -> MetricsReport:
     values = {}
     for task in TASKS:
-        p, r = macro_precision_recall(table, labels, task)
+        logits, truth = _matrix(table, task, labels)
+        p, r = _precision_recall(logits, truth)
         values[task] = {
-            "top1": 100.0 * topk_accuracy(table, labels, task, 1),
-            "top5": 100.0 * topk_accuracy(table, labels, task, 5),
+            "top1": 100.0 * hit_rate(logits, truth, 1),
+            "top5": 100.0 * hit_rate(logits, truth, 5),
             "precision": 100.0 * p,
             "recall": 100.0 * r,
         }
@@ -182,37 +183,36 @@ def compute_metrics(table: ScoreTable, labels: Dict[str, tuple]) -> MetricsRepor
 def decode(table: ScoreTable, space: LabelSpace, mode: str = "direct"):
     """Per-segment (verb, noun, action) predictions.
 
-    direct: argmax the action logits and derive the pair, so predictions
-    always name observed actions. pair: argmax verb and noun logits; when
-    that pair was never observed, fall back to the best-scoring action
-    sharing the predicted verb (or the best action overall if the verb has
-    none). Returns (predictions, stats) with the fallback counts.
+    direct: the top action, and the pair it was built from, so predictions
+    always name observed actions. pair: the top verb and noun; when that
+    pair was never observed, fall back to the best-scoring action sharing
+    the predicted verb (or the best action overall if the verb has none).
+    Returns (predictions, stats) with the fallback counts.
     """
     if mode not in ("direct", "pair"):
         raise ValidationError(f"unknown decode mode '{mode}'")
     if table.label_space_hash != space.space_hash():
         raise ValidationError("table was scored under a different label space")
-    preds: Dict[str, tuple] = {}
+    actions, _ = _matrix(table, "action", None)
+    top_action = _ranked(actions, 1)[:, 0].tolist()
     stats = {"segments": len(table), "fallback_verb": 0, "fallback_global": 0}
+    if mode == "direct":
+        return {seg: (*derive_pair(a, space), a) for seg, a in zip(table.results, top_action)}, stats
+    verbs, nouns = (_ranked(_matrix(table, task, None)[0], 1)[:, 0].tolist()
+                    for task in ("verb", "noun"))
+    preds: Dict[str, tuple] = {}
     pair_to_action = space.pair_to_action
-    for seg in table.segments():
-        row = table.results[seg]
-        if mode == "direct":
-            a = _top1(row["action"])
-            v, n = derive_pair(a, space)
-        else:
-            v = _top1(row["verb"])
-            n = _top1(row["noun"])
-            if (v, n) in pair_to_action:
-                a = pair_to_action[(v, n)]
+    for i, seg in enumerate(table.results):
+        v, n = verbs[i], nouns[i]
+        a = pair_to_action.get((v, n))
+        if a is None:
+            shared = [j for j, (pv, _) in enumerate(space.actions) if pv == v]
+            if shared:
+                a = shared[int(_ranked(actions[i, shared], 1)[0])]
+                stats["fallback_verb"] += 1
             else:
-                shared = [i for i, (pv, _) in enumerate(space.actions) if pv == v]
-                if shared:
-                    a = shared[int(np.argmax(row["action"][shared]))]
-                    stats["fallback_verb"] += 1
-                else:
-                    a = _top1(row["action"])
-                    stats["fallback_global"] += 1
+                a = top_action[i]
+                stats["fallback_global"] += 1
         preds[seg] = (v, n, a)
     return preds, stats
 
@@ -221,19 +221,18 @@ def decode(table: ScoreTable, space: LabelSpace, mode: str = "direct"):
 # canonical JSON serialization
 
 
-def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValidationError(f"score files cannot hold non-finite value {x}")
-    return format(float(x), ".17g")
-
-
 def _scores_block(results: Dict[str, Dict[str, np.ndarray]], tasks: Sequence[str]) -> str:
+    keys = [json.dumps(task) for task in tasks]
     seg_parts = []
-    for seg in results:
+    for seg, row in results.items():
         task_parts = []
-        for task in tasks:
-            nums = ",".join(_fmt_float(v) for v in np.asarray(results[seg][task]).ravel())
-            task_parts.append(f"{json.dumps(task)}:[{nums}]")
+        for key, task in zip(keys, tasks):
+            arr = np.asarray(row[task]).ravel()
+            if not np.isfinite(arr).all():
+                bad = arr[~np.isfinite(arr)][0]
+                raise ValidationError(f"score files cannot hold non-finite value {bad}")
+            nums = ",".join(format(v, ".17g") for v in arr.tolist())
+            task_parts.append(f"{key}:[{nums}]")
         seg_parts.append(f"{json.dumps(seg)}:{{{','.join(task_parts)}}}")
     return "{" + ",".join(seg_parts) + "}"
 
@@ -285,8 +284,9 @@ def read_score_json(path, space: Optional[LabelSpace] = None) -> ScoreTable:
     table = ScoreTable(split=payload["split"], label_space_hash=payload["label_space"])
     if space is not None and space.space_hash() != table.label_space_hash:
         raise ValidationError(f"score file {path} uses a different label space")
-    extents = {"verb": space.num_verbs, "noun": space.num_nouns,
-               "action": space.num_actions} if space is not None else None
+    # Without a label space, the first segment sets each task's extent.
+    extents = {} if space is None else dict(
+        zip(TASKS, (space.num_verbs, space.num_nouns, space.num_actions)))
     for seg, row in payload["results"].items():
         if not isinstance(row, dict):
             raise FormatError(f"score file {path}: segment '{seg}' is not an object")
@@ -301,10 +301,12 @@ def read_score_json(path, space: Optional[LabelSpace] = None) -> ScoreTable:
                     f"score file {path}: segment '{seg}' task '{task}' is not numeric ({exc})") from exc
             if arr.ndim != 1:
                 raise FormatError(f"score file {path}: segment '{seg}' task '{task}' is not a flat list")
-            if extents is not None and arr.shape[0] != extents[task]:
+            expected = extents.setdefault(task, arr.shape[0])
+            if arr.shape[0] != expected:
+                source = "label space expects" if space is not None else "earlier segments have"
                 raise FormatError(
                     f"score file {path}: segment '{seg}' task '{task}' has {arr.shape[0]} entries, "
-                    f"label space expects {extents[task]}")
+                    f"{source} {expected}")
             parsed[task] = arr
         table.results[seg] = parsed
     return table

@@ -19,9 +19,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError, ValidationError
-from .heads import ScoreTriple, multi_task_loss
+from .heads import TASKS, ScoreTriple, multi_task_loss
 from .init import rng_for
-from .scores import TASKS, ScoreTable, topk_accuracy
+from .scores import ScoreTable, hit_rate, topk_accuracy
 from .tensor import Tape, Tensor
 
 
@@ -43,11 +43,11 @@ class StageSchedule:
     batch_size: int
     frames_T: int
     trainable_groups: tuple
-    loss_tasks: tuple = ("verb", "noun", "action")
+    loss_tasks: tuple = TASKS
     per_epoch_decay: Optional[float] = None
 
     def __post_init__(self):
-        # cli._typed's rules: a bool is not a number, a fraction is not an int.
+        # errors._typed's rules: a bool is not a number, a fraction is not an int.
         for key, kind in (("epochs", int), ("batch_size", int), ("frames_T", int),
                           ("base_lr", float), ("decay_factor", float), ("dropout_p", float)):
             value = getattr(self, key)
@@ -388,11 +388,10 @@ def evaluate(model, dataset, frames_t: Optional[int] = None, batch_size: int = 3
         acc = None
         for vi in range(count):
             one = model.forward({k: views[k][vi] for k in views}, train=False).detached()
-            acc = one if acc is None else ScoreTriple(acc.verb + one.verb, acc.noun + one.noun,
-                                                      acc.action + one.action)
-        triple = ScoreTriple(acc.verb / count, acc.noun / count, acc.action / count)
+            acc = one if acc is None else ScoreTriple(*(x + y for x, y in zip(acc, one)))
+        triple = ScoreTriple(*(x / count for x in acc))
         for row, seg in enumerate(dataset.segment_ids[start:start + len(idx)]):
-            table.add(seg, ScoreTriple(triple.verb[row], triple.noun[row], triple.action[row]))
+            table.add(seg, ScoreTriple(*(x[row] for x in triple)))
     return table
 
 
@@ -412,14 +411,6 @@ class TrainingLog:
             writer.writeheader()
             for row in self.rows:
                 writer.writerow({k: row.get(k, "") for k in self.COLUMNS})
-
-
-def _batch_accuracy(triple: ScoreTriple, labels) -> tuple:
-    out = []
-    for logits, y in zip((triple.verb, triple.noun, triple.action), labels):
-        pred = np.argmax(np.asarray(logits), axis=-1)
-        out.append(float(np.mean(pred == np.asarray(y))))
-    return tuple(out)
 
 
 def run_stage(
@@ -481,7 +472,8 @@ def run_stage(
                 model.set_params(params)
                 bs = len(idx)
                 loss_sum += lval * bs
-                acc_sum += np.asarray(_batch_accuracy(triple.detached(), labels)) * bs
+                acc_sum += np.array([hit_rate(x, np.asarray(y), 1)
+                                     for x, y in zip(triple.detached(), labels)]) * bs
                 seen += bs
             row = {
                 "epoch": epoch,

@@ -61,7 +61,7 @@ class FusionParams(ParamStruct):
 
     @classmethod
     def create(cls, app_channels: int, motion_channels: int, app_memory: int,
-               motion_memory: int, kernel_size: int = 3, temporal_width: int = 3) -> "FusionParams":
+               motion_memory: int, kernel_size: int, temporal_width: int) -> "FusionParams":
         return cls(
             app_to_motion=Tensor(np.zeros(
                 (4 * motion_memory, app_channels, temporal_width, kernel_size, kernel_size)),
@@ -101,8 +101,7 @@ def cross_modal_rollout(
 
 def fuse_scores(a: ScoreTriple, b: ScoreTriple) -> ScoreTriple:
     """Elementwise arithmetic mean of two score triples, task by task."""
-    pairs = ((a.verb, b.verb), (a.noun, b.noun), (a.action, b.action))
-    for x, y in pairs:
+    for x, y in zip(a, b):
         if x.shape != y.shape:
             raise ShapeError(f"score extents differ: {x.shape} vs {y.shape}")
-    return ScoreTriple(*(scale(add(x, y), 0.5) for x, y in pairs))
+    return ScoreTriple(*(scale(add(x, y), 0.5) for x, y in zip(a, b)))

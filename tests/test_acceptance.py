@@ -127,7 +127,7 @@ def test_identity_reductions():
     t_len, ca, cm, da, dm = 3, 2, 2, 3, 2
     lsta = LstaParams.create(ca, da, seed=3)
     clstm = ConvLstmParams.create(cm, dm, seed=4)
-    fusion = FusionParams.create(ca, cm, da, dm)
+    fusion = FusionParams.create(ca, cm, da, dm, 3, 3)
     app = Tensor(rng.normal(size=(1, t_len, ca, 5, 5)))
     mot = Tensor(rng.normal(size=(1, t_len, cm, 5, 5)))
     app_desc, mot_desc = cross_modal_rollout(app, mot, lsta, clstm, fusion)

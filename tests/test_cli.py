@@ -202,6 +202,47 @@ def test_eval_scores_match_metrics_flow(workspace, tmp_path, capsys):
     assert csv_out.read_text().startswith("task,top1,top5,precision,recall")
 
 
+def test_metrics_prints_the_csv_it_writes(workspace, tmp_path, capsys):
+    scores = tmp_path / "scores.json"
+    assert main(["eval", "--model", str(workspace["run"] / "model"),
+                 "--dataset", str(workspace["data"] / "test"),
+                 "--out", str(scores), "--frames-t", "3"]) == 0
+    capsys.readouterr()
+    csv_out = tmp_path / "metrics.csv"
+    assert main(["metrics", "--scores", str(scores), "--dataset", str(workspace["data"] / "test"),
+                 "--out", str(csv_out)]) == 0
+    assert capsys.readouterr().out == csv_out.read_text() + f"wrote {csv_out}\n"
+
+
+@pytest.mark.parametrize("preset, model", [
+    ("lsta_stage1", {"family": "lsta", "stage_channels": [3, 4], "memory": True}),
+    ("lsta_stage1", {"family": "lsta", "stage_channels": [3, 3.7], "memory": 4}),
+    ("hf_tsn", {"family": "hf_tsn", "stage_channels": [3, 4], "segments": 2.9}),
+])
+def test_train_rejects_bool_and_fractional_model_config_values(workspace, tmp_path, capsys,
+                                                                preset, model):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"preset": preset, "model": model,
+                               "overrides": {"epochs": 1, "frames_T": 3, "batch_size": 4}}))
+    assert main(["train", "--dataset", str(workspace["data"]), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "must be int" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_ragged_score_file_exits_one(tmp_path, capsys):
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps({"version": "1.0", "split": "t", "label_space": "x", "results": {
+        "a": {"verb": [0.0, 1.0, 2.0], "noun": [0.0], "action": [0.0]},
+        "b": {"verb": [0.0, 1.0], "noun": [0.0], "action": [0.0]}}}))
+    out = tmp_path / "out.json"
+    assert main(["ensemble", str(ragged), str(ragged), "--out", str(out)]) == 1
+    assert main(["submit", "--scores", str(ragged), "--out", str(out)]) == 1
+    assert "has 2 entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_multiview_flag(workspace, tmp_path):
     scores = tmp_path / "crop_scores.json"
     assert main(["eval", "--model", str(workspace["run"] / "model"),

@@ -26,7 +26,9 @@ def test_golden_tree_against_itself_is_all_equal():
     assert out.rstrip().endswith("all equal")
     assert "DIFFERENT" not in out
     for family in ("lsta", "lsta_gru", "hf_tsn", "motion", "two_stream"):
-        for record in ("default/loss", "moved/loss", "hf_tsn/log", "lsta_stage1/log"):
+        for record in ("default/loss", "moved/loss", "hf_tsn/log", "lsta_stage1/log",
+                       "hf_tsn/metrics", "hf_tsn/score_json", "hf_tsn/decode/pair",
+                       "lsta_stage1/average/action"):
             assert f" {family}/{record}\n" in out
 
 

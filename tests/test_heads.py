@@ -1,11 +1,14 @@
 """Label space construction and the coupled verb/noun/action head."""
 
+import json
+
 import numpy as np
 import pytest
 
 from vnact.errors import ShapeError, ValidationError
 from vnact.gradcheck import grad_check
 from vnact.heads import (
+    TASKS,
     LabelSpace,
     ScoreTriple,
     StructuredHeadParams,
@@ -61,6 +64,13 @@ def test_space_json_round_trip_and_hash():
         LabelSpace.from_json("nope")
 
 
+@pytest.mark.parametrize("pair", [[0.9, True], [0.9, 0], [0, True]])
+def test_space_json_rejects_bool_and_fractional_ids(pair):
+    text = json.dumps({"verbs": ["a"], "nouns": ["b"], "actions": [pair]})
+    with pytest.raises(ValidationError, match="must be int"):
+        LabelSpace.from_json(text)
+
+
 def test_build_label_space_first_occurrence_order():
     annotations = [
         ("s0", 1, 0),
@@ -89,9 +99,8 @@ def test_build_label_space_validates_ids():
 
 def test_score_triple_task_and_detach():
     st = ScoreTriple(verb=Tensor([1.0]), noun=Tensor([2.0]), action=np.array([3.0]))
-    assert st.task("verb") is st.verb
-    with pytest.raises(ValidationError):
-        st.task("pair")
+    assert ScoreTriple._fields == TASKS == ("verb", "noun", "action")
+    assert tuple(st) == (st.verb, st.noun, st.action)
     det = st.detached()
     assert isinstance(det.verb, np.ndarray) and det.verb.dtype == np.float64
     assert np.array_equal(det.action, np.array([3.0]))
@@ -200,8 +209,7 @@ def test_multi_task_loss_sums_per_task_terms():
     )
     labels = (np.array([0, 1, 0, 1]), np.array([0, 1, 2, 0]), np.array([0, 2, 1, 0]))
     total = multi_task_loss(scores, labels)
-    parts = [cross_entropy(scores.task(t), labels[i]).item()
-             for i, t in enumerate(("verb", "noun", "action"))]
+    parts = [cross_entropy(logits, y).item() for logits, y in zip(scores, labels)]
     assert np.isclose(total.item(), sum(parts), rtol=1e-14, atol=1e-14)
     verb_only = multi_task_loss(scores, labels, tasks=("verb",))
     assert np.isclose(verb_only.item(), parts[0], rtol=0, atol=0)

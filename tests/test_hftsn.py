@@ -86,7 +86,7 @@ def test_hf_block_gradients():
 
 def test_backbone_stage_geometry():
     params = BackboneParams.create(in_channels=3, stage_channels=[4, 6, 8], seed=0)
-    assert params.num_stages == 3 and params.feature_dim == 8
+    assert params.num_stages == 3 and params.kernels[-1].shape[0] == 8
     x = Tensor(np.random.default_rng(5).normal(size=(2, 3, 3, 16, 16)))
     out = backbone_forward(x, params)
     # Two inter-stage 2x2 pools: 16 -> 8 -> 4.

@@ -294,6 +294,16 @@ def test_create_model_rejects_non_integer_config_values():
         create_model("two_stream", {"app": 5, "motion": motion_config()}, SPACE, seed=0)
 
 
+@pytest.mark.parametrize("family, config, key", [
+    ("lsta", dict(lsta_config(), memory=True), "memory"),
+    ("lsta", dict(lsta_config(), stage_channels=[2, 3.7]), "stage_channels"),
+    ("hf_tsn", dict(hf_config(), segments=2.9), "segments"),
+])
+def test_create_model_rejects_bool_and_fractional_config_values(family, config, key):
+    with pytest.raises(ValidationError, match=f"config '{key}' must be int"):
+        create_model(family, config, SPACE, seed=0)
+
+
 def test_load_model_config_without_stage_channels(tmp_path):
     model = create_model("lsta", lsta_config(), SPACE, seed=25)
     model.save(tmp_path / "m")

@@ -13,6 +13,7 @@ from vnact.scores import (
     average_tables,
     compute_metrics,
     decode,
+    hit_rate,
     macro_precision_recall,
     read_score_json,
     topk_accuracy,
@@ -67,6 +68,24 @@ def test_average_tables_matches_mean_oracle():
                 acc = acc + row
             assert np.array_equal(out.results[seg][task], acc / 3.0)
 
+    # A row every table shares is kept as it is; the other rows are averaged.
+    mixed = [random_table(np.random.default_rng(20), 5) for _ in range(3)]
+    mixed[1].results["seg_001"]["verb"] = mixed[1].results["seg_001"]["verb"] + 0.1
+    mixed[2].results["seg_003"]["action"] = mixed[2].results["seg_003"]["action"] * 3.0
+    out = average_tables(mixed)
+    kept = averaged = 0
+    for seg in out.segments():
+        for task in ("verb", "noun", "action"):
+            stack = np.stack([t.results[seg][task] for t in mixed])
+            if all(np.array_equal(row, stack[0]) for row in stack[1:]):
+                expected = stack[0]
+                kept += 1
+            else:
+                expected = (stack[0] + stack[1] + stack[2]) / 3.0
+                averaged += 1
+            assert np.array_equal(out.results[seg][task], expected)
+    assert (kept, averaged) == (13, 2)
+
 
 def test_average_of_identical_tables_is_bitwise_identity():
     base = random_table(np.random.default_rng(5), 4)
@@ -120,6 +139,14 @@ def test_topk_ties_prefer_lower_class_index():
     assert topk_accuracy(table, {"s": (0, 0, 0)}, "verb", 1) == 1.0
     assert topk_accuracy(table, {"s": (1, 0, 0)}, "verb", 1) == 0.0
     assert topk_accuracy(table, {"s": (1, 0, 0)}, "verb", 2) == 1.0
+
+
+def test_hit_rate_ranks_ties_to_the_lower_class():
+    logits = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [-0.0, 0.0, -1.0]])
+    assert hit_rate(logits, np.array([0, 1, 0]), 1) == 1.0
+    assert hit_rate(logits, np.array([1, 2, 1]), 1) == 0.0
+    assert hit_rate(logits, np.array([1, 2, 1]), 2) == 1.0
+    assert hit_rate(logits, np.array([2, 0, 2]), 2) == 0.0
 
 
 def test_top1_never_exceeds_top5():
@@ -198,6 +225,32 @@ def test_compute_metrics_report_and_csv(tmp_path):
     assert [ln.split(",")[0] for ln in lines[1:]] == ["verb", "noun", "action"]
 
 
+def test_every_reader_rejects_an_empty_or_ragged_table():
+    empty = ScoreTable(split="t", label_space_hash=SPACE.space_hash())
+    for read in (lambda t: compute_metrics(t, {}), lambda t: decode(t, SPACE, mode="pair"),
+                 lambda t: average_tables([t, t])):
+        with pytest.raises(ValidationError, match="empty score table"):
+            read(empty)
+    ragged = ScoreTable(split="t", label_space_hash=SPACE.space_hash())
+    ragged.add("a", ScoreTriple(np.zeros(3), np.zeros(2), np.zeros(4)))
+    ragged.add("b", ScoreTriple(np.zeros(2), np.zeros(2), np.zeros(4)))
+    labels = {"a": (0, 0, 0), "b": (0, 0, 0)}
+    for read in (lambda t: compute_metrics(t, labels), lambda t: decode(t, SPACE, mode="pair"),
+                 lambda t: average_tables([t, t])):
+        with pytest.raises(ValidationError, match="extent of task 'verb'"):
+            read(ragged)
+
+
+@pytest.mark.parametrize("label", [-1, 3])
+def test_metrics_reject_a_label_outside_the_classes(label):
+    table = random_table(np.random.default_rng(21), 2)
+    labels = {"seg_000": (0, 0, 0), "seg_001": (label, 0, 0)}
+    for metric in (lambda: topk_accuracy(table, labels, "verb", 1),
+                   lambda: macro_precision_recall(table, labels, "verb")):
+        with pytest.raises(ValidationError, match="'verb' label lies outside the 3 classes"):
+            metric()
+
+
 # ---------------------------------------------------------------------------
 # decoding
 
@@ -266,6 +319,26 @@ def test_score_json_round_trip_is_value_exact(tmp_path):
             assert np.array_equal(back.results[seg][task], table.results[seg][task])
 
 
+def test_score_json_writes_each_float_at_17_significant_digits(tmp_path):
+    # The round trip cannot see the sign of zero: -0.0 == 0.0.
+    values = np.array([-0.0, 5e-324, 1e-300, np.nextafter(1.0, 2.0)])
+    triple = ScoreTriple(values[:3], values[[0, 3]], values)
+    table = ScoreTable(split="t", label_space_hash=SPACE.space_hash())
+    table.add("s", triple)
+    path = tmp_path / "scores.json"
+    write_score_json(path, table)
+
+    def block(arr):
+        return "[" + ",".join(format(float(v), ".17g") for v in arr) + "]"
+
+    expected = ("{\"version\":\"1.0\",\"split\":\"t\",\"label_space\":"
+                f"{json.dumps(SPACE.space_hash())},\"results\":{{\"s\":{{"
+                f"\"verb\":{block(triple.verb)},\"noun\":{block(triple.noun)},"
+                f"\"action\":{block(triple.action)}}}}}}}\n")
+    assert path.read_bytes() == expected.encode()
+    assert "\"action\":[-0,4.9406564584124654e-324,1e-300,1.0000000000000002]" in expected
+
+
 def test_score_json_rejects_non_finite(tmp_path):
     table = ScoreTable(split="t", label_space_hash=SPACE.space_hash())
     table.add("s", ScoreTriple(np.array([np.inf, 0.0, 0.0]), np.zeros(2), np.zeros(4)))
@@ -317,6 +390,15 @@ def test_read_score_json_malformed(tmp_path, mutate, message_part):
     path.write_text("{}")
     mutate(path)
     with pytest.raises(FormatError, match=message_part):
+        read_score_json(path)
+
+
+def test_read_score_json_rejects_ragged_rows(tmp_path):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"version": "1.0", "split": "t", "label_space": "x", "results": {
+        "a": {"verb": [0.0, 1.0, 2.0], "noun": [0.0], "action": [0.0]},
+        "b": {"verb": [0.0, 1.0], "noun": [0.0], "action": [0.0]}}}))
+    with pytest.raises(FormatError, match="segment 'b' task 'verb' has 2 entries, earlier segments have 3"):
         read_score_json(path)
 
 

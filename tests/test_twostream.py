@@ -66,7 +66,7 @@ def test_zero_fusion_matches_uncoupled_streams_bitwise():
     b, t, ca, cm, hw, da, dm = 2, 3, 3, 2, 5, 2, 3
     lsta = random_lsta(rng, ca, da)
     clstm = random_clstm(rng, cm, dm)
-    fusion = FusionParams.create(ca, cm, da, dm)
+    fusion = FusionParams.create(ca, cm, da, dm, 3, 3)
     fa = Tensor(rng.normal(size=(b, t, ca, hw, hw)))
     fm = Tensor(rng.normal(size=(b, t, cm, hw, hw)))
 
@@ -86,7 +86,7 @@ def test_nonzero_fusion_couples_both_streams():
     b, t, ca, cm, hw, da, dm = 1, 2, 2, 2, 4, 2, 2
     lsta = random_lsta(rng, ca, da)
     clstm = random_clstm(rng, cm, dm)
-    zero = FusionParams.create(ca, cm, da, dm)
+    zero = FusionParams.create(ca, cm, da, dm, 3, 3)
     live = FusionParams(
         app_to_motion=Tensor(rng.normal(size=zero.app_to_motion.shape) * 0.3),
         motion_to_app=Tensor(rng.normal(size=zero.motion_to_app.shape) * 0.3),
@@ -106,7 +106,7 @@ def test_cross_modal_rollout_unbatched_squeeze():
     t, ca, cm, hw, da, dm = 3, 2, 2, 4, 2, 2
     lsta = random_lsta(rng, ca, da)
     clstm = random_clstm(rng, cm, dm)
-    fusion = FusionParams.create(ca, cm, da, dm)
+    fusion = FusionParams.create(ca, cm, da, dm, 3, 3)
     fa = rng.normal(size=(2, t, ca, hw, hw))
     fm = rng.normal(size=(2, t, cm, hw, hw))
     a_one, m_one = cross_modal_rollout(Tensor(fa[:1]), Tensor(fm[:1]), lsta, clstm, fusion)
@@ -122,7 +122,7 @@ def test_cross_modal_rollout_layout_checks():
     rng = np.random.default_rng(8)
     lsta = random_lsta(rng, 2, 2)
     clstm = random_clstm(rng, 2, 2)
-    fusion = FusionParams.create(2, 2, 2, 2)
+    fusion = FusionParams.create(2, 2, 2, 2, 3, 3)
     fa = Tensor(rng.normal(size=(1, 3, 2, 4, 4)))
     with pytest.raises(ShapeError):
         cross_modal_rollout(fa, Tensor(rng.normal(size=(1, 2, 2, 4, 4))), lsta, clstm, fusion)

@@ -10,7 +10,9 @@ Per family it also runs a 2-epoch ``run_stage`` under an SGD preset
 (``hf_tsn``, every group trainable) and an Adam preset (``lsta_stage1``, the
 backbone frozen), with scale jitter, flips and an eval set at
 ``eval_every=1``, and records the final parameters and every ``log.rows``
-entry.
+entry. From the eval table of that run's final model it records the
+``compute_metrics`` values, the ``write_score_json`` bytes, ``decode`` in
+both modes, and ``average_tables`` of the table at init and that table.
 
 The comparison prints one line per record: ``equal`` or ``DIFFERENT`` with
 the sha256 prefix of each side, and for every gradient
@@ -18,9 +20,10 @@ max|g_b - g_a| / max|g_a|. It exits 0 when every record is equal, 1 when
 any differs and 2 when a tree fails to run. No hashes are stored: BLAS
 builds round differently, so two trees are always compared on one machine.
 Only long-standing API is used (``create_model``, ``Tape``,
-``multi_task_loss``, ``run_stage``, ``apply_overrides``, ``PRESETS``,
-``AugmentationConfig`` and the synthetic-data makers), so a change can be
-compared with its parent.
+``multi_task_loss``, ``run_stage``, ``evaluate``, ``apply_overrides``,
+``PRESETS``, ``AugmentationConfig``, the synthetic-data makers and the
+``vnact.scores`` functions above), so a change can be compared with its
+parent.
 """
 
 from __future__ import annotations
@@ -103,12 +106,33 @@ def _stage_records(family, preset, records) -> None:
     schedule = training.apply_overrides(training.PRESETS[preset], {
         "epochs": 2, "frames_T": T, "batch_size": 4, "trainable_groups": groups})
     aug = training.AugmentationConfig(scale_jitter=(0.75, 1.0), horizontal_flip=0.5)
+    at_init = training.evaluate(model, splits[1], frames_t=T, batch_size=4)
     log = training.run_stage(model, splits[0], schedule, seed=4, aug=aug,
                              eval_dataset=splits[1], eval_every=1)
     prefix = f"{family}/{preset}"
     for name, t in model.params().items():
         records[f"{prefix}/param/{name}"] = t.data
     records[f"{prefix}/log"] = np.array([json.dumps(row, sort_keys=True) for row in log.rows])
+    table = training.evaluate(model, splits[1], frames_t=T, batch_size=4)
+    _score_records(prefix, at_init, table, splits[1], records)
+
+
+def _score_records(prefix, at_init, table, dataset, records) -> None:
+    from vnact import scores
+
+    metrics = scores.compute_metrics(table, dataset.labels_by_segment()).values
+    records[f"{prefix}/metrics"] = np.array(json.dumps(metrics, sort_keys=True))
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "scores.json"
+        scores.write_score_json(path, table)
+        records[f"{prefix}/score_json"] = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+    for mode in ("direct", "pair"):
+        decoded = scores.decode(table, dataset.space, mode=mode)
+        records[f"{prefix}/decode/{mode}"] = np.array(json.dumps(decoded, sort_keys=True))
+    mean = scores.average_tables([at_init, table])
+    for task in ("verb", "noun", "action"):
+        records[f"{prefix}/average/{task}"] = np.stack(
+            [mean.results[seg][task] for seg in mean.segments()])
 
 
 def dump(out_path: str, src: str) -> None:
