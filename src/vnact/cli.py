@@ -146,16 +146,12 @@ def _build_model_config(family: str, model_cfg: Dict, dataset: SyntheticDataset,
     return cfg
 
 
-def _build_augmentation(cfg: Optional[Dict]) -> AugmentationConfig:
-    if cfg is None:
-        # Synthetic spatial cues are not flip-invariant, so randomized
-        # augmentation is opt-in; temporal jitter stays on.
-        return AugmentationConfig(scale_jitter=None, horizontal_flip=0.0, temporal_jitter=True)
-    jitter = cfg.get("scale_jitter")
-    return AugmentationConfig(
-        scale_jitter=_typed(jitter, tuple, "scale_jitter") if jitter else None,
-        horizontal_flip=_typed(cfg.get("horizontal_flip", 0.0), float, "horizontal_flip"),
-        temporal_jitter=_typed(cfg.get("temporal_jitter", True), bool, "temporal_jitter"))
+def _build_augmentation(cfg: Dict) -> AugmentationConfig:
+    # Synthetic spatial cues are not flip-invariant, so randomized
+    # augmentation is opt-in; temporal jitter stays on.
+    return AugmentationConfig(scale_jitter=cfg.get("scale_jitter"),
+                              horizontal_flip=cfg.get("horizontal_flip", 0.0),
+                              temporal_jitter=cfg.get("temporal_jitter", True))
 
 
 def cmd_train(args) -> int:
@@ -205,7 +201,7 @@ def cmd_train(args) -> int:
     if train_ds.space.space_hash() != model.space.space_hash():
         raise ValidationError("dataset and model label spaces differ")
 
-    aug = _build_augmentation(_section(cfg, "augmentation"))
+    aug = _build_augmentation(_section(cfg, "augmentation") or {})
     started = time.time()
     log = run_stage(model, train_ds, schedule, seed=seed, aug=aug,
                     eval_dataset=test_ds, eval_every=int(args.eval_every))

@@ -17,11 +17,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, _typed
+from .errors import ShapeError, ValidationError, _check_fields
 from .init import ParamStruct, uniform_fan_in, zeros_param
 from .ops import affine, cross_entropy, dropout, matmul
 from .tensor import Tensor, add
@@ -35,11 +35,12 @@ class LabelSpace:
     reverse map is injective and covers exactly the observed pairs.
     """
 
-    verbs: tuple
-    nouns: tuple
-    actions: tuple
+    verbs: Tuple[str, ...]
+    nouns: Tuple[str, ...]
+    actions: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
+        _check_fields(self)
         seen = {}
         for a, (v, n) in enumerate(self.actions):
             if not (0 <= v < len(self.verbs)) or not (0 <= n < len(self.nouns)):
@@ -83,15 +84,7 @@ class LabelSpace:
         for key in ("verbs", "nouns", "actions"):
             if key not in payload:
                 raise ValidationError(f"label space: missing key '{key}'")
-        try:
-            return cls(
-                verbs=tuple(payload["verbs"]),
-                nouns=tuple(payload["nouns"]),
-                actions=tuple((_typed(v, int, "actions"), _typed(n, int, "actions"))
-                          for v, n in payload["actions"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"label space: malformed entries ({exc})") from exc
+        return cls(verbs=payload["verbs"], nouns=payload["nouns"], actions=payload["actions"])
 
     def space_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()

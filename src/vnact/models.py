@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -71,9 +71,9 @@ def _group_map(names) -> Dict[str, str]:
 
 
 def _read_config(config: dict, *keys) -> list:
-    """The values of ``keys`` in a family config: ints, lists of ints, or
-    (two-stream) per-stream config objects. A missing key, or a bool or a
-    fraction where an int belongs, is a ValidationError that names it."""
+    """Values of ``keys`` in a family config: sizes (ints of at least 1), nonempty
+    size lists, the stage indices ``hf_positions`` (HfTsnConfig checks them) or
+    per-stream objects. A missing key or another kind is a ValidationError."""
     if not isinstance(config, dict):
         raise ValidationError(f"model config must be an object, got {type(config).__name__}")
     values = []
@@ -81,10 +81,11 @@ def _read_config(config: dict, *keys) -> list:
         if key not in config:
             raise ValidationError(f"model config lacks key '{key}'")
         v = config[key]
-        if isinstance(v, (list, tuple)):
-            v = [_typed(c, int, key) for c in v]
-        elif not isinstance(v, dict):
-            v = _typed(v, int, key)
+        if not isinstance(v, dict):
+            v = _typed(v, Tuple[int, ...] if isinstance(v, (list, tuple)) else int, key)
+            if key != "hf_positions" and min(v if isinstance(v, tuple) else (v,), default=0) < 1:
+                raise ValidationError(
+                    f"model config '{key}' must hold sizes of at least 1, got {config[key]}")
         values.append(v)
     return values
 
@@ -215,14 +216,14 @@ class HfTsnModel(ModelBase):
     def _net(config: dict) -> HfTsnConfig:
         segments, stages, positions = _read_config(
             config, "segments", "stage_channels", "hf_positions")
-        return HfTsnConfig(segments=segments, stages=tuple(stages), hf_positions=tuple(positions))
+        return HfTsnConfig(segments=segments, stages=stages, hf_positions=positions)
 
     @classmethod
     def create(cls, config: dict, space: LabelSpace, seed: int) -> "HfTsnModel":
         (cin,) = _read_config(config, "input_channels")
         net = cls._net(config)
         params = {}
-        params.update(BackboneParams.create(cin, list(net.stages), seed, "backbone").as_dict("backbone"))
+        params.update(BackboneParams.create(cin, net.stages, seed, "backbone").as_dict("backbone"))
         widths = [cin] + list(net.stages)
         for p in net.hf_positions:
             params.update(HfBlockParams.create(widths[p]).as_dict(f"hf.{p}"))

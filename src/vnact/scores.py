@@ -277,6 +277,8 @@ def read_score_json(path, space: Optional[LabelSpace] = None) -> ScoreTable:
     for key in ("version", "split", "label_space", "results"):
         if key not in payload:
             raise FormatError(f"score file {path}: missing field '{key}'")
+        if key in ("split", "label_space") and not isinstance(payload[key], str):
+            raise FormatError(f"score file {path}: '{key}' must be a string, got {payload[key]!r}")
     if not isinstance(payload["results"], dict):
         raise FormatError(f"score file {path}: 'results' must be an object")
     if payload["version"] != "1.0":

@@ -19,11 +19,11 @@ import json
 import os
 import zipfile
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _typed
 from .heads import LabelSpace
 from .init import rng_for
 
@@ -136,8 +136,9 @@ class SyntheticDataset:
         try:
             with open(os.path.join(directory, "meta.json")) as fh:
                 meta = json.load(fh)
-            segment_ids, split_tag = list(meta["segment_ids"]), meta["split_tag"]
-        except (OSError, ValueError, TypeError, KeyError) as exc:
+            segment_ids = list(_typed(meta["segment_ids"], Tuple[str, ...], "segment_ids"))
+            split_tag = _typed(meta["split_tag"], str, "split_tag")
+        except (OSError, ValueError, TypeError, KeyError, ValidationError) as exc:
             raise ValidationError(f"{directory}: malformed meta.json ({exc!r})") from exc
         try:
             with np.load(os.path.join(directory, "data.npz")) as data:

@@ -14,11 +14,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError, ValidationError
+from .errors import NonFiniteError, ShapeError, ValidationError, _check_fields, _typed
 from .heads import TASKS, ScoreTriple, multi_task_loss
 from .init import rng_for
 from .scores import ScoreTable, hit_rate, topk_accuracy
@@ -36,23 +36,18 @@ class StageSchedule:
     name: str
     epochs: int
     base_lr: float
-    decay_epochs: tuple
+    decay_epochs: Tuple[int, ...]
     decay_factor: float
     optimizer: str
     dropout_p: float
     batch_size: int
     frames_T: int
-    trainable_groups: tuple
-    loss_tasks: tuple = TASKS
+    trainable_groups: Tuple[str, ...]
+    loss_tasks: Tuple[str, ...] = TASKS
     per_epoch_decay: Optional[float] = None
 
     def __post_init__(self):
-        # errors._typed's rules: a bool is not a number, a fraction is not an int.
-        for key, kind in (("epochs", int), ("batch_size", int), ("frames_T", int),
-                          ("base_lr", float), ("decay_factor", float), ("dropout_p", float)):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, kind)):
-                raise ValidationError(f"schedule '{key}' must be {kind.__name__}, got {value!r}")
+        _check_fields(self)
         if self.epochs < 0:
             raise ValidationError(f"epochs must be nonnegative, got {self.epochs}")
         if self.base_lr <= 0:
@@ -63,17 +58,13 @@ class StageSchedule:
             raise ValidationError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.batch_size < 1 or self.frames_T < 1:
             raise ValidationError("batch_size and frames_T must be positive")
-        d = tuple(self.decay_epochs)
-        if any(isinstance(e, bool) or not isinstance(e, int) for e in d):
-            raise ValidationError(f"decay_epochs entries must be int, got {d}")
+        d = self.decay_epochs
         if any(d[i] >= d[i + 1] for i in range(len(d) - 1)):
             raise ValidationError(f"decay_epochs must be strictly increasing, got {d}")
         if d and (d[0] < 1 or d[-1] >= self.epochs):
             raise ValidationError(f"decay_epochs must lie in [1, {self.epochs}), got {d}")
         rate = self.per_epoch_decay
         if rate is not None:
-            if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-                raise ValidationError(f"schedule 'per_epoch_decay' must be float, got {rate!r}")
             if not 0.0 < rate <= 1.0:
                 raise ValidationError(f"per_epoch_decay must be in (0, 1], got {rate}")
             if d:
@@ -128,17 +119,10 @@ def apply_overrides(schedule: StageSchedule, overrides: Dict) -> StageSchedule:
     if bad:
         raise ValidationError(f"unknown schedule overrides {sorted(bad)}")
     fixed = dict(overrides)
-    try:
-        for key in ("decay_epochs", "trainable_groups", "loss_tasks"):
-            if key in fixed:
-                fixed[key] = tuple(fixed[key])
-        if "epochs" in fixed and "decay_epochs" not in fixed:
-            kept = tuple(d for d in schedule.decay_epochs if d < fixed["epochs"])
-            if kept != schedule.decay_epochs:
-                fixed["decay_epochs"] = kept
-        return dataclasses.replace(schedule, **fixed)
-    except TypeError as exc:  # a value of the wrong type, e.g. "epochs": "x"
-        raise ValidationError(f"schedule override of the wrong type: {exc}") from exc
+    if "epochs" in fixed and "decay_epochs" not in fixed:
+        epochs = _typed(fixed["epochs"], int, "epochs")
+        fixed["decay_epochs"] = tuple(d for d in schedule.decay_epochs if d < epochs)
+    return dataclasses.replace(schedule, **fixed)
 
 
 def lr_at(s: StageSchedule, epoch: int) -> float:
@@ -185,21 +169,17 @@ def sample_frames(n_available: int, t: int, mode: str = "eval",
 class AugmentationConfig:
     """Train-time randomization: scale jitter, horizontal flips, temporal jitter."""
 
-    scale_jitter: Optional[tuple] = None  # (lo, hi) fractions of the frame extent
+    scale_jitter: Optional[Tuple[float, float]] = None  # (lo, hi) fractions of the frame extent
     horizontal_flip: float = 0.5
     temporal_jitter: bool = True
 
     def __post_init__(self):
+        _check_fields(self)
         if not 0.0 <= self.horizontal_flip <= 1.0:
             raise ValidationError(f"flip probability must be in [0, 1], got {self.horizontal_flip}")
-        if self.scale_jitter is not None:
-            try:
-                lo, hi = (float(v) for v in self.scale_jitter)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(
-                    f"scale_jitter must be a (lo, hi) pair, got {self.scale_jitter}") from exc
-            if not 0.0 < lo <= hi <= 1.0:
-                raise ValidationError(f"scale_jitter must satisfy 0 < lo <= hi <= 1, got {self.scale_jitter}")
+        lo, hi = self.scale_jitter or (1.0, 1.0)  # None: frames keep their scale
+        if not 0.0 < lo <= hi <= 1.0:
+            raise ValidationError(f"scale_jitter must satisfy 0 < lo <= hi <= 1, got {self.scale_jitter}")
 
 
 def bilinear_resize(arr: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -372,6 +352,8 @@ def evaluate(model, dataset, frames_t: Optional[int] = None, batch_size: int = 3
     """
     if batch_size < 1:
         raise ValidationError(f"batch_size must be positive, got {batch_size}")
+    if frames_t is not None and frames_t < 1:
+        raise ValidationError(f"frames_t must be positive, got {frames_t}")
     if crop is not None and (crop_size is None or crop_size < 1):
         raise ValidationError(f"crop evaluation requires a positive crop_size, got {crop_size}")
     table = ScoreTable(split=dataset.split_tag, label_space_hash=dataset.space.space_hash())

@@ -121,30 +121,49 @@ def test_train_errors_map_to_exit_code_one(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("entry, message", [
     ({"overrides": [1, 2]}, "'overrides' must be an object"),
     ({"init_from": "x"}, "'init_from' must be an object"),
-    ({"augmentation": {"scale_jitter": [2]}}, "scale_jitter must be a"),
+    ({"augmentation": {"scale_jitter": [2]}}, "config 'scale_jitter' must be [float, float], got [2]"),
     ({"seed": "x"}, "config 'seed' must be int"),
     ({"preset": ["a"]}, "unknown preset"),
     ({"init_from": {"model": 5}}, "'init_from.model' must be a path"),
     ({"augmentation": {"horizontal_flip": "x"}}, "config 'horizontal_flip' must be float"),
-    ({"augmentation": {"scale_jitter": 5}}, "config 'scale_jitter' must be tuple"),
+    ({"augmentation": {"scale_jitter": 5}}, "config 'scale_jitter' must be [float, float], got 5"),
     ({"overrides": {"memory_D": "x"}}, "config 'memory_D' must be int"),
-    ({"overrides": {"epochs": "x"}}, "schedule override of the wrong type"),
-    ({"overrides": {"trainable_groups": 5}}, "schedule override of the wrong type"),
+    ({"overrides": {"epochs": "x"}}, "config 'epochs' must be int, got 'x'"),
+    ({"overrides": {"trainable_groups": 5}}, "config 'trainable_groups' must be list of str, got 5"),
     ({"augmentation": {"temporal_jitter": "false"}}, "config 'temporal_jitter' must be bool"),
     ({"augmentation": {"horizontal_flip": True}}, "config 'horizontal_flip' must be float"),
     ({"seed": 3.7}, "config 'seed' must be int"),
     ({"seed": True}, "config 'seed' must be int"),
-    ({"overrides": {"batch_size": 2.5}}, "schedule 'batch_size' must be int, got 2.5"),
-    ({"overrides": {"epochs": True}}, "schedule 'epochs' must be int, got True"),
-    ({"overrides": {"dropout_p": False}}, "schedule 'dropout_p' must be float, got False"),
+    ({"overrides": {"batch_size": 2.5}}, "config 'batch_size' must be int, got 2.5"),
+    ({"overrides": {"epochs": True}}, "config 'epochs' must be int, got True"),
+    ({"overrides": {"dropout_p": False}}, "config 'dropout_p' must be float, got False"),
+    ({"seed": "3"}, "config 'seed' must be int, got '3'"),
+    ({"overrides": {"epochs": 5.0}}, "config 'epochs' must be int, got 5.0"),
+    ({"overrides": {"trainable_groups": "heads"}},
+     "config 'trainable_groups' must be list of str, got 'heads'"),
+    ({"overrides": {"loss_tasks": "verb"}}, "config 'loss_tasks' must be list of str, got 'verb'"),
+    ({"augmentation": {"scale_jitter": []}}, "config 'scale_jitter' must be [float, float], got []"),
+    ({"model": {"memory": 4.0}}, "config 'memory' must be int, got 4.0"),
+    ({"model": {"memory": 0}}, "model config 'memory' must hold sizes of at least 1, got 0"),
+    ({"model": {"family": "lsta_gru", "gru_hidden": 0}},
+     "model config 'gru_hidden' must hold sizes of at least 1, got 0"),
+    ({"model": {"stage_channels": []}},
+     "model config 'stage_channels' must hold sizes of at least 1, got []"),
 ])
 def test_train_config_values_of_the_wrong_shape_exit_one(workspace, tmp_path, capsys,
                                                           entry, message):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"preset": "lsta_stage1", "model": {"family": "lsta"}, **entry}))
-    assert main(["train", "--dataset", str(workspace["data"]), "--out-dir", str(tmp_path),
-                 "--config", str(cfg)]) == 1
-    assert message in capsys.readouterr().err
+    """Each entry is merged into a config that trains one tiny epoch, so a
+    value that got through would show as exit 0."""
+    cfg = {"preset": "lsta_stage1", "model": {"family": "lsta"},
+           "overrides": {"epochs": 1, "frames_T": 3, "batch_size": 4}}
+    for key, value in entry.items():
+        cfg[key] = {**cfg.get(key, {}), **value} if isinstance(value, dict) else value
+    (tmp_path / "bad.json").write_text(json.dumps(cfg))
+    assert main(["train", "--dataset", str(workspace["data"]), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(tmp_path / "bad.json")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -157,6 +176,8 @@ def test_train_config_values_of_the_wrong_shape_exit_one(workspace, tmp_path, ca
     ({"seed": 3.7}, "config 'seed' must be int"),
     ({"seed": True}, "config 'seed' must be int"),
     ({"noise_sigma": True}, "config 'noise_sigma' must be float"),
+    ({"seed": "3"}, "config 'seed' must be int, got '3'"),
+    ({"verbs": 6.0}, "config 'verbs' must be int, got 6.0"),
 ])
 def test_make_synthetic_config_scalars_of_the_wrong_type_exit_one(tmp_path, capsys,
                                                                   entry, message):
@@ -259,6 +280,7 @@ def test_eval_multiview_flag(workspace, tmp_path):
 @pytest.mark.parametrize("flags, message", [
     (["--batch-size", "0"], "batch_size must be positive, got 0"),
     (["--crop", "center", "--crop-size", "0"], "requires a positive crop_size, got 0"),
+    (["--frames-t", "0"], "frames_t must be positive, got 0"),
 ])
 def test_eval_nonpositive_sizes_exit_one(workspace, tmp_path, capsys, flags, message):
     assert main(["eval", "--model", str(workspace["run"] / "model"),
@@ -316,6 +338,32 @@ def test_eval_malformed_dataset_exits_one(workspace, tmp_path, capsys):
     assert main(["eval", "--model", str(workspace["run"] / "model"), "--dataset", str(data_dir),
                  "--out", str(tmp_path / "scores.json")]) == 1
     assert "malformed meta.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("meta, message", [
+    ({"segment_ids": list(range(8)), "split_tag": "test"}, "config 'segment_ids' must be str"),
+    ({"segment_ids": "abcdefgh", "split_tag": "test"}, "config 'segment_ids' must be list of str"),
+    ({"segment_ids": [f"s{i}" for i in range(8)], "split_tag": 5}, "config 'split_tag' must be str"),
+])
+def test_eval_dataset_meta_of_the_wrong_type_exits_one(workspace, tmp_path, capsys, meta, message):
+    data_dir = tmp_path / "test"
+    shutil.copytree(workspace["data"] / "test", data_dir)
+    (data_dir / "meta.json").write_text(json.dumps(meta))
+    assert main(["eval", "--model", str(workspace["run"] / "model"), "--dataset", str(data_dir),
+                 "--out", str(tmp_path / "scores.json")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "scores.json").exists()
+
+
+def test_ensemble_of_a_score_file_with_a_non_string_header_exits_one(tmp_path, capsys):
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps({"version": "1.0", "split": 5, "label_space": [1], "results": {
+        "a": {"verb": [0.0], "noun": [0.0], "action": [0.0]}}}))
+    assert main(["ensemble", str(scores), "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert "'split' must be a string, got 5" in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_submit_command(workspace, tmp_path):

@@ -71,6 +71,17 @@ def test_space_json_rejects_bool_and_fractional_ids(pair):
         LabelSpace.from_json(text)
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"verbs": "abc", "nouns": ["x"], "actions": [[0, 0]]}, "config 'verbs' must be list of str"),
+    ({"verbs": ["a"], "nouns": ["x", [1, 2]], "actions": [[0, 0]]}, "config 'nouns' must be str"),
+    ({"verbs": ["a"], "nouns": ["x"], "actions": [[0, 0, 0]]}, "config 'actions' must be"),
+    ({"verbs": ["a"], "nouns": ["x"], "actions": {"0": [0, 0]}}, "config 'actions' must be"),
+])
+def test_space_json_rejects_a_string_or_mapping_where_a_list_belongs(payload, message):
+    with pytest.raises(ValidationError, match=message):
+        LabelSpace.from_json(json.dumps(payload))
+
+
 def test_build_label_space_first_occurrence_order():
     annotations = [
         ("s0", 1, 0),

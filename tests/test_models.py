@@ -298,9 +298,36 @@ def test_create_model_rejects_non_integer_config_values():
     ("lsta", dict(lsta_config(), memory=True), "memory"),
     ("lsta", dict(lsta_config(), stage_channels=[2, 3.7]), "stage_channels"),
     ("hf_tsn", dict(hf_config(), segments=2.9), "segments"),
+    ("lsta", dict(lsta_config(), memory=3.0), "memory"),
+    ("motion", dict(motion_config(), flow_channels="4"), "flow_channels"),
 ])
 def test_create_model_rejects_bool_and_fractional_config_values(family, config, key):
     with pytest.raises(ValidationError, match=f"config '{key}' must be int"):
+        create_model(family, config, SPACE, seed=0)
+
+
+@pytest.mark.parametrize("family, config, key", [
+    ("lsta", dict(lsta_config(), memory=0), "memory"),
+    ("lsta", dict(lsta_config(), stage_channels=[2, 0]), "stage_channels"),
+    ("lsta", dict(lsta_config(), stage_channels=[]), "stage_channels"),
+    ("lsta_gru", dict(lsta_gru_config(), gru_hidden=0), "gru_hidden"),
+    ("lsta_gru", dict(lsta_gru_config(), memory=0), "memory"),
+    ("lsta_gru", dict(lsta_gru_config(), stage_channels=[2, -3]), "stage_channels"),
+    ("hf_tsn", dict(hf_config(), stage_channels=[]), "stage_channels"),
+    ("hf_tsn", dict(hf_config(), stage_channels=[2, -3]), "stage_channels"),
+    ("hf_tsn", dict(hf_config(), input_channels=0), "input_channels"),
+    ("hf_tsn", dict(hf_config(), segments=0), "segments"),
+    ("motion", dict(motion_config(), memory=0), "memory"),
+    ("motion", dict(motion_config(), stage_channels=[]), "stage_channels"),
+    ("motion", dict(motion_config(), flow_channels=0), "flow_channels"),
+    ("two_stream", {"app": dict(lsta_config(), memory=0), "motion": motion_config()}, "memory"),
+    ("two_stream", {"app": lsta_config(), "motion": dict(motion_config(), stage_channels=[])},
+     "stage_channels"),
+    ("two_stream", {"app": lsta_config(), "motion": motion_config(), "fusion_kernel": 0},
+     "fusion_kernel"),
+])
+def test_create_model_rejects_sizes_below_one(family, config, key):
+    with pytest.raises(ValidationError, match=f"model config '{key}' must hold sizes of at least 1"):
         create_model(family, config, SPACE, seed=0)
 
 
@@ -344,7 +371,7 @@ def test_create_model_rejects_a_non_string_family():
 @pytest.mark.parametrize("label_space, message", [
     (5, "must be an object"),
     (["verbs", "nouns", "actions"], "must be an object"),
-    ({"verbs": [], "nouns": [], "actions": [[0]]}, "malformed entries"),
+    ({"verbs": [], "nouns": [], "actions": [[0]]}, "config 'actions' must be"),
 ])
 def test_load_model_rejects_a_malformed_label_space(tmp_path, label_space, message):
     create_model("lsta", lsta_config(), SPACE, seed=25).save(tmp_path / "m")

@@ -376,6 +376,12 @@ def test_submission_json_schema(tmp_path):
          "results": {"s": {"verb": [[0.0]], "noun": [0.0], "action": [0.0]}}})), "not a flat list"),
     (lambda p: p.write_text("5"), "top level must be an object"),
     (lambda p: p.write_text(json.dumps(
+        {"version": "1.0", "split": 5, "label_space": "x", "results": {}})),
+     "'split' must be a string, got 5"),
+    (lambda p: p.write_text(json.dumps(
+        {"version": "1.0", "split": "t", "label_space": [1], "results": {}})),
+     "'label_space' must be a string"),
+    (lambda p: p.write_text(json.dumps(
         {"version": "1.0", "split": "t", "label_space": "x", "results": []})),
      "'results' must be an object"),
     (lambda p: p.write_text(json.dumps(

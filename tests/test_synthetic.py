@@ -144,6 +144,9 @@ def test_dataset_save_load_round_trip(tmp_path):
     ("meta.json", "[1]"),
     ("meta.json", "not json {"),
     ("meta.json", "{}"),
+    ("meta.json", '{"segment_ids": "abc", "split_tag": "t"}'),
+    ("meta.json", '{"segment_ids": [1, 2, 3], "split_tag": "t"}'),
+    ("meta.json", '{"segment_ids": ["a", "b", "c"], "split_tag": 5}'),
     ("data.npz", "garbage"),
 ])
 def test_dataset_load_rejects_malformed_files(tmp_path, fname, content):

@@ -111,6 +111,19 @@ def test_apply_overrides_rejects_bools_and_fractions_for_numbers(overrides):
     assert apply_overrides(PRESETS["hf_tsn"], {"dropout_p": 0, "batch_size": 3}).batch_size == 3
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"trainable_groups": "heads"}, "config 'trainable_groups' must be list of str, got 'heads'"),
+    ({"loss_tasks": "verb"}, "config 'loss_tasks' must be list of str, got 'verb'"),
+    ({"epochs": "30"}, "config 'epochs' must be int, got '30'"),
+    ({"epochs": 30.0}, "config 'epochs' must be int, got 30.0"),
+    ({"optimizer": 1}, "config 'optimizer' must be str, got 1"),
+])
+def test_apply_overrides_takes_no_string_for_a_list_and_no_stand_in_for_an_int(overrides, message):
+    with pytest.raises(ValidationError) as info:
+        apply_overrides(PRESETS["lsta_stage1"], overrides)
+    assert str(info.value) == message
+
+
 def test_apply_overrides_filters_unreachable_decay_points():
     out = apply_overrides(PRESETS["lsta_stage1"], {"epochs": 30})
     assert out.epochs == 30 and out.decay_epochs == (25,)
@@ -237,6 +250,19 @@ def test_augmentation_config_validation():
         AugmentationConfig(scale_jitter=(0.9, 0.5))
     with pytest.raises(ValidationError):
         AugmentationConfig(scale_jitter=(0.0, 0.5))
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"horizontal_flip": "x"}, "config 'horizontal_flip' must be float, got 'x'"),
+    ({"temporal_jitter": 1}, "config 'temporal_jitter' must be bool, got 1"),
+    ({"scale_jitter": (0.5,)}, "config 'scale_jitter' must be [float, float], got (0.5,)"),
+    ({"scale_jitter": "ab"}, "config 'scale_jitter' must be [float, float], got 'ab'"),
+])
+def test_augmentation_config_checks_its_field_types(kw, message):
+    with pytest.raises(ValidationError) as info:
+        AugmentationConfig(**kw)
+    assert str(info.value) == message
+    assert AugmentationConfig(scale_jitter=[1, 1], horizontal_flip=1).scale_jitter == (1.0, 1.0)
 
 
 def test_eval_multiview_anchor_order():
@@ -503,3 +529,12 @@ def test_evaluate_tenview_averages_views():
     assert table.segments() == data.segment_ids
     with pytest.raises(ValidationError):
         evaluate(model, data, crop=CropSpec("lsta_10view"))
+
+
+def test_evaluate_rejects_a_frame_count_below_one():
+    model = small_model(seed=48)
+    data = small_data(seed=49, n=2)
+    for frames_t in (0, -1):
+        with pytest.raises(ValidationError, match=f"frames_t must be positive, got {frames_t}"):
+            evaluate(model, data, frames_t=frames_t)
+    assert evaluate(model, data, frames_t=None).segments() == data.segment_ids
