@@ -8,13 +8,14 @@ submit; each declares only the flags it reads. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 from typing import Dict, Optional
 
-from .errors import NumericalError, ValidationError, _typed
+from .errors import NumericalError, ValidationError, _known_keys, _typed
 from .init import derive_seed
 from .models import FAMILIES, TwoStreamModel, create_model, load_model
 from .scores import (
@@ -81,6 +82,7 @@ _SYNTHETIC_DEFAULTS = {"verbs": 6, "nouns": 8, "actions": 12, "train_samples": 5
 
 def cmd_make_synthetic(args) -> int:
     cfg = _load_config(args.config)
+    _known_keys(cfg, ("seed", "two_stream", *_SYNTHETIC_DEFAULTS), "make-synthetic config keys")
     seed = _typed(_pick(args.seed, cfg.get("seed"), 0), int, "seed")
     dims = {key: _typed(_pick(getattr(args, key), cfg.get(key), default), type(default), key)
             for key, default in _SYNTHETIC_DEFAULTS.items()}
@@ -139,23 +141,17 @@ def _build_model_config(family: str, model_cfg: Dict, dataset: SyntheticDataset,
     elif family == "motion":
         cfg = _stream_defaults(cfg, "flow_channels", dataset, "flow")
     elif family == "two_stream":
-        cfg["app"] = _stream_defaults(cfg.get("app", {}), "input_channels", dataset, "frames")
-        cfg["motion"] = _stream_defaults(cfg.get("motion", {}), "flow_channels", dataset, "flow")
+        cfg["app"] = _stream_defaults(_section(cfg, "app") or {}, "input_channels", dataset, "frames")
+        cfg["motion"] = _stream_defaults(_section(cfg, "motion") or {}, "flow_channels", dataset, "flow")
     else:
         raise ValidationError(f"unknown model family '{family}' (have {sorted(FAMILIES)})")
     return cfg
 
 
-def _build_augmentation(cfg: Dict) -> AugmentationConfig:
-    # Synthetic spatial cues are not flip-invariant, so randomized
-    # augmentation is opt-in; temporal jitter stays on.
-    return AugmentationConfig(scale_jitter=cfg.get("scale_jitter"),
-                              horizontal_flip=cfg.get("horizontal_flip", 0.0),
-                              temporal_jitter=cfg.get("temporal_jitter", True))
-
-
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
+    _known_keys(cfg, ("preset", "seed", "model", "overrides", "init_from", "augmentation"),
+                "train config keys")
     seed = _typed(_pick(args.seed, cfg.get("seed"), 0), int, "seed")
     preset_name = _pick(args.preset, cfg.get("preset"), None)
     if preset_name is None:
@@ -169,6 +165,9 @@ def cmd_train(args) -> int:
             overrides[key] = flag
     memory_d = overrides.pop("memory_D", None)
     schedule = apply_overrides(PRESETS[preset_name], overrides)
+    aug_cfg = _section(cfg, "augmentation") or {}
+    _known_keys(aug_cfg, [f.name for f in dataclasses.fields(AugmentationConfig)], "augmentation keys")
+    aug = AugmentationConfig(**aug_cfg)
 
     train_dir = os.path.join(args.dataset, "train")
     test_dir = os.path.join(args.dataset, "test")
@@ -178,6 +177,7 @@ def cmd_train(args) -> int:
     model_cfg = dict(_section(cfg, "model") or {})
     family = _pick(args.family, model_cfg.get("family"), None)
     init_from = _section(cfg, "init_from") or {}
+    _known_keys(init_from, ("model", "app", "motion"), "init_from keys")
     for key, path in init_from.items():
         if path is not None and not isinstance(path, str):
             raise ValidationError(f"config 'init_from.{key}' must be a path, got {path!r}")
@@ -201,7 +201,6 @@ def cmd_train(args) -> int:
     if train_ds.space.space_hash() != model.space.space_hash():
         raise ValidationError("dataset and model label spaces differ")
 
-    aug = _build_augmentation(_section(cfg, "augmentation") or {})
     started = time.time()
     log = run_stage(model, train_ds, schedule, seed=seed, aug=aug,
                     eval_dataset=test_ds, eval_every=int(args.eval_every))

@@ -69,6 +69,13 @@ def _typed(value, kind, key: str):
     raise ValidationError(f"config '{key}' must be {_kind_name(kind)}, got {value!r}")
 
 
+def _known_keys(config: dict, keys, what: str) -> None:
+    """A ValidationError naming every key of ``config`` outside ``keys``."""
+    unknown = sorted(set(config) - set(keys), key=str)
+    if unknown:
+        raise ValidationError(f"unknown {what} {unknown}")
+
+
 def _check_fields(record) -> None:
     """Store each annotated field of dataclass ``record`` as ``_typed`` converts it."""
     for name, kind in typing.get_type_hints(type(record)).items():

@@ -11,13 +11,12 @@ averaged into a clip-level consensus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .heads import LabelSpace, ScoreTriple, StructuredHeadParams, structured_forward
 from .init import ParamStruct, uniform_fan_in, zeros_param
 from .ops import avg_pool2x2, concat, conv2d, mean_along, narrow, reshape
 from .tensor import Tensor, add, hadamard, relu
@@ -127,54 +126,9 @@ def backbone_forward(
     return x
 
 
-@dataclass(frozen=True)
-class HfTsnConfig:
-    """Clip layout: segment count, stage widths, and block positions."""
-
-    segments: int
-    stages: tuple
-    hf_positions: tuple = field(default=())
-
-    def __post_init__(self):
-        if self.segments < 1:
-            raise ValidationError(f"segments must be positive, got {self.segments}")
-        if not self.stages or any(c < 1 for c in self.stages):
-            raise ValidationError(f"stage widths must be positive, got {self.stages}")
-        if len(set(self.hf_positions)) != len(self.hf_positions):
-            raise ValidationError(f"duplicate interaction positions {self.hf_positions}")
-        for p in self.hf_positions:
-            if not 0 <= p < len(self.stages):
-                raise ValidationError(
-                    f"interaction position {p} outside {len(self.stages)} stages")
-
-
 def consensus(segment_scores: Tensor) -> Tensor:
     """Average per-segment scores (B, T, K) over the time axis."""
     if segment_scores.ndim != 3:
         raise ShapeError(f"expected (B, T, K), got {segment_scores.shape}")
     return mean_along(segment_scores, 1)
 
-
-def hf_tsn_forward(
-    frames: Tensor,
-    config: HfTsnConfig,
-    backbone: BackboneParams,
-    hf_params: Dict[int, HfBlockParams],
-    head: StructuredHeadParams,
-    space: LabelSpace,
-    train: bool = False,
-    rng=None,
-    dropout_p: float = 0.0,
-) -> ScoreTriple:
-    """Score a batch (B, T, C, H, W) of sampled segments."""
-    if frames.ndim != 5:
-        raise ShapeError(f"expected (B, T, C, H, W), got {frames.shape}")
-    b, t_len = frames.shape[:2]
-    if t_len != config.segments:
-        raise ShapeError(f"clip has {t_len} segments, config expects {config.segments}")
-    feats = backbone_forward(frames, backbone, hf=hf_params)
-    pooled = mean_along(feats, (-2, -1))  # (B, T, F)
-    flat = reshape(pooled, (b * t_len, pooled.shape[-1]))
-    per_seg = structured_forward(flat, head, space, train=train, rng=rng, dropout_p=dropout_p)
-    return ScoreTriple(*(consensus(reshape(logits, (b, t_len, logits.shape[-1])))
-                         for logits in per_seg))

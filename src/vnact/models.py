@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .cells import ConvLstmParams, GruParams, LstaParams, rollout, run_lsta_gru
-from .errors import ShapeError, ValidationError, _typed
+from .errors import ShapeError, ValidationError, _known_keys, _typed
 from .heads import LabelSpace, ScoreTriple, StructuredHeadParams, structured_forward
-from .hftsn import BackboneParams, HfBlockParams, HfTsnConfig, backbone_forward, hf_tsn_forward
-from .ops import mean_along
+from .hftsn import BackboneParams, HfBlockParams, backbone_forward, consensus
+from .ops import mean_along, reshape
 from .tensor import Tensor
 from .tnsf import load_bundle, save_bundle
 from .twostream import (
@@ -70,20 +70,27 @@ def _group_map(names) -> Dict[str, str]:
     return groups
 
 
+_FUSION_DEFAULTS = {"fusion_kernel": 3, "fusion_temporal_width": 3}
+
+
 def _read_config(config: dict, *keys) -> list:
-    """Values of ``keys`` in a family config: sizes (ints of at least 1), nonempty
-    size lists, the stage indices ``hf_positions`` (HfTsnConfig checks them) or
-    per-stream objects. A missing key or another kind is a ValidationError."""
+    """Values of ``keys`` in a family config, which may hold no other key:
+    ``stage_channels`` a nonempty list of sizes (ints of at least 1), ``hf_positions``
+    a list of stage indices, ``app`` and ``motion`` stream configs (their families
+    read them), every other key one size. Only the fusion widths may be absent
+    (they default to 3); anything else is a ValidationError."""
     if not isinstance(config, dict):
         raise ValidationError(f"model config must be an object, got {type(config).__name__}")
+    _known_keys(config, keys, "model config keys")
     values = []
     for key in keys:
-        if key not in config:
+        if key not in config and key not in _FUSION_DEFAULTS:
             raise ValidationError(f"model config lacks key '{key}'")
-        v = config[key]
-        if not isinstance(v, dict):
-            v = _typed(v, Tuple[int, ...] if isinstance(v, (list, tuple)) else int, key)
-            if key != "hf_positions" and min(v if isinstance(v, tuple) else (v,), default=0) < 1:
+        v = config.get(key, _FUSION_DEFAULTS.get(key))
+        if key not in ("app", "motion"):
+            listed = key in ("stage_channels", "hf_positions")
+            v = _typed(v, Tuple[int, ...] if listed else int, key)
+            if key != "hf_positions" and min(v if listed else (v,), default=0) < 1:
                 raise ValidationError(
                     f"model config '{key}' must hold sizes of at least 1, got {config[key]}")
         values.append(v)
@@ -212,32 +219,35 @@ class HfTsnModel(ModelBase):
 
     family = "hf_tsn"
 
-    @staticmethod
-    def _net(config: dict) -> HfTsnConfig:
-        segments, stages, positions = _read_config(
-            config, "segments", "stage_channels", "hf_positions")
-        return HfTsnConfig(segments=segments, stages=stages, hf_positions=positions)
-
     @classmethod
     def create(cls, config: dict, space: LabelSpace, seed: int) -> "HfTsnModel":
-        (cin,) = _read_config(config, "input_channels")
-        net = cls._net(config)
+        cin, stages, _, positions = _read_config(
+            config, "input_channels", "stage_channels", "segments", "hf_positions")
+        if sorted(positions) != sorted(set(positions) & set(range(len(stages)))):
+            raise ValidationError(
+                f"hf_positions must be distinct stage indices below {len(stages)}, got {list(positions)}")
         params = {}
-        params.update(BackboneParams.create(cin, net.stages, seed, "backbone").as_dict("backbone"))
-        widths = [cin] + list(net.stages)
-        for p in net.hf_positions:
+        params.update(BackboneParams.create(cin, stages, seed, "backbone").as_dict("backbone"))
+        widths = [cin] + list(stages)
+        for p in positions:
             params.update(HfBlockParams.create(widths[p]).as_dict(f"hf.{p}"))
-        params.update(StructuredHeadParams.create(net.stages[-1], space, seed, "head").as_dict("head"))
+        params.update(StructuredHeadParams.create(stages[-1], space, seed, "head").as_dict("head"))
         return cls(config, space, params)
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
-        net = self._net(self.config)
-        return hf_tsn_forward(
-            _get_input(inputs, "frames"), net,
-            BackboneParams.from_dict("backbone", self._params),
-            {p: HfBlockParams.from_dict(f"hf.{p}", self._params) for p in net.hf_positions},
-            StructuredHeadParams.from_dict("head", self._params),
-            self.space, train=train, rng=rng, dropout_p=dropout_p)
+        frames = _get_input(inputs, "frames")
+        b, t_len = frames.shape[:2]
+        if t_len != self.config["segments"]:
+            raise ShapeError(f"clip has {t_len} segments, config expects {self.config['segments']}")
+        feats = backbone_forward(
+            frames, BackboneParams.from_dict("backbone", self._params),
+            hf={p: HfBlockParams.from_dict(f"hf.{p}", self._params)
+                for p in self.config["hf_positions"]})
+        pooled = mean_along(feats, (-2, -1))  # (B, T, F)
+        per_seg = self._head("head", reshape(pooled, (b * t_len, pooled.shape[-1])),
+                             train, rng, dropout_p)
+        return ScoreTriple(*(consensus(reshape(logits, (b, t_len, logits.shape[-1])))
+                             for logits in per_seg))
 
 
 class MotionModel(ModelBase):
@@ -276,31 +286,33 @@ class TwoStreamModel(ModelBase):
 
     @classmethod
     def create(cls, config: dict, space: LabelSpace, seed: int) -> "TwoStreamModel":
-        app_cfg, motion_cfg = _read_config(config, "app", "motion")
-        app = LstaModel.create(app_cfg, space, seed)
-        motion = MotionModel.create(motion_cfg, space, seed)
-        return cls.from_streams(app, motion, config)
+        app_cfg, motion_cfg, kernel, width = _read_config(config, "app", "motion", *_FUSION_DEFAULTS)
+        return cls._fuse(LstaModel.create(app_cfg, space, seed),
+                         MotionModel.create(motion_cfg, space, seed), kernel, width)
 
     @classmethod
-    def from_streams(cls, app: LstaModel, motion: MotionModel,
-                     config: Optional[dict] = None) -> "TwoStreamModel":
+    def from_streams(cls, app: LstaModel, motion: MotionModel) -> "TwoStreamModel":
+        """Couple two trained streams through zero fusion kernels of the default widths."""
+        if not (isinstance(app, LstaModel) and isinstance(motion, MotionModel)):
+            raise ValidationError(f"two-stream fusion needs an lsta and a motion stream, "
+                                  f"got {app.family} and {motion.family}")
         if app.space.space_hash() != motion.space.space_hash():
             raise ValidationError("streams disagree on the label space")
-        config = dict(config) if config else {}
-        config.setdefault("app", dict(app.config))
-        config.setdefault("motion", dict(motion.config))
-        config.setdefault("fusion_kernel", 3)
-        config.setdefault("fusion_temporal_width", 3)
+        return cls._fuse(app, motion, *_FUSION_DEFAULTS.values())
+
+    @classmethod
+    def _fuse(cls, app: LstaModel, motion: MotionModel, kernel: int, width: int) -> "TwoStreamModel":
         params = {f"app.{name}": t for name, t in app.params().items()}
         params.update({f"motion.{name}": t for name, t in motion.params().items()})
-        app_stages, app_memory = _read_config(config["app"], "stage_channels", "memory")
-        motion_stages, motion_memory = _read_config(config["motion"], "stage_channels", "memory")
-        kernel, width = _read_config(config, "fusion_kernel", "fusion_temporal_width")
+        # Both stream configs were read when their models were built.
         fusion = FusionParams.create(
-            app_channels=app_stages[-1], motion_channels=motion_stages[-1],
-            app_memory=app_memory, motion_memory=motion_memory,
+            app_channels=app.config["stage_channels"][-1],
+            motion_channels=motion.config["stage_channels"][-1],
+            app_memory=app.config["memory"], motion_memory=motion.config["memory"],
             kernel_size=kernel, temporal_width=width)
         params.update(fusion.as_dict("fusion"))
+        config = {"app": dict(app.config), "motion": dict(motion.config),
+                  "fusion_kernel": kernel, "fusion_temporal_width": width}
         return cls(config, app.space, params)
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError, ValidationError, _check_fields, _typed
+from .errors import NonFiniteError, ShapeError, ValidationError, _check_fields, _known_keys, _typed
 from .heads import TASKS, ScoreTriple, multi_task_loss
 from .init import rng_for
 from .scores import ScoreTable, hit_rate, topk_accuracy
@@ -114,10 +114,8 @@ def apply_overrides(schedule: StageSchedule, overrides: Dict) -> StageSchedule:
     points at or past the new end — they could never fire, and keeping
     them would violate the decay_epochs < epochs invariant.
     """
-    fields = {f.name for f in dataclasses.fields(StageSchedule)}
-    bad = set(overrides) - (fields - {"name"})
-    if bad:
-        raise ValidationError(f"unknown schedule overrides {sorted(bad)}")
+    _known_keys(overrides, (f.name for f in dataclasses.fields(StageSchedule) if f.name != "name"),
+                "schedule overrides")
     fixed = dict(overrides)
     if "epochs" in fixed and "decay_epochs" not in fixed:
         epochs = _typed(fixed["epochs"], int, "epochs")
@@ -170,7 +168,7 @@ class AugmentationConfig:
     """Train-time randomization: scale jitter, horizontal flips, temporal jitter."""
 
     scale_jitter: Optional[Tuple[float, float]] = None  # (lo, hi) fractions of the frame extent
-    horizontal_flip: float = 0.5
+    horizontal_flip: float = 0.0  # opt-in: synthetic spatial cues are not flip-invariant
     temporal_jitter: bool = True
 
     def __post_init__(self):

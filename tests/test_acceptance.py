@@ -26,7 +26,6 @@ from vnact.cells import (
 )
 from vnact.errors import FormatError
 from vnact.heads import ScoreTriple, StructuredHeadParams, structured_forward
-from vnact.hftsn import BackboneParams, HfBlockParams, HfTsnConfig, hf_tsn_forward
 from vnact.init import derive_seed
 from vnact.models import TwoStreamModel, create_model
 from vnact.ops import affine, mean_along
@@ -111,15 +110,13 @@ def test_identity_reductions():
 
     # (i) temporal-interaction blocks at identity init leave scoring bit-identical
     space = default_label_space(3, 4, 6, seed=0)
-    backbone = BackboneParams.create(in_channels=2, stage_channels=(3, 4), seed=1)
-    head = StructuredHeadParams.create(feature_dim=4, space=space, seed=2)
-    frames = Tensor(rng.normal(size=(2, 3, 2, 8, 8)))
-    with_hf = hf_tsn_forward(
-        frames, HfTsnConfig(segments=3, stages=(3, 4), hf_positions=(0, 1)),
-        backbone, {0: HfBlockParams.create(2), 1: HfBlockParams.create(3)}, head, space)
-    without = hf_tsn_forward(
-        frames, HfTsnConfig(segments=3, stages=(3, 4), hf_positions=()),
-        backbone, {}, head, space)
+    config = {"input_channels": 2, "stage_channels": [3, 4], "segments": 3}
+    blocks = create_model("hf_tsn", dict(config, hf_positions=[0, 1]), space, seed=1)
+    plain = create_model("hf_tsn", dict(config, hf_positions=[]), space, seed=2)
+    plain.set_params({n: t for n, t in blocks.params().items() if not n.startswith("hf.")})
+    frames = rng.normal(size=(2, 3, 2, 8, 8))
+    with_hf = blocks.forward({"frames": frames})
+    without = plain.forward({"frames": frames})
     hf_ok = all(np.array_equal(getattr(with_hf, t).data, getattr(without, t).data)
                 for t in ("verb", "noun", "action"))
 

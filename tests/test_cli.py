@@ -11,8 +11,12 @@ import numpy as np
 import pytest
 
 from vnact.cli import main
+from vnact.models import create_model
 from vnact.scores import read_score_json
 from vnact.synthetic import SyntheticDataset
+from vnact.training import PRESETS, apply_overrides
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_tiny_dataset(root, two_stream=False, seed=3):
@@ -149,6 +153,15 @@ def test_train_errors_map_to_exit_code_one(workspace, tmp_path, capsys):
      "model config 'gru_hidden' must hold sizes of at least 1, got 0"),
     ({"model": {"stage_channels": []}},
      "model config 'stage_channels' must hold sizes of at least 1, got []"),
+    ({"model": {"stage_channels": 4}}, "config 'stage_channels' must be list of int, got 4"),
+    ({"augmentation": {"horizontal_flp": 0.5}}, "unknown augmentation keys ['horizontal_flp']"),
+    ({"overides": {"epochs": 50}}, "unknown train config keys ['overides']"),
+    ({"augmentaion": {"horizontal_flip": 0.5}}, "unknown train config keys ['augmentaion']"),
+    ({"init_from": {"modle": "r1/model"}}, "unknown init_from keys ['modle']"),
+    ({"model": {"memroy": 8}}, "unknown model config keys ['memroy']"),
+    ({"model": {"family": "hf_tsn"}, "overrides": {"memory_D": 3}},
+     "unknown model config keys ['memory']"),
+    ({"model": {"family": "two_stream", "app": 5}}, "config 'app' must be an object, got int"),
 ])
 def test_train_config_values_of_the_wrong_shape_exit_one(workspace, tmp_path, capsys,
                                                           entry, message):
@@ -187,6 +200,46 @@ def test_make_synthetic_config_scalars_of_the_wrong_type_exit_one(tmp_path, caps
                  "--config", str(cfg)]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+def test_make_synthetic_unknown_config_key_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"train_sample": 3}))
+    assert main(["make-synthetic", "--out-dir", str(tmp_path / "data"),
+                 "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown make-synthetic config keys ['train_sample']" in err and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
+
+
+def test_train_memory_d_override_sets_the_model_memory(workspace, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"preset": "lsta_stage1", "model": {"family": "lsta"},
+                               "overrides": {"epochs": 1, "frames_T": 3, "batch_size": 4,
+                                             "trainable_groups": ["heads", "lsta"],
+                                             "memory_D": 5}}))
+    assert main(["train", "--dataset", str(workspace["data"]), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(cfg)]) == 0
+    meta = json.loads((tmp_path / "out" / "model" / "model.json").read_text())
+    assert meta["config"]["memory"] == 5
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_config_trains(tmp_path, monkeypatch, path):
+    """Every file under configs/ passes the key and type checks of ``vnact train``
+    at every level, and its overrides, model section or checkpoints give a run."""
+    cfg = json.loads(path.read_text())
+    make_tiny_dataset(tmp_path / "data", two_stream=True)
+    apply_overrides(PRESETS[cfg["preset"]], cfg["overrides"])
+    monkeypatch.chdir(tmp_path)
+    space = SyntheticDataset.load(tmp_path / "data" / "train").space
+    for key, (family, config) in {"app": ("lsta", {"input_channels": 2}),
+                                  "motion": ("motion", {"flow_channels": 4})}.items():
+        if key in cfg.get("init_from", {}):
+            create_model(family, {**config, "stage_channels": [3, 4], "memory": 3}, space,
+                         seed=0).save(cfg["init_from"][key])
+    assert main(["train", "--dataset", "data", "--out-dir", "out", "--config", str(path),
+                 "--epochs", "1", "--batch-size", "4"]) == 0
 
 
 def test_train_can_resume_from_checkpoint(workspace, tmp_path):

@@ -5,16 +5,9 @@ import pytest
 
 from vnact.errors import ShapeError, ValidationError
 from vnact.gradcheck import grad_check
-from vnact.heads import StructuredHeadParams, build_label_space
-from vnact.hftsn import (
-    BackboneParams,
-    HfBlockParams,
-    HfTsnConfig,
-    backbone_forward,
-    consensus,
-    hf_block,
-    hf_tsn_forward,
-)
+from vnact.heads import build_label_space
+from vnact.hftsn import BackboneParams, HfBlockParams, backbone_forward, consensus, hf_block
+from vnact.models import create_model
 from vnact.ops import mean_along
 from vnact.tensor import Tensor, hadamard
 
@@ -129,14 +122,20 @@ def test_backbone_params_round_trip():
 
 
 def test_config_validation():
+    space = build_label_space([("s0", 0, 0)], verbs=["v0"], nouns=["n0"])
+
+    def create(**config):
+        return create_model("hf_tsn", {"input_channels": 2, "hf_positions": [], **config},
+                            space, seed=0)
+
     with pytest.raises(ValidationError):
-        HfTsnConfig(segments=0, stages=(4,))
+        create(segments=0, stage_channels=[4])
     with pytest.raises(ValidationError):
-        HfTsnConfig(segments=2, stages=())
-    with pytest.raises(ValidationError):
-        HfTsnConfig(segments=2, stages=(4,), hf_positions=(0, 0))
-    with pytest.raises(ValidationError):
-        HfTsnConfig(segments=2, stages=(4,), hf_positions=(1,))
+        create(segments=2, stage_channels=[])
+    with pytest.raises(ValidationError, match=r"distinct stage indices below 1, got \[0, 0\]"):
+        create(segments=2, stage_channels=[4], hf_positions=[0, 0])
+    with pytest.raises(ValidationError, match=r"distinct stage indices below 1, got \[1\]"):
+        create(segments=2, stage_channels=[4], hf_positions=[1])
 
 
 # ---------------------------------------------------------------------------
@@ -165,41 +164,39 @@ def test_consensus_constant_segments_fixed_point():
 # full clip scoring
 
 
-def small_setup(rng, t=3):
+def small_setup(t=3):
     space = build_label_space(
         [("s0", 0, 0), ("s1", 0, 1), ("s2", 1, 2)],
         verbs=["v0", "v1"], nouns=["n0", "n1", "n2"])
-    cfg = HfTsnConfig(segments=t, stages=(3, 4), hf_positions=(0, 1))
-    backbone = BackboneParams.create(in_channels=2, stage_channels=cfg.stages, seed=4)
-    hf = {0: HfBlockParams.create(2), 1: HfBlockParams.create(3)}
-    head = StructuredHeadParams.create(feature_dim=4, space=space, seed=5)
-    return space, cfg, backbone, hf, head
+    config = {"input_channels": 2, "stage_channels": [3, 4], "segments": t,
+              "hf_positions": [0, 1]}
+    return create_model("hf_tsn", config, space, seed=4)
 
 
 def test_hf_tsn_forward_shapes_and_batch_row_equivalence():
     rng = np.random.default_rng(8)
-    space, cfg, backbone, hf, head = small_setup(rng)
+    model = small_setup()
     frames = rng.normal(size=(2, 3, 2, 8, 8))
-    out = hf_tsn_forward(Tensor(frames), cfg, backbone, hf, head, space)
+    out = model.forward({"frames": frames})
     assert out.verb.shape == (2, 2) and out.noun.shape == (2, 3) and out.action.shape == (2, 3)
-    one = hf_tsn_forward(Tensor(frames[1:2]), cfg, backbone, hf, head, space)
+    one = model.forward({"frames": frames[1:2]})
     assert one.verb.shape == (1, 2)
     assert np.allclose(one.verb.data[0], out.verb.data[1], rtol=1e-12, atol=1e-12)
     assert np.allclose(one.action.data[0], out.action.data[1], rtol=1e-12, atol=1e-12)
     with pytest.raises(ShapeError):  # an unbatched clip
-        hf_tsn_forward(Tensor(frames[1]), cfg, backbone, hf, head, space)
+        model.forward({"frames": frames[1]})
 
 
 def test_hf_tsn_forward_is_consensus_of_per_segment_scores():
     rng = np.random.default_rng(9)
-    space, cfg, backbone, hf, head = small_setup(rng)
+    model = small_setup()
     # With interaction weights at identity each frame scores independently,
     # so the clip score is the mean of single-segment clip scores.
     frames = rng.normal(size=(1, 3, 2, 8, 8))
-    clip = hf_tsn_forward(Tensor(frames), cfg, backbone, hf, head, space)
-    cfg1 = HfTsnConfig(segments=1, stages=cfg.stages, hf_positions=cfg.hf_positions)
-    per = [hf_tsn_forward(Tensor(frames[:, t : t + 1]), cfg1, backbone, hf, head, space)
-           for t in range(3)]
+    clip = model.forward({"frames": frames})
+    single = create_model("hf_tsn", dict(model.config, segments=1), model.space, seed=0)
+    single.set_params(model.params())
+    per = [single.forward({"frames": frames[:, t : t + 1]}) for t in range(3)]
     mean_verb = np.mean([p.verb.data for p in per], axis=0)
     mean_action = np.mean([p.action.data for p in per], axis=0)
     assert np.allclose(clip.verb.data, mean_verb, rtol=1e-12, atol=1e-12)
@@ -208,29 +205,23 @@ def test_hf_tsn_forward_is_consensus_of_per_segment_scores():
 
 def test_hf_tsn_forward_segment_count_check():
     rng = np.random.default_rng(10)
-    space, cfg, backbone, hf, head = small_setup(rng)
+    model = small_setup()
     with pytest.raises(ShapeError):
-        hf_tsn_forward(Tensor(rng.normal(size=(1, 4, 2, 8, 8))), cfg, backbone, hf, head, space)
+        model.forward({"frames": rng.normal(size=(1, 4, 2, 8, 8))})
 
 
 def test_hf_tsn_end_to_end_gradients():
     rng = np.random.default_rng(11)
-    space, cfg, backbone, hf, head = small_setup(rng, t=2)
+    model = small_setup(t=2)
     frames = rng.normal(size=(2, 2, 2, 8, 8))
     probe = rng.normal(size=(2, 3))
-
-    params = dict(backbone.as_dict("bb"))
-    params.update(hf[0].as_dict("hf0"))
-    params.update(hf[1].as_dict("hf1"))
-    params.update(head.as_dict("head"))
     # Nudge the identity/zero initialisations off their saddle points.
-    params = {k: Tensor(v.data + 0.05 * rng.normal(size=v.shape)) for k, v in params.items()}
+    params = {k: Tensor(v.data + 0.05 * rng.normal(size=v.shape))
+              for k, v in model.params().items()}
 
     def forward(p):
-        bb = BackboneParams.from_dict("bb", p)
-        blocks = {0: HfBlockParams.from_dict("hf0", p), 1: HfBlockParams.from_dict("hf1", p)}
-        hd = StructuredHeadParams.from_dict("head", p)
-        out = hf_tsn_forward(Tensor(frames), cfg, bb, blocks, hd, space)
+        model.set_params(dict(p))
+        out = model.forward({"frames": frames})
         return mean_along(hadamard(out.action, Tensor(probe)), None)
 
     report = grad_check(forward, params)

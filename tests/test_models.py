@@ -201,6 +201,28 @@ def test_from_streams_requires_matching_label_space():
         TwoStreamModel.from_streams(app, motion)
 
 
+def test_from_streams_config_names_both_streams_and_the_default_fusion(tmp_path):
+    app = LstaModel.create(lsta_config(), SPACE, seed=19)
+    motion = MotionModel.create(motion_config(), SPACE, seed=20)
+    two = TwoStreamModel.from_streams(app, motion)
+    assert two.config == {"app": lsta_config(), "motion": motion_config(),
+                          "fusion_kernel": 3, "fusion_temporal_width": 3}
+    assert two.params()["fusion.app_to_motion"].shape == (4 * 3, 4, 3, 3, 3)
+    two.save(tmp_path / "two")
+    back = load_model(tmp_path / "two")
+    assert back.config == two.config
+    assert sorted(back.params()) == sorted(two.params())
+
+
+def test_from_streams_requires_an_lsta_and_a_motion_stream():
+    app = LstaModel.create(lsta_config(), SPACE, seed=19)
+    gru = LstaGruModel.create(lsta_gru_config(), SPACE, seed=19)
+    motion = MotionModel.create(motion_config(), SPACE, seed=20)
+    for pair in ((gru, motion), (motion, app), (app, app)):
+        with pytest.raises(ValidationError, match="needs an lsta and a motion stream"):
+            TwoStreamModel.from_streams(*pair)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -284,6 +306,44 @@ def test_checkpoint_names_are_pinned():
 def test_create_model_names_a_missing_config_key(family, config, key):
     config.pop(key)
     with pytest.raises(ValidationError, match=f"lacks key '{key}'"):
+        create_model(family, config, SPACE, seed=0)
+
+
+@pytest.mark.parametrize("family, config, key", [
+    ("lsta", dict(lsta_config(), memroy=8), "memroy"),
+    ("lsta_gru", dict(lsta_gru_config(), gru_hiden=4), "gru_hiden"),
+    ("hf_tsn", dict(hf_config(), memory=3), "memory"),
+    ("motion", dict(motion_config(), input_channels=2), "input_channels"),
+    ("two_stream", {"app": lsta_config(), "motion": motion_config(), "fusion_kernal": 1},
+     "fusion_kernal"),
+    ("two_stream", {"app": dict(lsta_config(), flow_channels=4), "motion": motion_config()},
+     "flow_channels"),
+])
+def test_create_model_rejects_an_unknown_config_key(family, config, key):
+    with pytest.raises(ValidationError) as info:
+        create_model(family, config, SPACE, seed=0)
+    assert str(info.value) == f"unknown model config keys ['{key}']"
+
+
+def test_load_model_rejects_an_unknown_config_key(tmp_path):
+    create_model("lsta", lsta_config(), SPACE, seed=25).save(tmp_path / "m")
+    meta = json.loads((tmp_path / "m" / "model.json").read_text())
+    meta["config"]["memroy"] = 8
+    (tmp_path / "m" / "model.json").write_text(json.dumps(meta))
+    with pytest.raises(ValidationError, match="unknown model config keys"):
+        load_model(tmp_path / "m")
+
+
+@pytest.mark.parametrize("family, config, message", [
+    ("lsta", dict(lsta_config(), stage_channels=4), "'stage_channels' must be list of int"),
+    ("lsta", dict(lsta_config(), memory=[3]), "'memory' must be int"),
+    ("hf_tsn", dict(hf_config(), hf_positions=1), "'hf_positions' must be list of int"),
+    ("two_stream", {"app": lsta_config(), "motion": motion_config(), "fusion_kernel": [1]},
+     "'fusion_kernel' must be int"),
+])
+def test_create_model_takes_each_config_key_in_one_kind(family, config, message):
+    """A size is one int and a list setting a list, whichever the value looks like."""
+    with pytest.raises(ValidationError, match=message):
         create_model(family, config, SPACE, seed=0)
 
 

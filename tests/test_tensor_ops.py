@@ -23,7 +23,7 @@ from vnact.ops import (
     softmax_spatial_scaled,
     transpose,
 )
-from vnact.tensor import Tensor, add, hadamard, scale
+from vnact.tensor import Tensor, _unbroadcast, add, hadamard, scale
 
 
 def dyadic(rng, shape, denom=8, span=8):
@@ -79,6 +79,29 @@ def test_nonfinite_forward_raises():
         add(big, big)
     with pytest.raises(NonFiniteError):
         scale(Tensor([np.nan]), 2.0)
+
+
+@st.composite
+def broadcast_shapes(draw):
+    """A shape and a shape it broadcasts to: leading axes added, unit axes grown."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    return shape, lead + tuple(draw(st.integers(1, 3)) if n == 1 else n for n in shape)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(shapes=broadcast_shapes(), seed=st.integers(0, 2**16))
+def test_unbroadcast_is_the_adjoint_of_broadcasting(shapes, seed):
+    """<g, broadcast_to(x)> = <_unbroadcast(g), x>: the reduction is the
+    transpose of numpy broadcasting, so every gradient of a broadcast operand
+    has that operand's shape."""
+    shape, wide = shapes
+    rng = np.random.default_rng(seed)
+    g, x = rng.normal(size=wide), rng.normal(size=shape)
+    reduced = _unbroadcast(g, shape)
+    assert np.shape(reduced) == shape
+    terms = g * np.broadcast_to(x, wide)
+    assert abs(np.sum(terms) - np.sum(reduced * x)) <= 1e-12 * np.sum(np.abs(terms))
 
 
 # ---------------------------------------------------------------------------
