@@ -72,8 +72,7 @@ class LstaParams(ParamStruct):
         return self.pool_kernel.shape[0]
 
     @classmethod
-    def create(cls, input_channels: int, memory: int, seed: int,
-               name: str = "lsta") -> "LstaParams":
+    def create(cls, input_channels: int, memory: int, seed: int, name: str) -> "LstaParams":
         cin = input_channels + memory
         fan = cin * 9
         return cls(
@@ -114,8 +113,7 @@ class ConvLstmParams(ParamStruct):
         return self.gate_kernel.shape[0] // 4
 
     @classmethod
-    def create(cls, input_channels: int, memory: int, seed: int,
-               name: str = "convlstm") -> "ConvLstmParams":
+    def create(cls, input_channels: int, memory: int, seed: int, name: str) -> "ConvLstmParams":
         cin = input_channels + memory
         return cls(
             gate_kernel=uniform_fan_in((4 * memory, cin, 3, 3), cin * 9, seed, f"{name}.gate_kernel"),
@@ -149,7 +147,7 @@ class GruParams(ParamStruct):
         return self.w_update.shape[1]
 
     @classmethod
-    def create(cls, input_dim: int, hidden: int, seed: int, name: str = "gru") -> "GruParams":
+    def create(cls, input_dim: int, hidden: int, seed: int, name: str) -> "GruParams":
         cin = input_dim + hidden
         return cls(
             w_update=uniform_fan_in((cin, hidden), cin, seed, f"{name}.w_update"),

@@ -181,11 +181,14 @@ def cmd_train(args) -> int:
     for key, path in init_from.items():
         if path is not None and not isinstance(path, str):
             raise ValidationError(f"config 'init_from.{key}' must be a path, got {path!r}")
+    if any(init_from.values()):
+        ignored = [f"model.{key}" for key in model_cfg if key != "family"]
+        ignored += ["overrides.memory_D"] if memory_d is not None else []
+        if ignored:
+            raise ValidationError(f"config keys {ignored} would be ignored: init_from takes "
+                                  f"the model config from its checkpoints")
     if init_from.get("model"):
         model = load_model(init_from["model"])
-        if family is not None and family != model.family:
-            raise ValidationError(
-                f"config family '{family}' conflicts with checkpoint family '{model.family}'")
     elif init_from.get("app") or init_from.get("motion"):
         if not (init_from.get("app") and init_from.get("motion")):
             raise ValidationError("two-stream init needs both 'app' and 'motion' checkpoints")
@@ -198,6 +201,9 @@ def cmd_train(args) -> int:
             model_cfg["memory"] = _typed(memory_d, int, "memory_D")
         built_cfg = _build_model_config(family, model_cfg, train_ds, schedule.frames_T)
         model = create_model(family, built_cfg, train_ds.space, derive_seed(seed, "init"))
+    if family is not None and family != model.family:
+        raise ValidationError(
+            f"config family '{family}' conflicts with checkpoint family '{model.family}'")
     if train_ds.space.space_hash() != model.space.space_hash():
         raise ValidationError("dataset and model label spaces differ")
 

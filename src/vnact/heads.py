@@ -160,7 +160,7 @@ class StructuredHeadParams(ParamStruct):
     bias_noun: Tensor  # (A, N)
 
     @classmethod
-    def create(cls, feature_dim: int, space: LabelSpace, seed: int, name: str = "head"):
+    def create(cls, feature_dim: int, space: LabelSpace, seed: int, name: str):
         f = feature_dim
         return cls(
             w_verb=uniform_fan_in((f, space.num_verbs), f, seed, f"{name}.w_verb"),

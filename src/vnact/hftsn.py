@@ -1,7 +1,9 @@
 """Segment-sampled clip scoring with learnable temporal interaction.
 
-Each sampled frame runs through a small convolutional backbone; before
-selected stages, a pair of per-channel weights mixes every frame with its
+Each sampled frame runs through a small convolutional backbone: a list
+of stages, one ``StageParams`` struct each, which a model registers like
+any other layer (stage s under ``backbone.stage<s>``). Before selected
+stages, a pair of per-channel weights mixes every frame with its
 successor (the last frame has no successor and keeps only its own term).
 The blocks start as the identity (own weight 1, successor weight 0), so
 inserting them leaves a pretrained network's outputs bit-unchanged, and
@@ -12,7 +14,7 @@ averaged into a clip-level consensus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -58,53 +60,28 @@ def hf_block(f: Tensor, params: HfBlockParams) -> Tensor:
 
 
 @dataclass
-class BackboneParams:
-    """Stack of same-padded 3x3 conv+relu stages with 2x2 mean pools between."""
+class StageParams(ParamStruct):
+    """One same-padded 3x3 conv+relu stage of the backbone."""
 
-    kernels: list
-    biases: list
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.kernels)
+    kernel: Tensor  # (C_out, C_in, 3, 3)
+    bias: Tensor  # (C_out,)
 
     @classmethod
-    def create(cls, in_channels: int, stage_channels, seed: int,
-               name: str = "backbone") -> "BackboneParams":
-        kernels, biases = [], []
-        cin = in_channels
-        for s, cout in enumerate(stage_channels):
-            kernels.append(uniform_fan_in((cout, cin, 3, 3), cin * 9, seed, f"{name}.stage{s}.kernel"))
-            biases.append(zeros_param((cout,)))
-            cin = cout
-        return cls(kernels=kernels, biases=biases)
-
-    def as_dict(self, prefix: str) -> dict:
-        out = {}
-        for s, (k, b) in enumerate(zip(self.kernels, self.biases)):
-            out[f"{prefix}.stage{s}.kernel"] = k
-            out[f"{prefix}.stage{s}.bias"] = b
-        return out
-
-    @classmethod
-    def from_dict(cls, prefix: str, params: dict) -> "BackboneParams":
-        kernels, biases = [], []
-        s = 0
-        while f"{prefix}.stage{s}.kernel" in params:
-            kernels.append(params[f"{prefix}.stage{s}.kernel"])
-            biases.append(params[f"{prefix}.stage{s}.bias"])
-            s += 1
-        if not kernels:
-            raise ValidationError(f"no backbone stages under prefix '{prefix}'")
-        return cls(kernels=kernels, biases=biases)
+    def create(cls, in_channels: int, out_channels: int, seed: int, name: str) -> "StageParams":
+        return cls(
+            kernel=uniform_fan_in((out_channels, in_channels, 3, 3), in_channels * 9, seed,
+                                  f"{name}.kernel"),
+            bias=zeros_param((out_channels,)),
+        )
 
 
 def backbone_forward(
     frames: Tensor,
-    params: BackboneParams,
+    stages: Sequence[StageParams],
     hf: Optional[Dict[int, HfBlockParams]] = None,
 ) -> Tensor:
-    """Run frames (B, T, C, H, W) through the stage stack.
+    """Run frames (B, T, C, H, W) through the stages, with a 2x2 mean pool
+    between consecutive stages.
 
     Temporal-interaction blocks, when given, sit at the input of their
     stage (after the preceding pool). Frames keep their time axis so the
@@ -113,16 +90,16 @@ def backbone_forward(
     if frames.ndim != 5:
         raise ShapeError(f"expected (B, T, C, H, W), got {frames.shape}")
     if hf:
-        bad = [s for s in hf if not 0 <= s < params.num_stages]
+        bad = [s for s in hf if not 0 <= s < len(stages)]
         if bad:
-            raise ValidationError(f"interaction positions {bad} outside {params.num_stages} stages")
+            raise ValidationError(f"interaction positions {bad} outside {len(stages)} stages")
     x = frames
-    for s, (k, b) in enumerate(zip(params.kernels, params.biases)):
+    for s, stage in enumerate(stages):
         if s > 0:
             x = avg_pool2x2(x)
         if hf and s in hf:
             x = hf_block(x, hf[s])
-        x = relu(add(conv2d(x, k), reshape(b, (k.shape[0], 1, 1))))
+        x = relu(add(conv2d(x, stage.kernel), reshape(stage.bias, (stage.kernel.shape[0], 1, 1))))
     return x
 
 

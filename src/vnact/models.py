@@ -1,9 +1,12 @@
 """Model families built from the cells, backbone and heads.
 
-Every model owns a flat name->Tensor parameter dict (the manifest
-namespace used for checkpoints), exposes group_of(name) for schedule
-group selection, and scores inputs into a verb/noun/action triple via
-forward(). Inputs arrive as a dict of batched (B, T, C, H, W) arrays:
+A family's ``create`` registers every layer once, as (prefix, schedule
+group, parameter struct); a backbone registers one struct per stage, its
+last stage in the group "backbone_last_stage". The struct fields make
+the model's flat name->Tensor parameter dict, ``<prefix>.<field>`` (the
+manifest namespace used for checkpoints), and each name's schedule
+group, which group_of(name) returns. forward() reads the structs and
+scores inputs into a verb/noun/action triple. Inputs arrive as a dict of batched (B, T, C, H, W) arrays:
 "frames" for appearance clips, "flow" for stacked-displacement clips; the
 scores come back as (B, K) logits per task. There is no unbatched form: a
 single clip is a batch of one.
@@ -13,14 +16,15 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .cells import ConvLstmParams, GruParams, LstaParams, rollout, run_lsta_gru
 from .errors import ShapeError, ValidationError, _known_keys, _typed
 from .heads import LabelSpace, ScoreTriple, StructuredHeadParams, structured_forward
-from .hftsn import BackboneParams, HfBlockParams, backbone_forward, consensus
+from .hftsn import HfBlockParams, StageParams, backbone_forward, consensus
+from .init import ParamStruct
 from .ops import mean_along, reshape
 from .tensor import Tensor
 from .tnsf import load_bundle, save_bundle
@@ -31,44 +35,6 @@ from .twostream import (
     fuse_scores,
     motion_spatial_attention,
 )
-
-# Schedule group of each parameter-name prefix (the part before the first
-# dot). Two-stream names are looked up without their "app."/"motion."
-# stream prefix; each backbone's last stage is "backbone_last_stage".
-_GROUP_OF_PREFIX = {
-    "backbone": "backbone",
-    "lsta": "lsta",
-    "gru_a": "grus",
-    "gru_b": "grus",
-    "hf": "hf",
-    "attn": "motion_attn",
-    "convlstm": "convlstm",
-    "fusion": "fusion",
-    "head": "heads",
-    "head_lsta": "heads",
-    "head_gru": "heads",
-}
-_STREAMS = ("app.", "motion.")
-
-
-def _group_map(names) -> Dict[str, str]:
-    """name -> schedule group for every parameter name of one model."""
-    parts = {}
-    for name in names:
-        stream, inner = name.split(".", 1) if name.startswith(_STREAMS) else ("", name)
-        parts[name] = (stream, inner.split("."))
-    last_stage = {}
-    for stream, (prefix, *rest) in parts.values():
-        if prefix == "backbone":
-            last_stage[stream] = max(last_stage.get(stream, 0), int(rest[0][len("stage"):]))
-    groups = {}
-    for name, (stream, (prefix, *rest)) in parts.items():
-        if prefix not in _GROUP_OF_PREFIX:
-            raise ValidationError(f"parameter '{name}' belongs to no schedule group")
-        last = prefix == "backbone" and int(rest[0][len("stage"):]) == last_stage[stream]
-        groups[name] = "backbone_last_stage" if last else _GROUP_OF_PREFIX[prefix]
-    return groups
-
 
 _FUSION_DEFAULTS = {"fusion_kernel": 3, "fusion_temporal_width": 3}
 
@@ -97,6 +63,15 @@ def _read_config(config: dict, *keys) -> list:
     return values
 
 
+def _backbone_layers(in_channels: int, stage_channels, seed: int) -> list:
+    """Registrations of the backbone stages; the last stage is its own group."""
+    widths = [in_channels, *stage_channels]
+    last = len(stage_channels) - 1
+    return [(f"backbone.stage{s}", "backbone_last_stage" if s == last else "backbone",
+             StageParams.create(widths[s], widths[s + 1], seed, f"backbone.stage{s}"))
+            for s in range(len(stage_channels))]
+
+
 def _get_input(inputs: Dict, key: str) -> Tensor:
     if key not in inputs:
         raise ValidationError(f"model expects input '{key}', got {sorted(inputs)}")
@@ -108,16 +83,29 @@ def _get_input(inputs: Dict, key: str) -> Tensor:
 
 
 class ModelBase:
-    """Shared parameter-dict plumbing for all families. Each family class
-    defines ``forward(inputs, train=False, rng=None, dropout_p=0.0)``."""
+    """Shared parameter plumbing for all families. Each family class
+    defines ``forward(inputs, train=False, rng=None, dropout_p=0.0)``, which
+    reads the layer structs.
+
+    ``layers`` registers every layer once, in checkpoint order, as
+    (prefix, schedule group, struct): the struct's fields are the parameters
+    ``<prefix>.<field>``, all in that group."""
 
     family = "base"
 
-    def __init__(self, config: dict, space: LabelSpace, params: Dict[str, Tensor]):
+    def __init__(self, config: dict, space: LabelSpace, layers: List[Tuple[str, str, ParamStruct]]):
         self.config = dict(config)
         self.space = space
-        self._params = dict(params)
-        self._groups = _group_map(self._params)
+        self._layer_groups = {prefix: group for prefix, group, _ in layers}
+        self._layers = {prefix: struct for prefix, _, struct in layers}
+        self._params = {name: t for prefix, struct in self._layers.items()
+                        for name, t in struct.as_dict(prefix).items()}
+        self._groups = {name: group for prefix, group, struct in layers
+                        for name in struct.as_dict(prefix)}
+
+    def _registrations(self) -> List[Tuple[str, str, ParamStruct]]:
+        return [(prefix, self._layer_groups[prefix], struct)
+                for prefix, struct in self._layers.items()]
 
     def params(self) -> Dict[str, Tensor]:
         return dict(self._params)
@@ -132,6 +120,8 @@ class ModelBase:
                 raise ShapeError(
                     f"parameter '{name}' extent changed: {self._params[name].shape} -> {t.shape}")
         self._params = dict(params)
+        self._layers = {prefix: type(struct).from_dict(prefix, params)
+                        for prefix, struct in self._layers.items()}
 
     def groups(self) -> set:
         return set(self._groups.values())
@@ -141,9 +131,12 @@ class ModelBase:
             raise ValidationError(f"unknown parameter '{name}'")
         return self._groups[name]
 
+    def _backbone(self, prefix: str, config: dict) -> list:
+        return [self._layers[f"{prefix}.stage{s}"] for s in range(len(config["stage_channels"]))]
+
     def _head(self, prefix: str, desc: Tensor, train, rng, dropout_p) -> ScoreTriple:
-        return structured_forward(desc, StructuredHeadParams.from_dict(prefix, self._params),
-                                  self.space, train=train, rng=rng, dropout_p=dropout_p)
+        return structured_forward(desc, self._layers[prefix], self.space,
+                                  train=train, rng=rng, dropout_p=dropout_p)
 
     def save(self, directory) -> None:
         os.makedirs(directory, exist_ok=True)
@@ -166,16 +159,14 @@ class LstaModel(ModelBase):
     @classmethod
     def create(cls, config: dict, space: LabelSpace, seed: int) -> "LstaModel":
         cin, stages, d = _read_config(config, "input_channels", "stage_channels", "memory")
-        params = {}
-        params.update(BackboneParams.create(cin, stages, seed, "backbone").as_dict("backbone"))
-        params.update(LstaParams.create(stages[-1], d, seed, "lsta").as_dict("lsta"))
-        params.update(StructuredHeadParams.create(d, space, seed, "head").as_dict("head"))
-        return cls(config, space, params)
+        return cls(config, space, _backbone_layers(cin, stages, seed) + [
+            ("lsta", "lsta", LstaParams.create(stages[-1], d, seed, "lsta")),
+            ("head", "heads", StructuredHeadParams.create(d, space, seed, "head")),
+        ])
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
-        feats = backbone_forward(_get_input(inputs, "frames"),
-                                 BackboneParams.from_dict("backbone", self._params))
-        *_, state = rollout(feats, LstaParams.from_dict("lsta", self._params))
+        feats = backbone_forward(_get_input(inputs, "frames"), self._backbone("backbone", self.config))
+        *_, state = rollout(feats, self._layers["lsta"])
         return self._head("head", mean_along(state.c, (-2, -1)), train, rng, dropout_p)
 
 
@@ -192,24 +183,18 @@ class LstaGruModel(ModelBase):
     def create(cls, config: dict, space: LabelSpace, seed: int) -> "LstaGruModel":
         cin, stages, d, g = _read_config(
             config, "input_channels", "stage_channels", "memory", "gru_hidden")
-        params = {}
-        params.update(BackboneParams.create(cin, stages, seed, "backbone").as_dict("backbone"))
-        params.update(LstaParams.create(stages[-1], d, seed, "lsta").as_dict("lsta"))
-        params.update(GruParams.create(d, g, seed, "gru_a").as_dict("gru_a"))
-        params.update(GruParams.create(d, g, seed, "gru_b").as_dict("gru_b"))
-        params.update(StructuredHeadParams.create(d, space, seed, "head_lsta").as_dict("head_lsta"))
-        params.update(StructuredHeadParams.create(2 * g, space, seed, "head_gru").as_dict("head_gru"))
-        return cls(config, space, params)
+        return cls(config, space, _backbone_layers(cin, stages, seed) + [
+            ("lsta", "lsta", LstaParams.create(stages[-1], d, seed, "lsta")),
+            ("gru_a", "grus", GruParams.create(d, g, seed, "gru_a")),
+            ("gru_b", "grus", GruParams.create(d, g, seed, "gru_b")),
+            ("head_lsta", "heads", StructuredHeadParams.create(d, space, seed, "head_lsta")),
+            ("head_gru", "heads", StructuredHeadParams.create(2 * g, space, seed, "head_gru")),
+        ])
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
-        feats = backbone_forward(_get_input(inputs, "frames"),
-                                 BackboneParams.from_dict("backbone", self._params))
+        feats = backbone_forward(_get_input(inputs, "frames"), self._backbone("backbone", self.config))
         lsta_desc, gru_desc = run_lsta_gru(
-            feats,
-            LstaParams.from_dict("lsta", self._params),
-            GruParams.from_dict("gru_a", self._params),
-            GruParams.from_dict("gru_b", self._params),
-        )
+            feats, self._layers["lsta"], self._layers["gru_a"], self._layers["gru_b"])
         return fuse_scores(self._head("head_lsta", lsta_desc, train, rng, dropout_p),
                            self._head("head_gru", gru_desc, train, rng, dropout_p))
 
@@ -226,13 +211,11 @@ class HfTsnModel(ModelBase):
         if sorted(positions) != sorted(set(positions) & set(range(len(stages)))):
             raise ValidationError(
                 f"hf_positions must be distinct stage indices below {len(stages)}, got {list(positions)}")
-        params = {}
-        params.update(BackboneParams.create(cin, stages, seed, "backbone").as_dict("backbone"))
-        widths = [cin] + list(stages)
-        for p in positions:
-            params.update(HfBlockParams.create(widths[p]).as_dict(f"hf.{p}"))
-        params.update(StructuredHeadParams.create(stages[-1], space, seed, "head").as_dict("head"))
-        return cls(config, space, params)
+        widths = [cin, *stages]
+        blocks = [(f"hf.{p}", "hf", HfBlockParams.create(widths[p])) for p in positions]
+        return cls(config, space, _backbone_layers(cin, stages, seed) + blocks + [
+            ("head", "heads", StructuredHeadParams.create(stages[-1], space, seed, "head")),
+        ])
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
         frames = _get_input(inputs, "frames")
@@ -240,9 +223,8 @@ class HfTsnModel(ModelBase):
         if t_len != self.config["segments"]:
             raise ShapeError(f"clip has {t_len} segments, config expects {self.config['segments']}")
         feats = backbone_forward(
-            frames, BackboneParams.from_dict("backbone", self._params),
-            hf={p: HfBlockParams.from_dict(f"hf.{p}", self._params)
-                for p in self.config["hf_positions"]})
+            frames, self._backbone("backbone", self.config),
+            hf={p: self._layers[f"hf.{p}"] for p in self.config["hf_positions"]})
         pooled = mean_along(feats, (-2, -1))  # (B, T, F)
         per_seg = self._head("head", reshape(pooled, (b * t_len, pooled.shape[-1])),
                              train, rng, dropout_p)
@@ -258,19 +240,17 @@ class MotionModel(ModelBase):
     @classmethod
     def create(cls, config: dict, space: LabelSpace, seed: int) -> "MotionModel":
         cin, stages, d = _read_config(config, "flow_channels", "stage_channels", "memory")
-        params = {}
-        params.update(BackboneParams.create(cin, stages, seed, "backbone").as_dict("backbone"))
-        params.update(MotionAttentionParams.create(stages[-1]).as_dict("attn"))
-        params.update(ConvLstmParams.create(stages[-1], d, seed, "convlstm").as_dict("convlstm"))
-        params.update(StructuredHeadParams.create(d, space, seed, "head").as_dict("head"))
-        return cls(config, space, params)
+        return cls(config, space, _backbone_layers(cin, stages, seed) + [
+            ("attn", "motion_attn", MotionAttentionParams.create(stages[-1])),
+            ("convlstm", "convlstm", ConvLstmParams.create(stages[-1], d, seed, "convlstm")),
+            ("head", "heads", StructuredHeadParams.create(d, space, seed, "head")),
+        ])
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
         feats = motion_spatial_attention(
-            backbone_forward(_get_input(inputs, "flow"),
-                             BackboneParams.from_dict("backbone", self._params)),
-            MotionAttentionParams.from_dict("attn", self._params))
-        *_, state = rollout(feats, ConvLstmParams.from_dict("convlstm", self._params))
+            backbone_forward(_get_input(inputs, "flow"), self._backbone("backbone", self.config)),
+            self._layers["attn"])
+        *_, state = rollout(feats, self._layers["convlstm"])
         return self._head("head", mean_along(state.c, (-2, -1)), train, rng, dropout_p)
 
 
@@ -302,30 +282,28 @@ class TwoStreamModel(ModelBase):
 
     @classmethod
     def _fuse(cls, app: LstaModel, motion: MotionModel, kernel: int, width: int) -> "TwoStreamModel":
-        params = {f"app.{name}": t for name, t in app.params().items()}
-        params.update({f"motion.{name}": t for name, t in motion.params().items()})
+        layers = [(f"{stream}.{prefix}", group, struct)
+                  for stream, model in (("app", app), ("motion", motion))
+                  for prefix, group, struct in model._registrations()]
         # Both stream configs were read when their models were built.
         fusion = FusionParams.create(
             app_channels=app.config["stage_channels"][-1],
             motion_channels=motion.config["stage_channels"][-1],
             app_memory=app.config["memory"], motion_memory=motion.config["memory"],
             kernel_size=kernel, temporal_width=width)
-        params.update(fusion.as_dict("fusion"))
         config = {"app": dict(app.config), "motion": dict(motion.config),
                   "fusion_kernel": kernel, "fusion_temporal_width": width}
-        return cls(config, app.space, params)
+        return cls(config, app.space, layers + [("fusion", "fusion", fusion)])
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
         frames, flow = _get_input(inputs, "frames"), _get_input(inputs, "flow")
-        app_feats = backbone_forward(frames, BackboneParams.from_dict("app.backbone", self._params))
+        app_feats = backbone_forward(frames, self._backbone("app.backbone", self.config["app"]))
         mot_feats = motion_spatial_attention(
-            backbone_forward(flow, BackboneParams.from_dict("motion.backbone", self._params)),
-            MotionAttentionParams.from_dict("motion.attn", self._params))
+            backbone_forward(flow, self._backbone("motion.backbone", self.config["motion"])),
+            self._layers["motion.attn"])
         app_desc, mot_desc = cross_modal_rollout(
             app_feats, mot_feats,
-            LstaParams.from_dict("app.lsta", self._params),
-            ConvLstmParams.from_dict("motion.convlstm", self._params),
-            FusionParams.from_dict("fusion", self._params))
+            self._layers["app.lsta"], self._layers["motion.convlstm"], self._layers["fusion"])
         return fuse_scores(self._head("app.head", app_desc, train, rng, dropout_p),
                            self._head("motion.head", mot_desc, train, rng, dropout_p))
 

@@ -122,8 +122,8 @@ def test_identity_reductions():
 
     # (ii) zero fusion kernels reduce the joint rollout to independent streams
     t_len, ca, cm, da, dm = 3, 2, 2, 3, 2
-    lsta = LstaParams.create(ca, da, seed=3)
-    clstm = ConvLstmParams.create(cm, dm, seed=4)
+    lsta = LstaParams.create(ca, da, seed=3, name="lsta")
+    clstm = ConvLstmParams.create(cm, dm, seed=4, name="convlstm")
     fusion = FusionParams.create(ca, cm, da, dm, 3, 3)
     app = Tensor(rng.normal(size=(1, t_len, ca, 5, 5)))
     mot = Tensor(rng.normal(size=(1, t_len, cm, 5, 5)))
@@ -137,7 +137,7 @@ def test_identity_reductions():
                  and np.array_equal(mot_desc.data, mean_along(sm.c, (-2, -1)).data))
 
     # (iii) zero coupling maps decouple the verb/noun classifiers bit-exactly
-    head_dec = StructuredHeadParams.create(feature_dim=6, space=space, seed=5)
+    head_dec = StructuredHeadParams.create(feature_dim=6, space=space, seed=5, name="head")
     feats = Tensor(rng.normal(size=(4, 6)))
     triple = structured_forward(feats, head_dec, space)
     plain_verb = affine(feats, head_dec.w_verb, head_dec.b_verb)
@@ -408,7 +408,7 @@ def test_desk_training_ensemble(desk, trained_recurrent, trained_consensus):
 def test_decode_feasibility():
     rng = np.random.default_rng(55)
     space = default_label_space(5, 7, 15, seed=3)
-    head = StructuredHeadParams.create(16, space, seed=4)
+    head = StructuredHeadParams.create(16, space, seed=4, name="head")
     head = dataclasses.replace(
         head,
         bias_verb=Tensor(rng.normal(size=(space.num_actions, space.num_verbs))),

@@ -123,11 +123,11 @@ def test_zero_gate_bias_changes_nothing_bitwise():
 
 
 def test_forget_bias_initialized_to_one():
-    params = LstaParams.create(input_channels=3, memory=4, seed=0)
+    params = LstaParams.create(input_channels=3, memory=4, seed=0, name="lsta")
     b = params.gate_bias.data
     assert np.array_equal(b[4:8], np.ones(4))
     assert np.array_equal(np.delete(b, np.s_[4:8]), np.zeros(12))
-    cl = ConvLstmParams.create(input_channels=3, memory=2, seed=0)
+    cl = ConvLstmParams.create(input_channels=3, memory=2, seed=0, name="convlstm")
     assert np.array_equal(cl.gate_bias.data, np.array([0, 0, 1, 1, 0, 0, 0, 0.0]))
 
 
@@ -157,7 +157,7 @@ def test_lsta_state_shape_validation():
 
 
 def test_lsta_params_round_trip_dict():
-    params = LstaParams.create(input_channels=2, memory=3, seed=9)
+    params = LstaParams.create(input_channels=2, memory=3, seed=9, name="lsta")
     d = params.as_dict("cell")
     assert sorted(d) == ["cell.attn_kernel", "cell.gate_bias", "cell.gate_kernel", "cell.pool_kernel"]
     back = LstaParams.from_dict("cell", d)
@@ -190,7 +190,7 @@ def test_convlstm_matches_oracle_and_differs_from_attentive():
 
 
 def test_convlstm_memory_property():
-    params = ConvLstmParams.create(input_channels=2, memory=5, seed=1)
+    params = ConvLstmParams.create(input_channels=2, memory=5, seed=1, name="convlstm")
     assert params.memory == 5
     assert params.gate_kernel.shape == (20, 7, 3, 3)
 
@@ -202,7 +202,7 @@ def test_convlstm_memory_property():
 def test_gru_step_matches_numpy_oracle():
     rng = np.random.default_rng(6)
     cin, d = 5, 4
-    params = GruParams.create(input_dim=cin, hidden=d, seed=3)
+    params = GruParams.create(input_dim=cin, hidden=d, seed=3, name="gru")
     x, h = rng.normal(size=cin), rng.normal(size=d)
     out = gru_step(Tensor(x[None]), Tensor(h[None]), params)
     p = {k: getattr(params, k).data for k in (
@@ -213,7 +213,7 @@ def test_gru_step_matches_numpy_oracle():
 
 def test_gru_step_batched_matches_per_sample():
     rng = np.random.default_rng(7)
-    params = GruParams.create(input_dim=3, hidden=2, seed=4)
+    params = GruParams.create(input_dim=3, hidden=2, seed=4, name="gru")
     xs, hs = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
     batched = gru_step(Tensor(xs), Tensor(hs), params)
     for i in range(4):
@@ -223,7 +223,7 @@ def test_gru_step_batched_matches_per_sample():
 
 def test_gru_interpolates_between_candidate_and_state():
     # With update gate saturated open (z→1) the state passes through.
-    params = GruParams.create(input_dim=2, hidden=3, seed=5)
+    params = GruParams.create(input_dim=2, hidden=3, seed=5, name="gru")
     big = dict(params.as_dict("g"))
     big["g.b_update"] = Tensor(np.full(3, 50.0))
     params_hold = GruParams.from_dict("g", big)
@@ -233,7 +233,7 @@ def test_gru_interpolates_between_candidate_and_state():
 
 
 def test_gru_shape_validation():
-    params = GruParams.create(input_dim=2, hidden=2, seed=6)
+    params = GruParams.create(input_dim=2, hidden=2, seed=6, name="gru")
     with pytest.raises(ShapeError):
         gru_step(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 2))), params)
     with pytest.raises(ShapeError):  # unbatched vectors

@@ -122,6 +122,55 @@ def test_train_errors_map_to_exit_code_one(workspace, tmp_path, capsys):
                  "--config", str(bad_json)]) == 1
 
 
+def _trainable_base_config():
+    return {"preset": "lsta_stage1", "model": {"family": "lsta"},
+            "overrides": {"epochs": 1, "frames_T": 3, "batch_size": 4,
+                          "trainable_groups": ["heads", "lsta"]}}
+
+
+def test_train_wrong_shape_base_config_trains(workspace, tmp_path):
+    """The config each wrong-shape entry is merged into exits 0 as it stands."""
+    (tmp_path / "base.json").write_text(json.dumps(_trainable_base_config()))
+    assert main(["train", "--dataset", str(workspace["data"]), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(tmp_path / "base.json")]) == 0
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"model": {"family": "lsta", "memory": 8}}, "config keys ['model.memory'] would be ignored"),
+    ({"overrides": {"epochs": 1, "frames_T": 3, "batch_size": 4, "memory_D": 6}},
+     "config keys ['overrides.memory_D'] would be ignored"),
+    ({"model": {"family": "motion"}}, "config family 'motion' conflicts with checkpoint family 'lsta'"),
+])
+def test_train_from_a_checkpoint_refuses_model_settings_it_would_ignore(workspace, tmp_path,
+                                                                         capsys, entry, message):
+    cfg = {"preset": "lsta_stage2", "init_from": {"model": str(workspace["run"] / "model")},
+           "overrides": {"epochs": 1, "frames_T": 3, "batch_size": 4}, **entry}
+    (tmp_path / "resume.json").write_text(json.dumps(cfg))
+    assert main(["train", "--dataset", str(workspace["data"]), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(tmp_path / "resume.json")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_from_two_streams_refuses_another_family(workspace, tmp_path, capsys):
+    space = SyntheticDataset.load(workspace["data"] / "train").space
+    init_from = {}
+    for key, family, config in (("app", "lsta", {"input_channels": 2}),
+                                ("motion", "motion", {"flow_channels": 4})):
+        init_from[key] = str(tmp_path / key)
+        create_model(family, {**config, "stage_channels": [3, 4], "memory": 3}, space,
+                     seed=0).save(init_from[key])
+    cfg = {"preset": "two_stream", "model": {"family": "motion"}, "init_from": init_from,
+           "overrides": {"epochs": 1, "frames_T": 3, "batch_size": 4}}
+    (tmp_path / "fuse.json").write_text(json.dumps(cfg))
+    assert main(["train", "--dataset", str(workspace["data"]), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(tmp_path / "fuse.json")]) == 1
+    err = capsys.readouterr().err
+    assert "config family 'motion' conflicts with checkpoint family 'two_stream'" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("entry, message", [
     ({"overrides": [1, 2]}, "'overrides' must be an object"),
     ({"init_from": "x"}, "'init_from' must be an object"),
@@ -167,8 +216,7 @@ def test_train_config_values_of_the_wrong_shape_exit_one(workspace, tmp_path, ca
                                                           entry, message):
     """Each entry is merged into a config that trains one tiny epoch, so a
     value that got through would show as exit 0."""
-    cfg = {"preset": "lsta_stage1", "model": {"family": "lsta"},
-           "overrides": {"epochs": 1, "frames_T": 3, "batch_size": 4}}
+    cfg = _trainable_base_config()
     for key, value in entry.items():
         cfg[key] = {**cfg.get(key, {}), **value} if isinstance(value, dict) else value
     (tmp_path / "bad.json").write_text(json.dumps(cfg))

@@ -1,8 +1,9 @@
 """The golden tool in tools/ compares two source trees' numerics.
 
-A tree compared with itself must be equal in every record, and a copy
-whose tanh backward is perturbed in the ninth digit must be reported
-as different in its gradients while its forward scores stay equal.
+A tree compared with itself must be equal in every record, each
+family's group map and checkpoint files among them, and a copy whose
+tanh backward is perturbed in the ninth digit must be reported as
+different in its gradients while its forward scores stay equal.
 """
 
 import shutil
@@ -30,6 +31,10 @@ def test_golden_tree_against_itself_is_all_equal():
                        "hf_tsn/metrics", "hf_tsn/score_json", "hf_tsn/decode/pair",
                        "lsta_stage1/average/action"):
             assert f" {family}/{record}\n" in out
+        for record in ("groups", "checkpoint/model.json", "checkpoint/params/manifest.json"):
+            assert f" {family}/{record}\n" in out
+        assert any(f" {family}/checkpoint/params/" in ln and ln.endswith(".tnsf")
+                   for ln in out.splitlines())
 
 
 def test_golden_reports_a_perturbed_backward(tmp_path):

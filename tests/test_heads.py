@@ -124,7 +124,7 @@ def test_score_triple_task_and_detach():
 def test_structured_forward_matches_affine_oracle():
     rng = np.random.default_rng(0)
     space = toy_space()
-    head = StructuredHeadParams.create(feature_dim=5, space=space, seed=1)
+    head = StructuredHeadParams.create(feature_dim=5, space=space, seed=1, name="head")
     # Give the bias maps real values so the coupling is exercised.
     d = {k: Tensor(rng.normal(size=v.shape) * 0.3) for k, v in head.as_dict("h").items()}
     head = StructuredHeadParams.from_dict("h", d)
@@ -141,7 +141,7 @@ def test_structured_forward_matches_affine_oracle():
 def test_structured_forward_zero_bias_maps_decouple_bitwise():
     rng = np.random.default_rng(1)
     space = toy_space()
-    head = StructuredHeadParams.create(feature_dim=4, space=space, seed=2)
+    head = StructuredHeadParams.create(feature_dim=4, space=space, seed=2, name="head")
     assert np.array_equal(head.bias_verb.data, np.zeros((3, 2)))
     x = Tensor(rng.normal(size=(3, 4)))
     out = structured_forward(x, head, space)
@@ -153,7 +153,7 @@ def test_structured_forward_zero_bias_maps_decouple_bitwise():
 
 def test_structured_forward_validation():
     space = toy_space()
-    head = StructuredHeadParams.create(feature_dim=4, space=space, seed=4)
+    head = StructuredHeadParams.create(feature_dim=4, space=space, seed=4, name="head")
     with pytest.raises(ShapeError):
         structured_forward(Tensor(np.zeros((2, 5))), head, space)
     # One unbatched feature vector is not a batch.
@@ -169,7 +169,7 @@ def test_structured_forward_validation():
 def test_structured_forward_dropout_determinism():
     rng_data = np.random.default_rng(3)
     space = toy_space()
-    head = StructuredHeadParams.create(feature_dim=6, space=space, seed=5)
+    head = StructuredHeadParams.create(feature_dim=6, space=space, seed=5, name="head")
     x = Tensor(rng_data.normal(size=(4, 6)))
     a = structured_forward(x, head, space, train=True,
                            rng=np.random.default_rng(11), dropout_p=0.5)
@@ -233,7 +233,7 @@ def test_multi_task_loss_sums_per_task_terms():
 def test_structured_head_gradients_through_loss():
     rng = np.random.default_rng(6)
     space = toy_space()
-    base = StructuredHeadParams.create(feature_dim=4, space=space, seed=7)
+    base = StructuredHeadParams.create(feature_dim=4, space=space, seed=7, name="head")
     params = {k: Tensor(v.data + 0.1 * rng.normal(size=v.shape))
               for k, v in base.as_dict("head").items()}
     params["x"] = Tensor(rng.normal(size=(3, 4)))
@@ -250,7 +250,7 @@ def test_structured_head_gradients_through_loss():
 
 def test_head_params_round_trip():
     space = toy_space()
-    head = StructuredHeadParams.create(feature_dim=4, space=space, seed=8)
+    head = StructuredHeadParams.create(feature_dim=4, space=space, seed=8, name="head")
     d = head.as_dict("h")
     assert len(d) == 8
     back = StructuredHeadParams.from_dict("h", d)

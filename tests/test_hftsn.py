@@ -6,7 +6,7 @@ import pytest
 from vnact.errors import ShapeError, ValidationError
 from vnact.gradcheck import grad_check
 from vnact.heads import build_label_space
-from vnact.hftsn import BackboneParams, HfBlockParams, backbone_forward, consensus, hf_block
+from vnact.hftsn import HfBlockParams, StageParams, backbone_forward, consensus, hf_block
 from vnact.models import create_model
 from vnact.ops import mean_along
 from vnact.tensor import Tensor, hadamard
@@ -77,44 +77,56 @@ def test_hf_block_gradients():
 # backbone
 
 
+def backbone_stages(in_channels, stage_channels, seed):
+    """Stages drawn under the names a model gives them, backbone.stage<s>."""
+    widths = [in_channels, *stage_channels]
+    return [StageParams.create(widths[s], widths[s + 1], seed, f"backbone.stage{s}")
+            for s in range(len(stage_channels))]
+
+
 def test_backbone_stage_geometry():
-    params = BackboneParams.create(in_channels=3, stage_channels=[4, 6, 8], seed=0)
-    assert params.num_stages == 3 and params.kernels[-1].shape[0] == 8
+    stages = backbone_stages(in_channels=3, stage_channels=[4, 6, 8], seed=0)
+    assert len(stages) == 3 and stages[-1].kernel.shape == (8, 6, 3, 3)
     x = Tensor(np.random.default_rng(5).normal(size=(2, 3, 3, 16, 16)))
-    out = backbone_forward(x, params)
+    out = backbone_forward(x, stages)
     # Two inter-stage 2x2 pools: 16 -> 8 -> 4.
     assert out.shape == (2, 3, 8, 4, 4)
 
 
 def test_backbone_identity_blocks_change_nothing_bitwise():
     rng = np.random.default_rng(6)
-    params = BackboneParams.create(in_channels=2, stage_channels=[3, 4], seed=1)
+    stages = backbone_stages(in_channels=2, stage_channels=[3, 4], seed=1)
     x = Tensor(rng.normal(size=(1, 3, 2, 8, 8)))
-    plain = backbone_forward(x, params)
+    plain = backbone_forward(x, stages)
     with_blocks = backbone_forward(
-        x, params, hf={0: HfBlockParams.create(2), 1: HfBlockParams.create(3)})
+        x, stages, hf={0: HfBlockParams.create(2), 1: HfBlockParams.create(3)})
     assert np.array_equal(plain.data, with_blocks.data)
 
 
 def test_backbone_rejects_bad_block_positions():
-    params = BackboneParams.create(in_channels=2, stage_channels=[3], seed=2)
+    stages = backbone_stages(in_channels=2, stage_channels=[3], seed=2)
     x = Tensor(np.zeros((1, 2, 2, 4, 4)))
     with pytest.raises(ValidationError, match="interaction positions"):
-        backbone_forward(x, params, hf={1: HfBlockParams.create(3)})
+        backbone_forward(x, stages, hf={1: HfBlockParams.create(3)})
     # One unbatched (T, C, H, W) clip is not a batch.
     with pytest.raises(ShapeError):
-        backbone_forward(Tensor(np.zeros((2, 2, 4, 4))), params)
+        backbone_forward(Tensor(np.zeros((2, 2, 4, 4))), stages)
 
 
 def test_backbone_params_round_trip():
-    params = BackboneParams.create(in_channels=3, stage_channels=[4, 5], seed=3)
-    d = params.as_dict("bb")
-    assert sorted(d) == ["bb.stage0.bias", "bb.stage0.kernel", "bb.stage1.bias", "bb.stage1.kernel"]
-    back = BackboneParams.from_dict("bb", d)
-    assert back.num_stages == 2
-    assert np.array_equal(back.kernels[1].data, params.kernels[1].data)
-    with pytest.raises(ValidationError):
-        BackboneParams.from_dict("missing", d)
+    stage = backbone_stages(in_channels=3, stage_channels=[4, 5], seed=3)[1]
+    d = stage.as_dict("bb.stage1")
+    assert list(d) == ["bb.stage1.kernel", "bb.stage1.bias"]
+    back = StageParams.from_dict("bb.stage1", d)
+    assert back.kernel is stage.kernel and back.bias is stage.bias
+    # A model missing a backbone stage's parameter is refused by name.
+    space = build_label_space([("s0", 0, 0)], verbs=["v0"], nouns=["n0"])
+    model = create_model("hf_tsn", {"input_channels": 3, "stage_channels": [4, 5], "segments": 2,
+                                    "hf_positions": []}, space, seed=3)
+    params = model.params()
+    del params["backbone.stage1.bias"]
+    with pytest.raises(ValidationError, match="backbone.stage1.bias"):
+        model.set_params(params)
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,39 @@ def test_checkpoint_names_are_pinned():
             for family, config in _FAMILY_CONFIGS.items()} == expected
 
 
+def _grouped(group, names):
+    return dict.fromkeys(names, group)
+
+
+def test_schedule_group_of_every_parameter_is_pinned():
+    """group_of for every parameter of every family at the battery configs,
+    and groups() as the set of those groups."""
+    backbone = {**_grouped("backbone", ["backbone.stage0.bias", "backbone.stage0.kernel"]),
+                **_grouped("backbone_last_stage", ["backbone.stage1.bias", "backbone.stage1.kernel"])}
+    lsta = {**backbone, **_grouped("lsta", _under("lsta", _LSTA)),
+            **_grouped("heads", _under("head", _HEAD))}
+    motion = {**backbone, "attn.kernel": "motion_attn",
+              "convlstm.gate_bias": "convlstm", "convlstm.gate_kernel": "convlstm",
+              **_grouped("heads", _under("head", _HEAD))}
+    expected = {
+        "lsta": lsta,
+        "lsta_gru": {**backbone, **_grouped("lsta", _under("lsta", _LSTA)),
+                     **_grouped("grus", _under("gru_a", _GRU) + _under("gru_b", _GRU)),
+                     **_grouped("heads", _under("head_lsta", _HEAD) + _under("head_gru", _HEAD))},
+        "hf_tsn": {**backbone, **_grouped("hf", ["hf.0.w0", "hf.0.w1", "hf.1.w0", "hf.1.w1"]),
+                   **_grouped("heads", _under("head", _HEAD))},
+        "motion": motion,
+        "two_stream": {**{f"app.{name}": group for name, group in lsta.items()},
+                       **{f"motion.{name}": group for name, group in motion.items()},
+                       **_grouped("fusion", ["fusion.app_to_motion", "fusion.motion_to_app"])},
+    }
+    space = default_label_space(3, 4, 6, seed=0)
+    for family, config in _FAMILY_CONFIGS.items():
+        model = create_model(family, config, space, seed=0)
+        assert {name: model.group_of(name) for name in model.params()} == expected[family]
+        assert model.groups() == set(expected[family].values())
+
+
 @pytest.mark.parametrize("family, config, key", [
     ("lsta", lsta_config(), "memory"),
     ("lsta_gru", lsta_gru_config(), "gru_hidden"),

@@ -13,17 +13,20 @@ backbone frozen), with scale jitter, flips and an eval set at
 entry. From the eval table of that run's final model it records the
 ``compute_metrics`` values, the ``write_score_json`` bytes, ``decode`` in
 both modes, and ``average_tables`` of the table at init and that table.
+Per family it also records the schedule group of every parameter, in
+``params()`` order, and the bytes of every file of the checkpoint that
+``save`` writes at init (``model.json``, ``manifest.json``, each ``.tnsf``).
 
 The comparison prints one line per record: ``equal`` or ``DIFFERENT`` with
 the sha256 prefix of each side, and for every gradient
 max|g_b - g_a| / max|g_a|. It exits 0 when every record is equal, 1 when
 any differs and 2 when a tree fails to run. No hashes are stored: BLAS
 builds round differently, so two trees are always compared on one machine.
-Only long-standing API is used (``create_model``, ``Tape``,
-``multi_task_loss``, ``run_stage``, ``evaluate``, ``apply_overrides``,
-``PRESETS``, ``AugmentationConfig``, the synthetic-data makers and the
-``vnact.scores`` functions above), so a change can be compared with its
-parent.
+Only long-standing API is used (``create_model``, ``group_of``,
+``save``, ``Tape``, ``multi_task_loss``, ``run_stage``, ``evaluate``,
+``apply_overrides``, ``PRESETS``, ``AugmentationConfig``, the
+synthetic-data makers and the ``vnact.scores`` functions above), so a
+change can be compared with its parent.
 """
 
 from __future__ import annotations
@@ -82,6 +85,21 @@ def _gradient_records(family, moved, records) -> None:
         g = grads.get(p.uid)
         # A gradient the tape did not produce is recorded as an empty array.
         records[f"{prefix}/grad/{name}"] = g.data if g is not None else np.zeros(0)
+
+
+def _checkpoint_records(family, records) -> None:
+    import vnact
+    from vnact.synthetic import default_label_space
+
+    model = vnact.create_model(family, CONFIGS[family], default_label_space(3, 4, 6, seed=0), 1)
+    groups = {name: model.group_of(name) for name in model.params()}
+    records[f"{family}/groups"] = np.array(json.dumps(groups))
+    with tempfile.TemporaryDirectory() as workdir:
+        model.save(workdir)
+        for path in sorted(Path(workdir).rglob("*")):
+            if path.is_file():
+                key = f"{family}/checkpoint/{path.relative_to(workdir).as_posix()}"
+                records[key] = np.frombuffer(path.read_bytes(), dtype=np.uint8)
 
 
 def _stage_records(family, preset, records) -> None:
@@ -143,6 +161,7 @@ def dump(out_path: str, src: str) -> None:
         raise SystemExit(f"golden: imported vnact from {vnact.__file__}, not {src}")
     records = {}
     for family in CONFIGS:
+        _checkpoint_records(family, records)
         for moved in (False, True):
             _gradient_records(family, moved, records)
         for preset in PRESETS:
