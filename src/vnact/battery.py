@@ -27,7 +27,7 @@ from .heads import StructuredHeadParams, multi_task_loss, structured_forward
 from .hftsn import HfBlockParams, consensus, hf_block
 from .init import rng_for
 from .models import create_model
-from .ops import conv2d, conv3d, matmul, mean_along
+from .ops import bias_relu, conv2d, conv3d, matmul, mean_along
 from .synthetic import default_label_space
 from .tensor import Tensor, add, hadamard
 from .twostream import FusionParams, MotionAttentionParams, cross_modal_rollout, motion_spatial_attention
@@ -105,8 +105,18 @@ def _entry_gru_step(rng) -> Entry:
     return "gru_step", forward, params
 
 
-def _entry_hf_block(rng) -> Entry:
-    t, c, h, w = 4, 3, 3, 3
+def _entry_bias_relu(rng) -> Entry:
+    x, bias = rng.normal(0.0, 0.5, size=(2, 3, 3, 3)), rng.normal(0.0, 0.5, size=3)
+    # Every pre-activation sits at least 0.1 from the kink, where central
+    # differences hold.
+    x[np.abs(x + bias.reshape(3, 1, 1)) < 0.1] += 0.25
+    params = {"x": Tensor(x, grad_enabled=True), "bias": Tensor(bias, grad_enabled=True)}
+    probe = rng.normal(size=x.shape)
+    return "bias_relu", lambda p: _probe_loss(bias_relu(p["x"], p["bias"]), probe), params
+
+
+def _entry_hf_block(rng, t: int) -> Entry:
+    c, h, w = 3, 3, 3
     params = {"f": _param(rng, (1, t, c, h, w))}
     params.update(HfBlockParams(w0=_param(rng, (c,)), w1=_param(rng, (c,))).as_dict("hf"))
     probe = rng.normal(size=(1, t, c, h, w))
@@ -114,7 +124,7 @@ def _entry_hf_block(rng) -> Entry:
     def forward(p):
         return _probe_loss(hf_block(p["f"], HfBlockParams.from_dict("hf", p)), probe)
 
-    return "hf_block", forward, params
+    return "hf_block" if t > 1 else "hf_block_single_frame", forward, params
 
 
 def _entry_consensus(rng) -> Entry:
@@ -220,9 +230,10 @@ def standard_battery(seed: int = 0, instances: int = 3) -> List[Entry]:
     loss per model family."""
     makers = [
         _entry_matmul, _entry_conv2d, _entry_conv3d, _entry_lsta_step,
-        _entry_convlstm_step, _entry_gru_step, _entry_hf_block, _entry_consensus,
-        _entry_motion_attention, lambda rng: _entry_lsta_step(rng, biased=True),
-        lambda rng: _entry_convlstm_step(rng, biased=True),
+        _entry_convlstm_step, _entry_gru_step, lambda rng: _entry_hf_block(rng, 4),
+        _entry_consensus, _entry_motion_attention, lambda rng: _entry_lsta_step(rng, biased=True),
+        lambda rng: _entry_convlstm_step(rng, biased=True), _entry_bias_relu,
+        lambda rng: _entry_hf_block(rng, 1),
     ]
     entries: List[Entry] = []
     for i in range(instances):

@@ -9,6 +9,9 @@ The blocks start as the identity (own weight 1, successor weight 0), so
 inserting them leaves a pretrained network's outputs bit-unchanged, and
 training can grow temporal interactions from there. Per-frame scores are
 averaged into a clip-level consensus.
+
+A block is one ``ops.hf_mix`` node, a stage a ``conv2d`` and a
+``bias_relu`` node (bias add and relu); this module checks and composes.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .init import ParamStruct, uniform_fan_in, zeros_param
-from .ops import avg_pool2x2, concat, conv2d, mean_along, narrow, reshape
-from .tensor import Tensor, add, hadamard, relu
+from .ops import avg_pool2x2, bias_relu, conv2d, hf_mix, mean_along
+from .tensor import Tensor
 
 
 @dataclass
@@ -46,17 +49,11 @@ def hf_block(f: Tensor, params: HfBlockParams) -> Tensor:
     """
     if f.ndim != 5:
         raise ShapeError(f"expected (B, T, C, H, W), got {f.shape}")
-    t_len, c = f.shape[1:3]
-    if params.w0.shape != (c,):
-        raise ShapeError(f"block weights sized {params.w0.shape} for {c} channels")
-    w0 = reshape(params.w0, (c, 1, 1))
-    w1 = reshape(params.w1, (c, 1, 1))
-    own = hadamard(f, w0)
-    if t_len == 1:
-        return own
-    last = Tensor(np.zeros(f.shape[:1] + (1,) + f.shape[2:]))
-    succ = concat([narrow(f, 1, 1, t_len - 1), last], 1)
-    return add(own, hadamard(succ, w1))
+    c = f.shape[2]
+    if params.w0.shape != (c,) or params.w1.shape != (c,):
+        raise ShapeError(f"block weights sized {params.w0.shape} and {params.w1.shape} "
+                         f"for {c} channels")
+    return hf_mix(f, params.w0, params.w1)
 
 
 @dataclass
@@ -99,7 +96,7 @@ def backbone_forward(
             x = avg_pool2x2(x)
         if hf and s in hf:
             x = hf_block(x, hf[s])
-        x = relu(add(conv2d(x, stage.kernel), reshape(stage.bias, (stage.kernel.shape[0], 1, 1))))
+        x = bias_relu(conv2d(x, stage.kernel), stage.bias)
     return x
 
 

@@ -1,5 +1,6 @@
-"""Every tape rule that is not elementwise: linear maps, convolutions, pooling,
-reductions, the loss and the fused recurrent cells, one rule per concept.
+"""Every tape rule that is not a plain elementwise op: linear maps, convolutions,
+pooling, reductions, the loss and the fused backbone and recurrent rules, one
+rule per concept.
 
 All operations accept the per-sample ranks used throughout the package
 (matrices, C×H×W maps, C×T×H×W stacks) and, where noted, extra leading
@@ -19,13 +20,15 @@ rebuild the columns when run, rather than hold a 9× or 27× copy of the
 input until backward. A rule skips the gradient of an input or kernel
 that is not grad-enabled (raw frames and flow, frozen parameters): no
 matmul and no col2im runs for it. ``avg_pool2x2`` adds its four strided
-quarters in the order numpy's mean uses, so the faster forward gives the
-same bits.
+quarters in place, in the order numpy's mean uses, so the faster forward
+gives the same bits; its backward writes g·0.25 into the four quarters.
 
-``cross_entropy``, ``gate_update`` and ``gru_step`` are fused nodes with
-hand-written rules that add their adjoints in the order the equivalent
-per-op tape did, so they keep its bits. :mod:`vnact.cells` holds the cell
-parameters and the rollout and calls these rules; it records no node itself.
+``cross_entropy``, ``bias_relu`` (a backbone stage's bias add and relu;
+its ``conv2d`` stays its own node), ``hf_mix`` (an HF block), ``gate_update``
+and ``gru_step`` are fused nodes with hand-written rules that add their
+adjoints in the order the equivalent per-op tape did, so they keep its
+bits. :mod:`vnact.cells` and :mod:`vnact.hftsn` hold the parameters and
+call these rules; they record no node themselves.
 """
 
 from __future__ import annotations
@@ -221,18 +224,21 @@ def avg_pool2x2(x: Tensor) -> Tensor:
     h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise ShapeError(f"avg_pool2x2 needs even spatial extents, got {h}x{w}")
-    xd = x.data
-    top = xd[..., 0::2, 0::2] + xd[..., 0::2, 1::2]
+    xd, shape = x.data, x.shape
+    out = xd[..., 0::2, 0::2] + xd[..., 0::2, 1::2]
     # The summation order of numpy's reshape(..., 2, ..., 2).mean(axis=(-3, -1)),
     # kept bit for bit: in pairs, or in memory order when W pools to one column.
     if w > 2:
-        out = (top + (xd[..., 1::2, 0::2] + xd[..., 1::2, 1::2])) * 0.25
+        out += xd[..., 1::2, 0::2] + xd[..., 1::2, 1::2]
     else:
-        out = ((top + xd[..., 1::2, 0::2]) + xd[..., 1::2, 1::2]) * 0.25
+        out += xd[..., 1::2, 0::2]
+        out += xd[..., 1::2, 1::2]
+    out *= 0.25
 
     def bwd(g):
-        up = np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1)
-        return (up * 0.25,)
+        gx = np.empty(shape)
+        gx[..., ::2, ::2] = gx[..., ::2, 1::2] = gx[..., 1::2, ::2] = gx[..., 1::2, 1::2] = g * 0.25
+        return (gx,)
 
     return apply_op("avg_pool2x2", (x,), out, bwd)
 
@@ -278,23 +284,6 @@ def concat(parts, axis: int) -> Tensor:
         )
 
     return apply_op("concat", tuple(parts), out, bwd)
-
-
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Slice ``length`` entries from ``start`` along ``axis``."""
-    n = x.shape[axis]
-    if start < 0 or length < 1 or start + length > n:
-        raise ShapeError(f"narrow [{start}:{start + length}] out of range for extent {n}")
-    index = [slice(None)] * x.ndim
-    index[axis] = slice(start, start + length)
-    out = x.data[tuple(index)]
-
-    def bwd(g):
-        gx = np.zeros(x.shape)
-        gx[tuple(index)] = g
-        return (gx,)
-
-    return apply_op("narrow", (x,), out, bwd)
 
 
 def index_select(x: Tensor, axis: int, index: int) -> Tensor:
@@ -368,6 +357,67 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
         return x
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
     return hadamard(x, Tensor(mask))
+
+
+# ---------------------------------------------------------------------------
+# fused backbone glue
+
+
+def bias_relu(x: Tensor, bias: Tensor) -> Tensor:
+    """relu(x + bias) of (..., C, H, W) and a per-channel (C,) bias, as one node.
+
+    The sum is clamped in place; the backward is the mask product, then the
+    bias sum through ``_unbroadcast``, in the order of a separate add and
+    relu, so gradients keep their bits.
+    """
+    if x.ndim < 3 or bias.shape != x.shape[-3:-2]:
+        raise ShapeError(f"bias_relu: bias {bias.shape} for input {x.shape}")
+    c, b = bias.shape[0], bias.data.reshape(-1, 1, 1)
+    with np.errstate(over="ignore"):
+        out = x.data + b
+    # The clamp would hide a sum of -inf from apply_op's finiteness check.
+    if not out.min(initial=np.inf) > -np.inf:
+        raise NonFiniteError("operation 'bias_relu' produced non-finite values")
+    mask = out > 0.0
+    np.maximum(out, 0.0, out=out)
+
+    def bwd(g):
+        gx = g * mask
+        return gx, _unbroadcast(gx, b.shape).reshape(c)
+
+    return apply_op("bias_relu", (x, bias), out, bwd)
+
+
+def hf_mix(f: Tensor, w0: Tensor, w1: Tensor) -> Tensor:
+    """G_t = w0·F_t + w1·F_{t+1} of frames (B, T, C, H, W) and (C,) weights, as one node.
+
+    The last frame keeps the ``+ 0·w1`` of the per-op tape's zero successor
+    frame, signed zeros included; at T = 1 w1 gets no gradient. The backward
+    adds f's two adjoint parts as that tape did when the block was f's only
+    consumer (``0.0 +`` at t = 0), and skips them for an f without gradient.
+    """
+    c, single = f.shape[2], f.shape[1] == 1
+    fd, a, b = f.data, w0.data.reshape(c, 1, 1), w1.data.reshape(c, 1, 1)
+    with np.errstate(over="ignore"):
+        out = fd * a
+        if not single:
+            out[:, :-1] += fd[:, 1:] * b
+            out[:, -1] += 0.0 * b
+
+    def bwd(g):
+        gw0 = _unbroadcast(g * fd, a.shape).reshape(c)
+        gf = g * a if f.grad_enabled else None
+        if single:
+            return gf, gw0, None
+        if gf is not None:
+            gf[:, 1:] += g[:, :-1] * b
+            gf[:, 0] += 0.0
+        gs = np.empty(fd.shape)
+        gs[:, :-1] = g[:, :-1] * fd[:, 1:]
+        gs[:, -1] = g[:, -1] * 0.0
+        return gf, gw0, _unbroadcast(gs, b.shape).reshape(c)
+
+    return apply_op("hf_mix", (f, w0, w1), out, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ have headroom.
 
 Storage and elementwise arithmetic are delegated to numpy. The tape and
 the recording discipline live here. Every backward rule lives here (the
-elementwise ones) or in :mod:`vnact.ops` (all others): no other module
+plain elementwise ones) or in :mod:`vnact.ops` (all others): no other module
 calls :func:`apply_op`, and no rule reads what another node's rule writes.
 """
 
@@ -296,13 +296,3 @@ def tanh(a: Tensor) -> Tensor:
         return (g * (1.0 - out * out),)
 
     return apply_op("tanh", (a,), out, bwd)
-
-
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-    mask = a.data > 0.0
-
-    def bwd(g):
-        return (g * mask,)
-
-    return apply_op("relu", (a,), out, bwd)

@@ -322,7 +322,7 @@ def _gather_frames(arr: np.ndarray, t: int, rng: Optional[np.random.Generator]) 
         return arr[:, idx]
     rows = np.stack([np.asarray(sample_frames(t_data, t, "train", rng), dtype=np.int64)
                      for _ in range(b)])
-    return np.take_along_axis(arr, rows[:, :, None, None, None], axis=1)
+    return arr[np.arange(b)[:, None], rows]
 
 
 def _prepare_batch(inputs: Dict[str, np.ndarray], frames_t: int,

@@ -69,7 +69,8 @@ def test_gradient_suite():
     failed = [name for name, rep in reports if not rep.passed]
     worst = max(rep.max_rel_error for _, rep in reports)
     names = {name.split("[")[0] for name, _ in reports}
-    required = {"lsta_step", "convlstm_step", "gru_step", "hf_block", "consensus",
+    required = {"lsta_step", "convlstm_step", "gru_step", "hf_block", "hf_block_single_frame",
+                "bias_relu", "consensus",
                 "structured_multi_task", "motion_spatial_attention", "cross_modal_rollout",
                 "family_lsta", "family_lsta_gru", "family_hf_tsn", "family_motion",
                 "family_two_stream"}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from vnact.errors import ShapeError, TapeError
 from vnact.gradcheck import grad_check
 from vnact.ops import (
+    bias_relu,
     concat,
     conv2d,
     conv3d,
@@ -16,7 +17,6 @@ from vnact.ops import (
     cross_entropy,
     matmul,
     mean_along,
-    narrow,
     reshape,
     softmax_spatial,
     softmax_spatial_scaled,
@@ -28,7 +28,6 @@ from vnact.tensor import (
     active_tape,
     add,
     hadamard,
-    relu,
     scale,
     tanh,
 )
@@ -151,8 +150,7 @@ def test_matmul_gradients_closed_form():
 def test_slice_gradients_scatter():
     x = Tensor(np.arange(12.0).reshape(3, 4), grad_enabled=True)
     with Tape() as tape:
-        part = narrow(x, 1, 1, 2)
-        loss = total(part)
+        loss = add(total(index_select(x, 1, 1)), total(index_select(x, 1, 2)))
     g = tape.backward(loss)[x.uid].data
     expect = np.zeros((3, 4))
     expect[:, 1:3] = 1.0
@@ -279,15 +277,16 @@ def test_grad_check_cross_entropy():
 
 
 def test_grad_check_relu_at_safe_points():
+    """bias_relu, the backbone's relu, away from its kink."""
     rng = np.random.default_rng(40)
-    # Keep inputs away from the kink so central differences are valid.
-    x = rng.normal(size=(3, 3))
-    x[np.abs(x) < 0.05] = 0.5
-    params = {"x": Tensor(x)}
-    probe = quadratic_probe(rng, (3, 3))
+    # Keep pre-activations away from the kink so central differences are valid.
+    x, bias = rng.normal(size=(2, 3, 3)), rng.normal(size=2)
+    x[np.abs(x + bias.reshape(2, 1, 1)) < 0.05] += 0.5
+    params = {"x": Tensor(x), "bias": Tensor(bias)}
+    probe = quadratic_probe(rng, (2, 3, 3))
 
     def forward(p):
-        return probe(relu(p["x"]))
+        return probe(bias_relu(p["x"], p["bias"]))
 
     assert grad_check(forward, params).passed
 

@@ -378,10 +378,11 @@ def test_gate_output_rule_needs_no_other_node():
 DESK_STAGES = {"stage_channels": [8, 12, 16], "memory": 16}
 
 
-@pytest.mark.parametrize("family, limit", [("lsta_gru", 230), ("two_stream", 290)])
+@pytest.mark.parametrize("family, limit", [("lsta_gru", 201), ("hf_tsn", 55), ("two_stream", 248)])
 def test_desk_training_step_records_few_tape_nodes(monkeypatch, family, limit):
     """One training step at the desk configuration (T=8, 16x16 frames,
-    stages 8/12/16, memory 16): every gate update and GRU step is fused."""
+    stages 8/12/16, memory 16): every gate update and GRU step is fused, and
+    so is each HF block and each stage's bias and relu."""
     space = default_label_space(6, 8, 12, seed=0)
     if family == "lsta_gru":
         model = create_model(family, {"input_channels": 3, "gru_hidden": 16, **DESK_STAGES},
@@ -390,6 +391,12 @@ def test_desk_training_step_records_few_tape_nodes(monkeypatch, family, limit):
         schedule = apply_overrides(PRESETS["lsta_stage1"], {
             "epochs": 1, "frames_T": 8, "batch_size": 2,
             "trainable_groups": ("heads", "lsta", "grus", "backbone", "backbone_last_stage")})
+    elif family == "hf_tsn":
+        model = create_model(family, {"input_channels": 3, "segments": 8, "hf_positions": [0, 1, 2],
+                                      "stage_channels": DESK_STAGES["stage_channels"]},
+                             space, seed=1)
+        data = make_synthetic(space, 2, 8, 3, 16, 16, 0.5, seed=2)
+        schedule = apply_overrides(PRESETS["hf_tsn"], {"epochs": 1, "frames_T": 8, "batch_size": 2})
     else:
         model = create_model(family, {"app": {"input_channels": 3, **DESK_STAGES},
                                       "motion": {"flow_channels": 4, **DESK_STAGES}},

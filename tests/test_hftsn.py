@@ -56,6 +56,9 @@ def test_hf_block_shape_checks():
         hf_block(Tensor(rng.normal(size=(1, 2, 3, 4, 4))), random_block(rng, 4))
     with pytest.raises(ShapeError):  # an unbatched clip
         hf_block(Tensor(rng.normal(size=(2, 4, 4, 4))), random_block(rng, 4))
+    with pytest.raises(ShapeError):  # a successor weight per channel
+        hf_block(Tensor(rng.normal(size=(1, 2, 4, 4, 4))),
+                 HfBlockParams(w0=Tensor(np.ones(4)), w1=Tensor(np.zeros(3))))
 
 
 def test_hf_block_gradients():

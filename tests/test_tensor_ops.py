@@ -17,13 +17,12 @@ from vnact.ops import (
     cross_entropy,
     matmul,
     mean_along,
-    narrow,
     reshape,
     softmax_spatial,
     softmax_spatial_scaled,
     transpose,
 )
-from vnact.tensor import Tensor, _unbroadcast, add, hadamard, scale
+from vnact.tensor import Tape, Tensor, _unbroadcast, add, hadamard, scale
 
 
 def dyadic(rng, shape, denom=8, span=8):
@@ -278,15 +277,20 @@ def test_reshape_transpose_roundtrip():
 
 
 def test_concat_narrow_index_select():
+    """concat joins its parts, its rule narrows an adjoint back to each part,
+    and index_select picks one slice."""
     rng = np.random.default_rng(13)
     a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 2))
-    cat = concat([Tensor(a), Tensor(b)], axis=1)
-    assert np.array_equal(cat.data, np.concatenate([a, b], axis=1))
-    assert np.array_equal(narrow(cat, 1, 3, 2).data, b)
-    assert np.array_equal(narrow(cat, -1, 0, 3).data, a)
+    for axis in (1, -1):
+        with Tape() as tape:
+            cat = concat([Tensor(a, grad_enabled=True), Tensor(b, grad_enabled=True)], axis=axis)
+        assert np.array_equal(cat.data, np.concatenate([a, b], axis=1))
+        parts = tape.nodes[tape.node_of(cat)].backward(cat.data)
+        assert [p.tolist() for p in parts] == [a.tolist(), b.tolist()]
     assert np.array_equal(index_select(cat, 0, 1).data, np.concatenate([a, b], axis=1)[1])
+    assert np.array_equal(index_select(cat, 1, 3).data, b[:, 0])
     with pytest.raises(ShapeError):
-        narrow(cat, 1, 4, 2)
+        index_select(cat, 1, 5)
     with pytest.raises(ShapeError):
         index_select(cat, 0, 2)
     with pytest.raises(ShapeError):
