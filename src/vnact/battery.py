@@ -63,8 +63,8 @@ def _entry_conv3d(rng) -> Entry:
 
 def _cell_entry(rng, step, cls, prefix: str, c: int, d: int, biased: bool) -> Entry:
     """One cell step from a random state. A biased entry runs a batch of 2
-    with an external gate-bias map shared by the batch, so the batch sums of
-    the gate_bias and bias-map gradients are checked too."""
+    with an external gate-bias map per sample, so the batch sum of the
+    gate_bias gradient and the bias-map gradient are checked too."""
     b, h, w = (2 if biased else 1), 4, 4
     base = cls.create(c, d, int(rng.integers(1 << 30)), "g")
     params = {
@@ -73,7 +73,7 @@ def _cell_entry(rng, step, cls, prefix: str, c: int, d: int, biased: bool) -> En
         **base.as_dict(prefix),
     }
     if biased:
-        params["bias"] = _param(rng, (4 * d, h, w))
+        params["bias"] = _param(rng, (b, 4 * d, h, w))
     pc, ph = rng.normal(size=(b, d, h, w)), rng.normal(size=(b, d, h, w))
 
     def forward(p):

@@ -7,8 +7,9 @@ pre-activations can additionally be biased by externally supplied maps,
 which is how the two-stream coupling injects one modality into the other.
 Gate layout along the channel axis is (input, forget, candidate, output).
 
-The fused gate update and GRU step, with their backward rules, live in
-:mod:`vnact.ops`; this module composes them and records no node itself.
+A cell step records one ``gate_update`` node (the memory) and one
+``gate_output`` node (h = o ⊙ tanh(m)). These fused rules and the GRU step
+live in :mod:`vnact.ops`; this module composes them and records no node.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import numpy as np
 
 from .errors import ShapeError
 from .init import ParamStruct, uniform_fan_in, zeros_param
-from .ops import concat, conv2d, gate_update, gru_step, index_select, mean_along, softmax_spatial
-from .tensor import Tensor, hadamard, tanh
+from .ops import (concat, conv2d, gate_output, gate_update, gru_step, index_select, mean_along,
+                  softmax_spatial)
+from .tensor import Tensor, hadamard
 
 
 @dataclass
@@ -95,11 +97,12 @@ def lsta_step(
     input. The hidden output passes the memory through a 1x1 mixing
     convolution before the output gate, so h and c can decouple.
     """
-    alpha = softmax_spatial(conv2d(concat([x, state.h], -3), params.attn_kernel))
+    alpha = softmax_spatial(conv2d(concat([x, state.h], -3), params.attn_kernel), 1.0)
     x_att = hadamard(x, alpha)
     z = conv2d(concat([x_att, state.h], -3), params.gate_kernel)
-    c, o = gate_update(z, params.gate_bias, state.c, None if bias is None else bias.stacked)
-    h = hadamard(o, tanh(conv2d(c, params.pool_kernel)))
+    stacked = None if bias is None else bias.stacked
+    c = gate_update(z, params.gate_bias, state.c, stacked)
+    h = gate_output(z, params.gate_bias, stacked, conv2d(c, params.pool_kernel))
     return LstaState(c=c, h=h), alpha
 
 
@@ -129,8 +132,9 @@ def convlstm_step(
 ) -> LstaState:
     """One convolutional LSTM step: the plain four-gate update, no attention."""
     z = conv2d(concat([x, state.h], -3), params.gate_kernel)
-    c, o = gate_update(z, params.gate_bias, state.c, None if bias is None else bias.stacked)
-    return LstaState(c=c, h=hadamard(o, tanh(c)))
+    stacked = None if bias is None else bias.stacked
+    c = gate_update(z, params.gate_bias, state.c, stacked)
+    return LstaState(c=c, h=gate_output(z, params.gate_bias, stacked, c))
 
 
 @dataclass

@@ -24,11 +24,11 @@ quarters in place, in the order numpy's mean uses, so the faster forward
 gives the same bits; its backward writes g·0.25 into the four quarters.
 
 ``cross_entropy``, ``bias_relu`` (a backbone stage's bias add and relu;
-its ``conv2d`` stays its own node), ``hf_mix`` (an HF block), ``gate_update``
-and ``gru_step`` are fused nodes with hand-written rules that add their
-adjoints in the order the equivalent per-op tape did, so they keep its
-bits. :mod:`vnact.cells` and :mod:`vnact.hftsn` hold the parameters and
-call these rules; they record no node themselves.
+its ``conv2d`` stays its own node), ``hf_mix`` (an HF block), the cell
+rules ``gate_update`` and ``gate_output`` and ``gru_step`` are fused nodes
+with hand-written rules that add their adjoints in the order the per-op
+tape did, so they keep its bits. :mod:`vnact.cells` and :mod:`vnact.hftsn`
+hold the parameters and call these rules; they record no node themselves.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from scipy.special import expit, logsumexp as _logsumexp, softmax as _softmax
 
 from .errors import NonFiniteError, ShapeError, ValidationError
-from .tensor import Tensor, _check_broadcastable, _unbroadcast, add, apply_op, hadamard
+from .tensor import Tensor, _unbroadcast, add, apply_op, hadamard
 
 # Column entries scattered per np.bincount call in _col2im.
 _SCATTER_ENTRIES = 1 << 18
@@ -177,46 +177,25 @@ def conv3d(x: Tensor, kernel: Tensor) -> Tensor:
 # spatial reductions
 
 
-def softmax_spatial(x: Tensor) -> Tensor:
-    """Softmax over the trailing H×W grid of a (..., 1, H, W) map.
+def softmax_spatial(x: Tensor, total: float) -> Tensor:
+    """exp(x − max) · total / Σexp over the H×W grid of a (..., 1, H, W) map.
 
-    Stabilized by max subtraction; outputs are positive and sum to one
-    over the grid.
+    At total 1.0 (LSTA) this is scipy's softmax bit for bit; at H·W (motion
+    attention) a constant map gives exactly 1.0, as the quotient's operands
+    are then one float.
     """
     if x.ndim < 3 or x.shape[-3] != 1:
         raise ShapeError(f"softmax_spatial expects (..., 1, H, W), got {x.shape}")
     if not np.isfinite(x.data).all():
         raise NonFiniteError("softmax_spatial: non-finite input")
-    out = _softmax(x.data, axis=(-2, -1))
+    e = np.exp(x.data - x.data.max(axis=(-2, -1), keepdims=True))
+    out = e * total / e.sum(axis=(-2, -1), keepdims=True)
 
     def bwd(g):
         inner = (g * out).sum(axis=(-2, -1), keepdims=True)
-        return (out * (g - inner),)
+        return (out * (g - inner / total),)
 
     return apply_op("softmax_spatial", (x,), out, bwd)
-
-
-def softmax_spatial_scaled(x: Tensor) -> Tensor:
-    """Spatial softmax of a (..., 1, H, W) map scaled by H·W.
-
-    Computed as exp(x - max) · (H·W) / Σexp, so a constant map yields
-    exactly 1.0 everywhere: the numerator and denominator are then the
-    identical float H·W and the division is exact.
-    """
-    if x.ndim < 3 or x.shape[-3] != 1:
-        raise ShapeError(f"softmax_spatial_scaled expects (..., 1, H, W), got {x.shape}")
-    if not np.isfinite(x.data).all():
-        raise NonFiniteError("softmax_spatial_scaled: non-finite input")
-    h, w = x.shape[-2:]
-    hw = float(h * w)
-    e = np.exp(x.data - x.data.max(axis=(-2, -1), keepdims=True))
-    out = e * hw / e.sum(axis=(-2, -1), keepdims=True)
-
-    def bwd(g):
-        inner = (g * out).sum(axis=(-2, -1), keepdims=True)
-        return (out * (g - inner / hw),)
-
-    return apply_op("softmax_spatial_scaled", (x,), out, bwd)
 
 
 def avg_pool2x2(x: Tensor) -> Tensor:
@@ -293,9 +272,10 @@ def index_select(x: Tensor, axis: int, index: int) -> Tensor:
         raise ShapeError(f"index {index} out of range for extent {n}")
     sl = [slice(None)] * x.ndim
     sl[axis] = index
+    shape = x.shape
 
     def bwd(g):
-        gx = np.zeros(x.shape)
+        gx = np.zeros(shape)
         gx[tuple(sl)] = g
         return (gx,)
 
@@ -311,11 +291,11 @@ def mean_along(x: Tensor, axis) -> Tensor:
     axis = tuple(range(x.ndim)) if axis is None else tuple(np.atleast_1d(axis).tolist())
     count = int(np.prod([x.shape[a] for a in axis]))
     out = x.data.mean(axis=axis)
-    inv = 1.0 / count
+    inv, shape = 1.0 / count, x.shape
 
     def bwd(g):
         g_exp = np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp * inv, x.shape).copy(),)
+        return (np.broadcast_to(g_exp * inv, shape).copy(),)
 
     return apply_op("mean", (x,), out, bwd)
 
@@ -424,47 +404,62 @@ def hf_mix(f: Tensor, w0: Tensor, w1: Tensor) -> Tensor:
 # fused recurrent cells
 
 
-def gate_update(z: Tensor, gate_bias: Tensor, c: Tensor, bias: Optional[Tensor]):
-    """The four-gate update of both convolutional cells, as two tape nodes.
-
-    Adds the per-gate bias vector (4D,) and any external bias map to the
-    gate pre-activations z (..., 4D, H, W), split along the channel axis as
-    (input, forget, candidate, output), and returns the next memory and the
-    output gate. The ``gate_update`` node reads the first three gates and c;
-    the ``gate_output`` node reads the output gate alone. Each fills only its
-    own slice of dz and leaves the other's zero, so the tape's sum of the two
-    is exact. The rules repeat the per-op tape's expressions in its order, so
-    gradients keep their bits.
-    """
+def _gate_preactivations(kind, z, gate_bias, bias, state, first, count):
+    """``count`` gates from gate ``first`` of z + gate bias + bias map, each contiguous,
+    with D and the parents. The bias map has z's exact shape, c or m one gate's."""
     d = gate_bias.shape[0] // 4
-    zd = z.data + gate_bias.data.reshape(4 * d, 1, 1)
-    pre = (z, gate_bias) + ((bias,) if bias is not None else ())
+    if not (gate_bias.shape == (4 * d,) and z.ndim >= 3 and z.shape[-3] == 4 * d
+            and (bias is None or bias.shape == z.shape)
+            and state.shape == z.shape[:-3] + (d,) + z.shape[-2:]):
+        raise ShapeError(f"{kind}: pre-activations {z.shape}, gate bias {gate_bias.shape}, "
+                         f"bias map {None if bias is None else bias.shape}, state {state.shape}")
+    ch = slice(first * d, (first + count) * d)
+    zd = z.data[..., ch, :, :] + gate_bias.data[ch].reshape(-1, 1, 1)
     if bias is not None:
-        _check_broadcastable(zd, bias.data, "gate bias")
-        zd = zd + bias.data
-    gates = [np.ascontiguousarray(zd[..., k * d:(k + 1) * d, :, :]) for k in range(4)]
-    i, f, g, o = expit(gates[0]), expit(gates[1]), np.tanh(gates[2]), expit(gates[3])
-    cd, shape, pre_shapes = c.data, zd.shape, [t.shape for t in pre]
+        zd = zd + bias.data[..., ch, :, :]
+    gates = [np.ascontiguousarray(zd[..., k * d:(k + 1) * d, :, :]) for k in range(count)]
+    return gates, d, (z, gate_bias) + ((bias,) if bias is not None else ())
 
-    def pre_adjoints(dz):
-        zs, gbs, *bs = pre_shapes
-        return (_unbroadcast(dz, zs), _unbroadcast(dz, (4 * d, 1, 1)).reshape(gbs),
-                *(_unbroadcast(dz, s) for s in bs))
 
-    def update_bwd(gc):
+def _pre_adjoints(dz, d, biased):
+    gb = _unbroadcast(dz, (4 * d, 1, 1)).reshape(4 * d)
+    return (dz, gb, dz) if biased else (dz, gb)
+
+
+def gate_update(z: Tensor, gate_bias: Tensor, c: Tensor, bias: Optional[Tensor]) -> Tensor:
+    """Next memory f ⊙ c + i ⊙ g of both convolutional cells, as one node.
+
+    z (..., 4D, H, W) holds the (input, forget, candidate, output) gates'
+    pre-activations before the gate bias (4D,) and the bias map are added.
+    """
+    (zi, zf, zg), d, pre = _gate_preactivations("gate_update", z, gate_bias, bias, c, 0, 3)
+    i, f, g, cd = expit(zi), expit(zf), np.tanh(zg), c.data
+    shape, biased = z.shape, bias is not None
+
+    def bwd(gc):
         dz = np.zeros(shape)
         dz[..., 2 * d:3 * d, :, :] += gc * i * (1.0 - g * g)
         dz[..., d:2 * d, :, :] += gc * cd * f * (1.0 - f)
         dz[..., :d, :, :] += gc * g * i * (1.0 - i)
-        return (_unbroadcast(gc * f, cd.shape), *pre_adjoints(dz))
+        return (gc * f, *_pre_adjoints(dz, d, biased))
 
-    def output_bwd(go):
+    return apply_op("gate_update", (c,) + pre, f * cd + i * g, bwd)
+
+
+def gate_output(z: Tensor, gate_bias: Tensor, bias: Optional[Tensor], m: Tensor) -> Tensor:
+    """Hidden map σ(z_o + b_o + bias_o) ⊙ tanh(m) of both convolutional cells, as one node;
+    m is the memory (ConvLSTM) or its 1×1-mixed copy (LSTA)."""
+    (zo,), d, pre = _gate_preactivations("gate_output", z, gate_bias, bias, m, 3, 1)
+    o, tm = expit(zo), np.tanh(m.data)
+    shape, biased = z.shape, bias is not None
+
+    def bwd(gh):
         dz = np.zeros(shape)
-        dz[..., 3 * d:, :, :] += go * o * (1.0 - o)
-        return pre_adjoints(dz)
+        dz[..., 3 * d:, :, :] += gh * tm * o * (1.0 - o)
+        dm = gh * o * (1.0 - tm * tm)
+        return (*_pre_adjoints(dz, d, biased), dm)
 
-    return (apply_op("gate_update", (c,) + pre, f * cd + i * g, update_bwd),
-            apply_op("gate_output", pre, o, output_bwd))
+    return apply_op("gate_output", pre + (m,), o * tm, bwd)
 
 
 def gru_step(x: Tensor, h: Tensor, params) -> Tensor:

@@ -8,9 +8,10 @@ the backward rule. All arithmetic is 64-bit so finite-difference checks
 have headroom.
 
 Storage and elementwise arithmetic are delegated to numpy. The tape and
-the recording discipline live here. Every backward rule lives here (the
-plain elementwise ones) or in :mod:`vnact.ops` (all others): no other module
-calls :func:`apply_op`, and no rule reads what another node's rule writes.
+the recording discipline live here. Every backward rule lives here (add,
+hadamard, scale) or in :mod:`vnact.ops` (all others): no other module calls
+:func:`apply_op`, no rule reads what another node's rule writes, and a rule
+that needs only its inputs' shapes keeps those, not the inputs' arrays.
 """
 
 from __future__ import annotations
@@ -259,9 +260,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcastable(a.data, b.data, "add")
     with np.errstate(over="ignore"):
         out = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return apply_op("add", (a, b), out, bwd)
 
@@ -288,11 +290,3 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
     return apply_op("scale", (a,), out, bwd)
 
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
-
-    return apply_op("tanh", (a,), out, bwd)

@@ -20,7 +20,7 @@ from .cells import ConvLstmParams, GateBias, LstaParams, rollout
 from .errors import ShapeError
 from .heads import ScoreTriple
 from .init import ParamStruct
-from .ops import conv2d, conv3d, index_select, mean_along, softmax_spatial_scaled, transpose
+from .ops import conv2d, conv3d, index_select, mean_along, softmax_spatial, transpose
 from .tensor import Tensor, add, hadamard, scale
 
 
@@ -42,7 +42,8 @@ def motion_spatial_attention(features: Tensor, params: MotionAttentionParams) ->
     The map is a softmax over the grid scaled by H·W, so it averages to one
     and a uniform map (zero kernel) passes features through unchanged.
     """
-    alpha = softmax_spatial_scaled(conv2d(features, params.kernel))
+    h, w = features.shape[-2:]
+    alpha = softmax_spatial(conv2d(features, params.kernel), h * w)
     return hadamard(features, alpha)
 
 

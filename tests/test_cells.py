@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from vnact.cells import (
     ConvLstmParams,
@@ -20,7 +21,7 @@ from vnact.models import create_model
 from vnact.synthetic import default_label_space, make_synthetic, make_two_stream_synthetic
 from vnact.tensor import Tape
 from vnact.training import PRESETS, apply_overrides, run_stage
-from vnact.ops import conv2d, gate_update, mean_along
+from vnact.ops import conv2d, gate_output, gate_update, mean_along
 from vnact.tensor import Tensor, add, hadamard
 
 
@@ -356,33 +357,137 @@ def test_gru_step_gradients():
 
 
 def test_gate_output_rule_needs_no_other_node():
-    """A loss on the output gate alone reaches z, the gate bias and the
-    external bias through the gate_output node's own rule: nothing waits for
-    the memory's node, which here receives no adjoint and never runs."""
+    """A loss on the hidden map alone reaches z, the gate bias, the external
+    bias and m through the gate_output node's own rule: no gate_update node
+    is recorded, and nothing waits for one."""
     rng = np.random.default_rng(15)
     d = 2
     params = {"z": Tensor(rng.normal(size=(2, 4 * d, 3, 3))),
               "gate_bias": Tensor(rng.normal(size=4 * d)),
-              "bias": Tensor(rng.normal(size=(4 * d, 3, 3))),
-              "c": Tensor(rng.normal(size=(2, d, 3, 3)))}
+              "bias": Tensor(rng.normal(size=(2, 4 * d, 3, 3))),
+              "m": Tensor(rng.normal(size=(2, d, 3, 3)))}
     probe = Tensor(rng.normal(size=(2, d, 3, 3)))
 
     def forward(p):
-        _, o = gate_update(p["z"], p["gate_bias"], p["c"], p["bias"])
-        return mean_along(hadamard(o, probe), None)
+        h = gate_output(p["z"], p["gate_bias"], p["bias"], p["m"])
+        return mean_along(hadamard(h, probe), None)
 
     report = grad_check(forward, params)
     assert report.passed, report.summary()
 
 
+def gate_inputs(rng, biased, b=2, d=3, hw=(3, 4)):
+    """Gate pre-activations, per-gate bias, optional per-sample bias map and a
+    (B, D, H, W) state, with -0.0 entries in the state."""
+    z = Tensor(rng.normal(size=(b, 4 * d, *hw)), grad_enabled=True)
+    gate_bias = Tensor(rng.normal(size=4 * d), grad_enabled=True)
+    bias = Tensor(rng.normal(size=z.shape), grad_enabled=True) if biased else None
+    state = rng.normal(size=(b, d, *hw))
+    state[0, 0, 0] = -0.0
+    state[1, :, 1, 2] = -0.0
+    return z, gate_bias, bias, Tensor(state, grad_enabled=True), d
+
+
+def reference_gates(z, gate_bias, bias, d):
+    """The per-op tape's pre-activations: bias add, external bias, then the
+    four gate slices, each contiguous."""
+    zd = z.data + gate_bias.data.reshape(4 * d, 1, 1)
+    if bias is not None:
+        zd = zd + bias.data
+    return [np.ascontiguousarray(zd[:, k * d:(k + 1) * d]) for k in range(4)]
+
+
+def reference_pre_adjoints(dz, bias):
+    """What the per-op tape handed z, the gate bias and the bias map."""
+    gb = dz.sum(axis=0).sum(axis=(1, 2), keepdims=True).reshape(-1)
+    return (dz, gb) + ((dz,) if bias is not None else ())
+
+
+def node_adjoints(out, tape, g):
+    return tape.nodes[tape.node_of(out)].backward(g)
+
+
+@pytest.mark.parametrize("biased", [False, True])
+def test_gate_output_keeps_the_per_op_bits(biased):
+    """Forward and every adjoint of gate_output equal, byte for byte, the
+    per-op output gate (sigmoid of its slice), tanh and product, and the
+    per-op rules' expressions in that tape's order; -0.0 in gh and m included."""
+    rng = np.random.default_rng(16)
+    z, gate_bias, bias, m, d = gate_inputs(rng, biased)
+    gh = rng.normal(size=m.shape)
+    gh[0, 1] = -0.0
+    with Tape() as tape:
+        h = gate_output(z, gate_bias, bias, m)
+    o = expit(reference_gates(z, gate_bias, bias, d)[3])
+    tm = np.tanh(m.data)
+    assert h.data.tobytes() == (o * tm).tobytes()
+
+    go, gt = gh * tm, gh * o  # the product's rule
+    dz = np.zeros(z.shape)
+    dz[:, 3 * d:] += go * o * (1.0 - o)  # the output gate's rule
+    expected = reference_pre_adjoints(dz, bias) + (gt * (1.0 - tm * tm),)  # then tanh's
+    got = node_adjoints(h, tape, gh)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("biased", [False, True])
+def test_gate_update_keeps_the_per_op_bits(biased):
+    rng = np.random.default_rng(17)
+    z, gate_bias, bias, c, d = gate_inputs(rng, biased)
+    gc = rng.normal(size=c.shape)
+    gc[1, 2] = -0.0
+    with Tape() as tape:
+        c_next = gate_update(z, gate_bias, c, bias)
+    zi, zf, zg, _ = reference_gates(z, gate_bias, bias, d)
+    i, f, g = expit(zi), expit(zf), np.tanh(zg)
+    assert c_next.data.tobytes() == (f * c.data + i * g).tobytes()
+
+    dz = np.zeros(z.shape)
+    dz[:, 2 * d:3 * d] += gc * i * (1.0 - g * g)
+    dz[:, d:2 * d] += gc * c.data * f * (1.0 - f)
+    dz[:, :d] += gc * g * i * (1.0 - i)
+    expected = (gc * f,) + reference_pre_adjoints(dz, bias)
+    got = node_adjoints(c_next, tape, gc)
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_gate_rules_take_exact_shapes_only():
+    """The bias map must have z's shape (a (4D, H, W) map shared by a batch is
+    refused), z must have 4D channels, and c or m one gate slice's shape."""
+    rng = np.random.default_rng(18)
+    z, gate_bias, _, c, d = gate_inputs(rng, False)
+    shared = Tensor(rng.normal(size=z.shape[1:]))
+    with pytest.raises(ShapeError):
+        gate_update(z, gate_bias, c, shared)
+    with pytest.raises(ShapeError):
+        gate_output(z, gate_bias, shared, c)
+    wide = Tensor(rng.normal(size=(2, d + 1, 3, 4)))
+    with pytest.raises(ShapeError):
+        gate_update(z, gate_bias, wide, None)
+    with pytest.raises(ShapeError):
+        gate_output(z, gate_bias, None, wide)
+    with pytest.raises(ShapeError):  # c of one sample for a batch of two
+        gate_update(z, gate_bias, Tensor(c.data[:1]), None)
+    narrow = Tensor(rng.normal(size=4 * d - 4))
+    with pytest.raises(ShapeError):  # z has 4D channels, the gate bias 4(D - 1)
+        gate_update(z, narrow, c, None)
+    with pytest.raises(ShapeError):
+        gate_output(z, Tensor(np.zeros(4 * d + 1)), None, c)
+
+
 DESK_STAGES = {"stage_channels": [8, 12, 16], "memory": 16}
 
 
-@pytest.mark.parametrize("family, limit", [("lsta_gru", 201), ("hf_tsn", 55), ("two_stream", 248)])
+@pytest.mark.parametrize("family, limit", [("lsta_gru", 185), ("hf_tsn", 55), ("two_stream", 216)])
 def test_desk_training_step_records_few_tape_nodes(monkeypatch, family, limit):
     """One training step at the desk configuration (T=8, 16x16 frames,
-    stages 8/12/16, memory 16): every gate update and GRU step is fused, and
-    so is each HF block and each stage's bias and relu."""
+    stages 8/12/16, memory 16): a cell step's memory and its hidden map are
+    one node each, a GRU step is one node, and so is each HF block and each
+    stage's bias and relu."""
     space = default_label_space(6, 8, 12, seed=0)
     if family == "lsta_gru":
         model = create_model(family, {"input_channels": 3, "gru_hidden": 16, **DESK_STAGES},

@@ -2,8 +2,9 @@
 
 A tree compared with itself must be equal in every record, each
 family's group map and checkpoint files among them, and a copy whose
-tanh backward is perturbed in the ninth digit must be reported as
-different in its gradients while its forward scores stay equal.
+gate_output memory adjoint is perturbed in the ninth digit must be
+reported as different in its gradients while its forward scores stay
+equal.
 """
 
 import shutil
@@ -40,11 +41,11 @@ def test_golden_tree_against_itself_is_all_equal():
 def test_golden_reports_a_perturbed_backward(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    tensor_py = tmp_path / "src" / "vnact" / "tensor.py"
-    exact = "return (g * (1.0 - out * out),)"
-    text = tensor_py.read_text()
+    ops_py = tmp_path / "src" / "vnact" / "ops.py"
+    exact = "dm = gh * o * (1.0 - tm * tm)"
+    text = ops_py.read_text()
     assert text.count(exact) == 1
-    tensor_py.write_text(text.replace(exact, "return (g * (1.0 - out * out) * (1.0 + 1e-9),)"))
+    ops_py.write_text(text.replace(exact, "dm = gh * o * (1.0 - tm * tm) * (1.0 + 1e-9)"))
     code, out = run_golden(ROOT, tmp_path)
     assert code == 1, out
     lines = out.splitlines()

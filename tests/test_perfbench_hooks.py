@@ -50,8 +50,9 @@ def test_tracer_and_forward_checks_find_their_hooks(family):
     assert (tracer.calls["twostream.fusion_fwd"] > 0) == (family == "two_stream")
     assert (tracer.calls["hftsn.hf_block_fwd"] > 0) == (family == "hf_tsn")
     # The loss and the fused cell and backbone rules sit in ops, where the tracer
-    # wraps them: one ops.other forward per call (a gate update records two nodes).
-    fused = sum(node.kind in ("cross_entropy", "gate_update", "gru_step", "hf_mix", "bias_relu")
+    # wraps them: one ops.other forward per call, and each call records one node.
+    fused = sum(node.kind in ("cross_entropy", "gate_update", "gate_output", "gru_step",
+                              "hf_mix", "bias_relu")
                 for node in tape.nodes)
     assert fused >= 3 and tracer.op_calls["other"] == fused and tracer.op_fwd["other"] > 0
 

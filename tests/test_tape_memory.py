@@ -16,11 +16,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from tracer import _held_arrays  # noqa: E402
-from vnact import Tape, create_model, multi_task_loss, ops  # noqa: E402
+from vnact import Tape, Tensor, create_model, multi_task_loss, ops  # noqa: E402
 from vnact.errors import TapeError  # noqa: E402
 from vnact.synthetic import default_label_space, make_two_stream_synthetic  # noqa: E402
 from vnact.training import PRESETS, apply_overrides, run_stage  # noqa: E402
-from vnact.tensor import scale  # noqa: E402
+from vnact.tensor import add, scale  # noqa: E402
 
 CONFIG = {"app": {"input_channels": 2, "stage_channels": [2, 3], "memory": 2},
           "motion": {"flow_channels": 2, "stage_channels": [2, 3], "memory": 2}}
@@ -98,3 +98,20 @@ def test_frozen_backbone_kernels_leave_no_trace(monkeypatch):
     assert sorted({n for inputs in unrecorded for n in reads_frozen(inputs)}) == sorted(
         frozen.values())
     assert not [n for inputs in recorded for n in reads_frozen(inputs)]
+
+
+@pytest.mark.parametrize("rule", ["mean", "index_select", "add"])
+def test_shape_only_rules_hold_no_input(rule):
+    """A rule whose adjoint needs only its inputs' shapes keeps the shapes,
+    not the input arrays, until backward."""
+    x = Tensor(np.ones((2, 3, 4)), grad_enabled=True)
+    y = Tensor(np.ones((3, 4)), grad_enabled=True)
+    with Tape() as tape:
+        out = {"mean": lambda: ops.mean_along(x, (-2, -1)),
+               "index_select": lambda: ops.index_select(x, 1, 2),
+               "add": lambda: add(x, y)}[rule]()
+    node = tape.nodes[tape.node_of(out)]
+    assert node.kind == rule
+    held = {}
+    _held_arrays(node.backward, held)
+    assert held == {}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import softmax as scipy_softmax
 
 from vnact.errors import NonFiniteError, ShapeError, ValidationError
 from vnact.ops import (
@@ -19,7 +20,6 @@ from vnact.ops import (
     mean_along,
     reshape,
     softmax_spatial,
-    softmax_spatial_scaled,
     transpose,
 )
 from vnact.tensor import Tape, Tensor, _unbroadcast, add, hadamard, scale
@@ -208,7 +208,7 @@ def test_conv3d_batched_and_1x1x1():
 def test_softmax_spatial_sums_to_one():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(4, 1, 6, 5)) * 3.0
-    out = softmax_spatial(Tensor(x))
+    out = softmax_spatial(Tensor(x), 1.0)
     sums = out.data.sum(axis=(-2, -1))
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
     assert (out.data > 0).all()
@@ -216,29 +216,44 @@ def test_softmax_spatial_sums_to_one():
 
 def test_softmax_spatial_shift_invariance_and_shape_check():
     x = np.array([[[0.0, 1.0], [2.0, 3.0]]])
-    a = softmax_spatial(Tensor(x)).data
-    b = softmax_spatial(Tensor(x + 100.0)).data
+    a = softmax_spatial(Tensor(x), 1.0).data
+    b = softmax_spatial(Tensor(x + 100.0), 1.0).data
     assert np.allclose(a, b, atol=1e-15, rtol=0)
     with pytest.raises(ShapeError):
-        softmax_spatial(Tensor(np.ones((2, 3, 3))))
+        softmax_spatial(Tensor(np.ones((2, 3, 3))), 1.0)
     with pytest.raises(NonFiniteError):
-        softmax_spatial(Tensor(np.array([[[np.inf, 0.0], [0.0, 0.0]]])))
+        softmax_spatial(Tensor(np.array([[[np.inf, 0.0], [0.0, 0.0]]])), 1.0)
 
 
 def test_softmax_spatial_scaled_constant_map_is_exactly_one():
+    """Scaled to H·W, a constant map gives exactly 1.0 everywhere."""
     for h, w in [(2, 2), (3, 5), (7, 7), (16, 16)]:
         x = Tensor(np.full((1, h, w), -4.25))
-        out = softmax_spatial_scaled(x)
+        out = softmax_spatial(x, h * w)
         assert np.array_equal(out.data, np.ones((1, h, w)))
 
 
 def test_softmax_spatial_scaled_equals_softmax_times_area():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(2, 1, 4, 6))
-    scaled = softmax_spatial_scaled(Tensor(x)).data
-    plain = softmax_spatial(Tensor(x)).data * 24.0
+    scaled = softmax_spatial(Tensor(x), 24.0).data
+    plain = softmax_spatial(Tensor(x), 1.0).data * 24.0
     assert np.allclose(scaled, plain, rtol=1e-14, atol=1e-14)
     assert np.max(np.abs(scaled.sum(axis=(-2, -1)) / 24.0 - 1.0)) <= 1e-12
+
+
+def test_softmax_spatial_total_one_is_scipy_softmax_bit_for_bit():
+    """At total 1.0 the forward is scipy's softmax and the backward the plain
+    softmax adjoint out·(g − Σ g·out), bit for bit."""
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(3, 2, 1, 5, 4)) * 4.0, grad_enabled=True)
+    g = rng.normal(size=x.shape)
+    with Tape() as tape:
+        out = softmax_spatial(x, 1.0)
+    ref = scipy_softmax(x.data, axis=(-2, -1))
+    assert out.data.tobytes() == ref.tobytes()
+    (gx,) = tape.nodes[tape.node_of(out)].backward(g)
+    assert gx.tobytes() == (ref * (g - (g * ref).sum(axis=(-2, -1), keepdims=True))).tobytes()
 
 
 def test_spatial_avg_pool_and_avg_pool2x2():

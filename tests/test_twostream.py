@@ -47,12 +47,12 @@ def test_motion_attention_zero_kernel_is_bitwise_identity():
 
 def test_motion_attention_map_averages_to_one():
     rng = np.random.default_rng(4)
-    from vnact.ops import conv2d, softmax_spatial_scaled
+    from vnact.ops import conv2d, softmax_spatial
 
     feats = rng.normal(size=(3, 6, 6))
     params = MotionAttentionParams(kernel=Tensor(rng.normal(size=(1, 3, 1, 1))))
     out = motion_spatial_attention(Tensor(feats), params)
-    alpha = softmax_spatial_scaled(conv2d(Tensor(feats), params.kernel)).data
+    alpha = softmax_spatial(conv2d(Tensor(feats), params.kernel), 36.0).data
     assert abs(alpha.mean() - 1.0) <= 1e-12
     assert np.allclose(out.data, feats * alpha, rtol=1e-12, atol=1e-12)
 
