@@ -191,21 +191,19 @@ def run_lsta_gru(
     gru_a: GruParams,
     gru_b: GruParams,
 ):
-    """Roll the attentive cell over frames (B, T, C, H, W), then feed the
+    """Roll the attentive cell over frames (B, T, C, H, W), feeding the
     pooled hidden map of every step to two independent gated-recurrence
     aggregators.
 
     Returns (attentive descriptor, aggregator descriptor): the pooled final
     memory, and the concatenated final states of the two aggregators.
     """
-    pooled = []
+    ha = Tensor(np.zeros((frames.shape[0], gru_a.hidden)))
+    hb = Tensor(np.zeros((frames.shape[0], gru_b.hidden)))
     for state in rollout(frames, lsta):
         # Pooled before the next step reads h: the tape sums fan-out
         # adjoints in reverse record order, so this order fixes the bits.
-        pooled.append(mean_along(state.h, (-2, -1)))
-    ha = Tensor(np.zeros((frames.shape[0], gru_a.hidden)))
-    hb = Tensor(np.zeros((frames.shape[0], gru_b.hidden)))
-    for p in pooled:
+        p = mean_along(state.h, (-2, -1))
         ha = gru_step(p, ha, gru_a)
         hb = gru_step(p, hb, gru_b)
     return mean_along(state.c, (-2, -1)), concat([ha, hb], 1)

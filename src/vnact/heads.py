@@ -183,15 +183,15 @@ def structured_forward(
     rng: Optional[np.random.Generator] = None,
     dropout_p: float = 0.0,
 ) -> ScoreTriple:
-    """Score a batch of features (B, F) against all three tasks.
+    """Score a batch of features (B, ..., F) against all three tasks.
 
     Action logits double as an instance-specific bias on the verb and noun
     classifiers through the two linear bias maps. Dropout, when training,
     is applied to the features ahead of all three classifiers.
     """
     f = feature
-    if f.ndim != 2 or f.shape[1] != params.w_verb.shape[0]:
-        raise ShapeError(f"feature shape {f.shape} is not (B, {params.w_verb.shape[0]})")
+    if f.ndim < 2 or f.shape[-1] != params.w_verb.shape[0]:
+        raise ShapeError(f"feature shape {f.shape} is not (B, ..., {params.w_verb.shape[0]})")
     if params.w_verb.shape[1] != space.num_verbs or params.w_act.shape[1] != space.num_actions:
         raise ShapeError("head extents do not match the label space")
     if train and dropout_p > 0.0:

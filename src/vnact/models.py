@@ -25,7 +25,7 @@ from .errors import ShapeError, ValidationError, _known_keys, _typed
 from .heads import LabelSpace, ScoreTriple, StructuredHeadParams, structured_forward
 from .hftsn import HfBlockParams, StageParams, backbone_forward, consensus
 from .init import ParamStruct
-from .ops import mean_along, reshape
+from .ops import mean_along
 from .tensor import Tensor
 from .tnsf import load_bundle, save_bundle
 from .twostream import (
@@ -219,17 +219,14 @@ class HfTsnModel(ModelBase):
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
         frames = _get_input(inputs, "frames")
-        b, t_len = frames.shape[:2]
+        t_len = frames.shape[1]
         if t_len != self.config["segments"]:
             raise ShapeError(f"clip has {t_len} segments, config expects {self.config['segments']}")
         feats = backbone_forward(
             frames, self._backbone("backbone", self.config),
             hf={p: self._layers[f"hf.{p}"] for p in self.config["hf_positions"]})
-        pooled = mean_along(feats, (-2, -1))  # (B, T, F)
-        per_seg = self._head("head", reshape(pooled, (b * t_len, pooled.shape[-1])),
-                             train, rng, dropout_p)
-        return ScoreTriple(*(consensus(reshape(logits, (b, t_len, logits.shape[-1])))
-                             for logits in per_seg))
+        per_seg = self._head("head", mean_along(feats, (-2, -1)), train, rng, dropout_p)
+        return ScoreTriple(*(consensus(logits) for logits in per_seg))
 
 
 class MotionModel(ModelBase):

@@ -3,10 +3,10 @@ pooling, reductions, the loss and the fused backbone and recurrent rules, one
 rule per concept.
 
 All operations accept the per-sample ranks used throughout the package
-(matrices, C×H×W maps, C×T×H×W stacks) and, where noted, extra leading
-axes that are treated as batch dimensions. Convolution uses cross-
-correlation semantics with zero padding; reductions use numpy's fixed
-deterministic accumulation so replays are bit-identical.
+(feature rows, C×H×W maps, C×T×H×W stacks) and, where noted, extra leading
+axes that are treated as batch dimensions (``matmul`` takes (..., K)).
+Convolution uses cross-correlation semantics with zero padding; reductions
+use numpy's fixed deterministic accumulation so replays are bit-identical.
 
 conv2d and conv3d are one same-padded correlation over the trailing axes
 (im2col, one matmul, col2im). im2col copies each sample once into a row
@@ -49,23 +49,32 @@ _SCATTER_ENTRIES = 1 << 18
 # linear algebra
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of 2-D arrays on a multiple of 4 rows (zero rows pad it): numpy
+    hands one row to a matrix-vector routine, and a short tail of rows takes
+    another kernel path, each rounding unlike the same row in a taller product."""
+    pad = -a.shape[0] % 4
+    if pad:
+        return (np.concatenate([a, np.zeros((pad, a.shape[1]))]) @ b)[:-pad]
+    return a @ b
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of an M×K by a K×N tensor."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects matrices, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-    out = ad @ bd
+    """(..., K) by (K, N), one 2-D product over the flattened leading axes."""
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul expects (..., K) by (K, N), got {a.shape} and {b.shape}")
+    ad, bd, n = a.data.reshape(-1, b.shape[0]), b.data, b.shape[1]
+    out = _product(ad, bd).reshape(*a.shape[:-1], n)
 
     def bwd(g):
-        return g @ bd.T, ad.T @ g
+        g2 = g.reshape(-1, n)
+        return (g2 @ bd.T).reshape(a.shape), ad.T @ g2
 
     return apply_op("matmul", (a, b), out, bwd)
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """x @ weight + bias for x of shape (B, F), weight (F, K), bias (K,)."""
+    """x @ weight + bias for x of shape (..., F), weight (F, K), bias (K,)."""
     return add(matmul(x, weight), bias)
 
 
@@ -224,17 +233,6 @@ def avg_pool2x2(x: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # shape manipulation
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    out = x.data.reshape(shape)
-    orig = x.shape
-
-    def bwd(g):
-        return (g.reshape(orig),)
-
-    return apply_op("reshape", (x,), out, bwd)
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -473,10 +471,10 @@ def gru_step(x: Tensor, h: Tensor, params) -> Tensor:
         raise ShapeError(f"gru_step expects matching batches, got {x.shape} and {h.shape}")
     p, xd, hd, cx = params, x.data, h.data, x.shape[1]
     xh = np.concatenate([xd, hd], 1)
-    z = expit(xh @ p.w_update.data + p.b_update.data)
-    r = expit(xh @ p.w_reset.data + p.b_reset.data)
+    z = expit(_product(xh, p.w_update.data) + p.b_update.data)
+    r = expit(_product(xh, p.w_reset.data) + p.b_reset.data)
     xrh = np.concatenate([xd, r * hd], 1)
-    n = np.tanh(xrh @ p.w_cand.data + p.b_cand.data)
+    n = np.tanh(_product(xrh, p.w_cand.data) + p.b_cand.data)
     omz = 1.0 - z
 
     def bwd(g):

@@ -272,10 +272,14 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcastable(a.data, b.data, "hadamard")
     with np.errstate(over="ignore"):
         out = a.data * b.data
-    ad, bd = a.data, b.data
+    # Each adjoint reads the other input: keep an array only for a partner that
+    # takes a gradient (dropout's mask takes none, so x is not kept).
+    sa, sb = a.shape, b.shape
+    ad, bd = (a.data if b.grad_enabled else None), (b.data if a.grad_enabled else None)
 
     def bwd(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+        return (None if bd is None else _unbroadcast(g * bd, sa),
+                None if ad is None else _unbroadcast(g * ad, sb))
 
     return apply_op("hadamard", (a, b), out, bwd)
 

@@ -17,7 +17,6 @@ from vnact.ops import (
     cross_entropy,
     matmul,
     mean_along,
-    reshape,
     softmax_spatial,
     transpose,
 )
@@ -32,9 +31,15 @@ from vnact.tensor import (
 
 
 def total(x):
-    """Sum of every entry, as a product with ones: each entry's adjoint is
-    exactly the upstream gradient."""
-    return matmul(reshape(x, (1, x.size)), Tensor(np.ones((x.size, 1))))
+    """Sum of every entry, as products with ones, one axis at a time: each
+    entry's adjoint is exactly the upstream gradient. A vector first gains a
+    leading axis by adding zeros, whose adjoint is a sum of one term."""
+    if x.ndim == 1:
+        x = add(x, Tensor(np.zeros((1, x.size))))
+    for _ in range(x.ndim):
+        x = matmul(x, Tensor(np.ones((x.shape[-1], 1))))
+        x = transpose(x, (x.ndim - 1, *range(x.ndim - 1)))
+    return x
 
 
 def grad_of(tape, grads, t):
@@ -240,10 +245,11 @@ def test_grad_check_shape_ops(seed):
     rng = np.random.default_rng(10 + seed)
     params = {"x": Tensor(rng.normal(size=(2, 3, 4)))}
     probe = quadratic_probe(rng, (4, 3, 2))
+    w = Tensor(rng.normal(size=(2, 2)))
 
     def forward(p):
         t = transpose(p["x"], (2, 1, 0))
-        t = reshape(t, (4, 3, 2))
+        t = matmul(t, w)  # the leading (4, 3) axes flattened and restored
         return probe(hadamard(t, t))
 
     assert grad_check(forward, params).passed

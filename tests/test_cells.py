@@ -482,7 +482,7 @@ def test_gate_rules_take_exact_shapes_only():
 DESK_STAGES = {"stage_channels": [8, 12, 16], "memory": 16}
 
 
-@pytest.mark.parametrize("family, limit", [("lsta_gru", 185), ("hf_tsn", 55), ("two_stream", 216)])
+@pytest.mark.parametrize("family, limit", [("lsta_gru", 185), ("hf_tsn", 51), ("two_stream", 216)])
 def test_desk_training_step_records_few_tape_nodes(monkeypatch, family, limit):
     """One training step at the desk configuration (T=8, 16x16 frames,
     stages 8/12/16, memory 16): a cell step's memory and its hidden map are

@@ -392,6 +392,24 @@ def test_eval_nonpositive_sizes_exit_one(workspace, tmp_path, capsys, flags, mes
     assert not (tmp_path / "s.json").exists()
 
 
+def test_eval_score_file_does_not_depend_on_the_batch_size(workspace, tmp_path):
+    """An lsta_gru model (memory 16, GRUs of 16) on the 8 test clips: a clip
+    scored alone gets the bits it gets in a batch of 8, so `--batch-size 1`
+    and `--batch-size 32` write the same bytes."""
+    space = SyntheticDataset.load(workspace["data"] / "test").space
+    model = create_model("lsta_gru", {"input_channels": 2, "stage_channels": [4, 8],
+                                      "memory": 16, "gru_hidden": 16}, space, seed=1)
+    model.save(tmp_path / "model")
+    written = []
+    for size in ("1", "32"):
+        out = tmp_path / f"scores{size}.json"
+        assert main(["eval", "--model", str(tmp_path / "model"),
+                     "--dataset", str(workspace["data"] / "test"),
+                     "--out", str(out), "--batch-size", size]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_ensemble_command_averages(workspace, tmp_path, capsys):
     scores = tmp_path / "s.json"
     assert main(["eval", "--model", str(workspace["run"] / "model"),

@@ -115,3 +115,21 @@ def test_shape_only_rules_hold_no_input(rule):
     held = {}
     _held_arrays(node.backward, held)
     assert held == {}
+
+
+def test_dropout_node_holds_only_the_mask():
+    """hadamard keeps an input's array only for its partner's adjoint: the
+    dropout mask takes no gradient, so the node holds the mask, not x, and
+    its rule returns None for the mask."""
+    x = Tensor(np.ones((4, 8)), grad_enabled=True)
+    with Tape() as tape:
+        out = ops.dropout(x, 0.5, np.random.default_rng(0))
+    node = tape.nodes[tape.node_of(out)]
+    assert node.kind == "hadamard" and node.parents[1] is None
+    held = {}
+    _held_arrays(node.backward, held)
+    assert id(root(x.data)) not in held and list(held.values()) == [x.data.nbytes]
+    g = np.arange(32.0).reshape(4, 8)
+    gx, gmask = node.backward(g)
+    assert gmask is None
+    assert gx.tobytes() == (g * out.data).tobytes()  # x is all ones: out is the mask

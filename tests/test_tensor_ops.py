@@ -18,7 +18,6 @@ from vnact.ops import (
     cross_entropy,
     matmul,
     mean_along,
-    reshape,
     softmax_spatial,
     transpose,
 )
@@ -114,7 +113,21 @@ def test_matmul_matches_numpy():
     with pytest.raises(ShapeError):
         matmul(Tensor(a), Tensor(a))
     with pytest.raises(ShapeError):
-        matmul(Tensor(np.ones(3)), Tensor(b))
+        matmul(Tensor(np.ones(7)), Tensor(b))
+    with pytest.raises(ShapeError):
+        matmul(Tensor(rng.normal(size=(2, 5, 3))), Tensor(b))
+
+    # Leading axes: the forward and both adjoints are, bit for bit, the 2-D
+    # product of the flattened input.
+    a3, g = rng.normal(size=(2, 5, 7)), rng.normal(size=(2, 5, 3))
+    flat = a3.reshape(10, 7)
+    with Tape() as tape:
+        out = matmul(Tensor(a3, grad_enabled=True), Tensor(b, grad_enabled=True))
+    assert out.data.tobytes() == (flat @ b).reshape(2, 5, 3).tobytes()
+    ga, gb = tape.nodes[tape.node_of(out)].backward(g)
+    g2 = g.reshape(10, 3)
+    assert ga.tobytes() == (g2 @ b.T).reshape(2, 5, 7).tobytes()
+    assert gb.tobytes() == (flat.T @ g2).tobytes()
 
 
 def test_affine_matches_numpy():
@@ -283,12 +296,12 @@ def test_avg_pool2x2_is_bitwise_the_reshaped_mean(lead, c, h, w, seed):
 # shape manipulation
 
 
-def test_reshape_transpose_roundtrip():
+def test_transpose_roundtrip():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(2, 3, 4))
-    t = Tensor(x)
-    assert np.array_equal(reshape(t, (6, 4)).data, x.reshape(6, 4))
-    assert np.array_equal(transpose(t, (2, 0, 1)).data, x.transpose(2, 0, 1))
+    t = transpose(Tensor(x), (2, 0, 1))
+    assert np.array_equal(t.data, x.transpose(2, 0, 1))
+    assert np.array_equal(transpose(t, (1, 2, 0)).data, x)
 
 
 def test_concat_narrow_index_select():
