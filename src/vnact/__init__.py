@@ -23,7 +23,6 @@ from .heads import (
     LabelSpace,
     ScoreTriple,
     StructuredHeadParams,
-    build_label_space,
     derive_pair,
     multi_task_loss,
     structured_forward,
@@ -35,7 +34,6 @@ from .scores import (
     average_tables,
     compute_metrics,
     decode,
-    macro_precision_recall,
     read_score_json,
     topk_accuracy,
     write_score_json,

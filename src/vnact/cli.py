@@ -209,7 +209,7 @@ def cmd_train(args) -> int:
 
     started = time.time()
     log = run_stage(model, train_ds, schedule, seed=seed, aug=aug,
-                    eval_dataset=test_ds, eval_every=int(args.eval_every))
+                    eval_dataset=test_ds, eval_every=args.eval_every)
     elapsed = time.time() - started
 
     os.makedirs(args.out_dir, exist_ok=True)

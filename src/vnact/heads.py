@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,39 +88,6 @@ class LabelSpace:
 
     def space_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
-
-
-def build_label_space(
-    annotations: Iterable[tuple],
-    verbs: Optional[Sequence[str]] = None,
-    nouns: Optional[Sequence[str]] = None,
-) -> LabelSpace:
-    """Enumerate observed verb-noun pairs, in first-occurrence order.
-
-    ``annotations`` yields (segment_id, verb_id, noun_id). When the
-    vocabulary name lists are omitted they default to generated names
-    sized by the largest id seen.
-    """
-    pairs: list[tuple] = []
-    seen = set()
-    max_v = max_n = -1
-    for seg, v, n in annotations:
-        v, n = int(v), int(n)
-        if v < 0 or n < 0:
-            raise ValidationError(f"segment {seg}: negative label id ({v},{n})")
-        if verbs is not None and v >= len(verbs):
-            raise ValidationError(f"segment {seg}: verb id {v} outside vocabulary of {len(verbs)}")
-        if nouns is not None and n >= len(nouns):
-            raise ValidationError(f"segment {seg}: noun id {n} outside vocabulary of {len(nouns)}")
-        max_v, max_n = max(max_v, v), max(max_n, n)
-        if (v, n) not in seen:
-            seen.add((v, n))
-            pairs.append((v, n))
-    if verbs is None:
-        verbs = [f"verb_{i}" for i in range(max_v + 1)]
-    if nouns is None:
-        nouns = [f"noun_{i}" for i in range(max_n + 1)]
-    return LabelSpace(verbs=tuple(verbs), nouns=tuple(nouns), actions=tuple(pairs))
 
 
 def derive_pair(action_id: int, space: LabelSpace) -> tuple:

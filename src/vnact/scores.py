@@ -21,11 +21,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, _typed
 from .heads import TASKS, LabelSpace, ScoreTriple, derive_pair
 
 
@@ -132,15 +132,6 @@ def _precision_recall(logits: np.ndarray, truth: np.ndarray):
     precision = tp[included] / np.maximum(tp + fp, 1)[included]
     recall = tp[included] / np.maximum(tp + fn, 1)[included]
     return float(np.mean(precision)), float(np.mean(recall))
-
-
-def macro_precision_recall(table: ScoreTable, labels: Dict[str, tuple], task: str):
-    """Macro-averaged precision and recall of top-1 predictions.
-
-    A class joins the average when it has ground truth or predictions;
-    classes with ground truth but no predictions contribute precision 0.
-    """
-    return _precision_recall(*_matrix(table, task, labels))
 
 
 @dataclass(frozen=True)
@@ -296,13 +287,14 @@ def read_score_json(path, space: Optional[LabelSpace] = None) -> ScoreTable:
         for task in TASKS:
             if task not in row:
                 raise FormatError(f"score file {path}: segment '{seg}' missing '{task}'")
-            try:
-                arr = np.asarray(row[task], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise FormatError(
-                    f"score file {path}: segment '{seg}' task '{task}' is not numeric ({exc})") from exc
-            if arr.ndim != 1:
+            values = row[task]
+            if not isinstance(values, list) or any(isinstance(v, list) for v in values):
                 raise FormatError(f"score file {path}: segment '{seg}' task '{task}' is not a flat list")
+            try:
+                arr = np.array(_typed(values, Tuple[float, ...], task))
+            except ValidationError as exc:
+                raise FormatError(f"score file {path}: segment '{seg}' task '{task}' is not numeric "
+                                  f"(every score must be a JSON number, not a string or a bool)") from exc
             expected = extents.setdefault(task, arr.shape[0])
             if arr.shape[0] != expected:
                 source = "label space expects" if space is not None else "earlier segments have"

@@ -80,7 +80,8 @@ def clean_clip(verb: int, noun: int, space: LabelSpace, t_len: int, channels: in
 
 @dataclass
 class SyntheticDataset:
-    """Labeled clips for one or more modalities, all sharing the labels."""
+    """Labeled clips for one or more modalities, all sharing the labels: integer
+    ids, each (verb, noun) the pair of its action in ``space``."""
 
     space: LabelSpace
     segment_ids: List[str]
@@ -98,8 +99,17 @@ class SyntheticDataset:
             if arr.ndim != 5 or arr.shape[0] != n:
                 raise ValidationError(f"input '{key}' must be (n, T, C, H, W) with n={n}, got {arr.shape}")
         for name, arr in (("verbs", self.verbs), ("nouns", self.nouns), ("actions", self.actions)):
-            if arr.shape != (n,):
-                raise ValidationError(f"label array '{name}' must have shape ({n},), got {arr.shape}")
+            if arr.shape != (n,) or arr.dtype.kind not in "iu":
+                raise ValidationError(f"label array '{name}' must hold ({n},) integers, "
+                                      f"got {arr.dtype} {arr.shape}")
+        if np.any((self.actions < 0) | (self.actions >= self.space.num_actions)):
+            raise ValidationError(f"an action id lies outside the {self.space.num_actions} actions")
+        pairs = np.asarray(self.space.actions, dtype=np.int64).reshape(-1, 2)[self.actions]
+        wrong = (pairs[:, 0] != self.verbs) | (pairs[:, 1] != self.nouns)
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            raise ValidationError(f"segment '{self.segment_ids[i]}': verb {self.verbs[i]} and noun "
+                                  f"{self.nouns[i]} are not action {self.actions[i]}'s pair")
 
     def __len__(self) -> int:
         return len(self.segment_ids)

@@ -147,9 +147,6 @@ class Tape:
             raise TapeError("tape context exited out of order")
         stack.pop()
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def node_of(self, t: Tensor) -> Optional[int]:
         return self._node_of_uid.get(t.uid)
 

@@ -325,12 +325,10 @@ def _gather_frames(arr: np.ndarray, t: int, rng: Optional[np.random.Generator]) 
     return arr[np.arange(b)[:, None], rows]
 
 
-def _prepare_batch(inputs: Dict[str, np.ndarray], frames_t: int,
-                   aug: Optional[AugmentationConfig], rng: Optional[np.random.Generator]):
-    jitter_rng = rng if (aug is None or aug.temporal_jitter) else None
+def _prepare_batch(inputs: Dict[str, np.ndarray], frames_t: int, aug: AugmentationConfig,
+                   rng: np.random.Generator):
+    jitter_rng = rng if aug.temporal_jitter else None
     sampled = {k: _gather_frames(v, frames_t, jitter_rng) for k, v in inputs.items()}
-    if aug is None or rng is None:
-        return sampled
     keys = sorted(sampled)
     b = sampled[keys[0]].shape[0]
     out = {k: np.empty_like(sampled[k]) for k in keys}
@@ -397,20 +395,24 @@ def run_stage(
     model,
     dataset,
     schedule: StageSchedule,
+    aug: AugmentationConfig,
     seed: int = 0,
-    aug: Optional[AugmentationConfig] = None,
     eval_dataset=None,
     eval_every: int = 0,
 ) -> TrainingLog:
     """Run one schedule: epochs of shuffled minibatches through forward,
     multi-task loss, backward and the optimizer, updating only the
-    schedule's trainable groups. Deterministic given (model, data, seed).
+    schedule's trainable groups. Deterministic given (model, data, aug,
+    seed). ``eval_every`` > 0 scores ``eval_dataset`` every that many
+    epochs and after the last; 0 never does.
 
     Frozen groups enter the stage as constants: each non-trainable
     parameter is swapped for a tensor over the same buffer that is not
     grad-enabled, so the tape records no op fed only by frozen parameters
     and data, and backward never reaches them. The original tensors are
     put back when the stage ends, also when it raises."""
+    if eval_every < 0:
+        raise ValidationError(f"eval_every must be nonnegative, got {eval_every}")
     missing = set(schedule.trainable_groups) - model.groups()
     if missing:
         raise ValidationError(f"model has no parameter groups {sorted(missing)}")

@@ -34,7 +34,6 @@ from vnact.scores import (
     average_tables,
     compute_metrics,
     decode,
-    macro_precision_recall,
     read_score_json,
     topk_accuracy,
     write_score_json,
@@ -241,13 +240,15 @@ def test_metric_oracles():
             act = int(rng.integers(a))
             pv, pn = space.actions[act]
             labels[f"s{i}"] = (pv, pn, act)
+        metrics = compute_metrics(table, labels).values
         for task, idx, classes in (("verb", 0, v), ("noun", 1, n), ("action", 2, a)):
             for k in (1, 5):
                 if topk_accuracy(table, labels, task, k) != _oracle_topk(table, labels, task, idx, k):
                     mismatches.append((inst, task, f"top{k}"))
             if topk_accuracy(table, labels, task, 1) > topk_accuracy(table, labels, task, 5):
                 mismatches.append((inst, task, "top1>top5"))
-            if macro_precision_recall(table, labels, task) != _oracle_macro(table, labels, task, idx, classes):
+            p, r = _oracle_macro(table, labels, task, idx, classes)
+            if (metrics[task]["precision"], metrics[task]["recall"]) != (100.0 * p, 100.0 * r):
                 mismatches.append((inst, task, "macro"))
     report("metric oracle equivalence", not mismatches,
            "20 instances x 200 segments, exact top-k and macro P/R"

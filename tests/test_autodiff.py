@@ -62,7 +62,7 @@ def test_grad_disabled_inputs_record_nothing():
     a, b = Tensor([1.0]), Tensor([2.0])
     with Tape() as tape:
         add(a, b)
-    assert len(tape) == 0
+    assert len(tape.nodes) == 0
 
 
 def test_leaf_registration_is_lazy_and_shared():
@@ -237,7 +237,7 @@ def test_grad_check_composite_expression(seed):
         return probe(hadamard(z, z))
 
     report = grad_check(forward, params)
-    assert report.passed, report.summary()
+    assert report.passed, [e for e in report.entries if not e.passed]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -331,7 +331,7 @@ def test_grad_check_sees_a_small_error_in_a_small_gradient():
     params = {"x": Tensor(np.random.default_rng(60).normal(size=(4, 5)))}
     assert grad_check(lambda p: mean_along(sigmoid_off_by(p["x"], 1.0), None), params).passed
     report = grad_check(lambda p: mean_along(sigmoid_off_by(p["x"], 1.001), None), params)
-    assert not report.passed, report.summary()
+    assert not report.passed, report.entries
 
 
 def test_grad_check_rejects_nondeterministic_forward():

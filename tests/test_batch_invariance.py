@@ -5,9 +5,15 @@ round differently from the matrix-matrix routine, and that routine rounds a
 short tail of rows past a multiple of 4 differently again, so a clip scored
 alone (``batch_size`` 1, or in the last partial batch) used to get different
 low bits. ``ops._product`` pads every product to a multiple of 4 rows.
+
+Nor does a training step's gradient depend on how many threads the BLAS
+runs: the benchmark workloads' steps are compared at 1 and 2 threads.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +30,8 @@ from vnact.synthetic import (
 )
 from vnact.training import evaluate
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def shipped_models(space):
@@ -110,3 +117,50 @@ def test_evaluate_scores_do_not_depend_on_the_batch(family):
             for task in TASKS:
                 assert table.results[seg][task].tobytes() == ref.results[seg][task].tobytes(), \
                     (seg, task)
+
+
+# One taped forward+backward of each benchmark workload's model on the first
+# batch of its training split, frames sampled as at eval; prints one
+# "<workload> <sha256 of the loss and every parameter gradient>" line each.
+STEP = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from vnact import Tape, multi_task_loss, sample_frames
+from workloads import WORKLOADS
+
+for name, w in sorted(WORKLOADS.items()):
+    space, train, _ = w.make_data(7)
+    model = w.create(space, 7)[0]
+    raw, labels = train.batch(range(w.schedule.batch_size))
+    inputs = {k: v[:, sample_frames(v.shape[1], w.schedule.frames_T)] for k, v in raw.items()}
+    params = model.params()
+    with Tape() as tape:
+        triple = model.forward(inputs, train=True, rng=np.random.default_rng(7),
+                               dropout_p=w.schedule.dropout_p)
+        loss = multi_task_loss(triple, labels, tasks=w.schedule.loss_tasks)
+    grads = tape.backward(loss)
+    digest = hashlib.sha256(loss.data.tobytes())
+    for pname, p in params.items():
+        g = grads.get(p.uid)
+        digest.update(pname.encode() + (b"-" if g is None else g.data.tobytes()))
+    print(name, digest.hexdigest())
+"""
+
+
+def test_one_and_two_blas_threads_give_a_training_step_the_same_bits():
+    """The thread count is set before numpy loads the BLAS, so each count
+    runs in its own process; both print the same digests for all three
+    benchmark workloads."""
+    printed = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                               threads)}
+        proc = subprocess.run([sys.executable, "-c", STEP, str(ROOT / "perfbench")], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout)
+    assert [line.split()[0] for line in printed[0].splitlines()] == [
+        "hf-tsn", "lsta-gru", "two-stream"]
+    assert printed[0] == printed[1]

@@ -365,6 +365,43 @@ def test_ragged_score_file_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", [["1.5", 0.0, 1.0], [True, 0.0, 1.0]], ids=["string", "bool"])
+def test_score_file_of_strings_or_bools_exits_one(tmp_path, capsys, verb):
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps({"version": "1.0", "split": "t", "label_space": "x", "results": {
+        "a": {"verb": verb, "noun": [0.0], "action": [0.0]}}}))
+    out = tmp_path / "out.json"
+    assert main(["ensemble", str(scores), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "task 'verb' is not numeric" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_metrics_on_a_split_with_inconsistent_labels_exits_one(workspace, tmp_path, capsys):
+    scores = tmp_path / "scores.json"
+    assert main(["eval", "--model", str(workspace["run"] / "model"),
+                 "--dataset", str(workspace["data"] / "test"),
+                 "--out", str(scores), "--frames-t", "3"]) == 0
+    data_dir = tmp_path / "test"
+    shutil.copytree(workspace["data"] / "test", data_dir)
+    with np.load(data_dir / "data.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    for verbs, message in ((arrays["verbs"] + 0.5, "must hold (8,) integers"),
+                           ((arrays["verbs"] + 1) % 3, "are not action")):
+        np.savez(data_dir / "data.npz", **{**arrays, "verbs": verbs})
+        capsys.readouterr()
+        assert main(["metrics", "--scores", str(scores), "--dataset", str(data_dir)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
+def test_train_negative_eval_every_exits_one(workspace, tmp_path, capsys):
+    assert train_tiny(workspace["data"], tmp_path / "run", ["--eval-every", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "eval_every must be nonnegative" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "model").exists()
+
+
 def test_eval_multiview_flag(workspace, tmp_path):
     scores = tmp_path / "crop_scores.json"
     assert main(["eval", "--model", str(workspace["run"] / "model"),

@@ -36,6 +36,9 @@ def test_golden_tree_against_itself_is_all_equal():
             assert f" {family}/{record}\n" in out
         assert any(f" {family}/checkpoint/params/" in ln and ln.endswith(".tnsf")
                    for ln in out.splitlines())
+    for batch in (2, 3):
+        for record in ("loss", "scores/verb", "grad/head_gru.w_verb"):
+            assert f" lsta_gru/desk/batch{batch}/{record}" in out
 
 
 def test_golden_reports_a_perturbed_backward(tmp_path):

@@ -12,7 +12,6 @@ from vnact.heads import (
     LabelSpace,
     ScoreTriple,
     StructuredHeadParams,
-    build_label_space,
     cross_entropy,
     derive_pair,
     multi_task_loss,
@@ -80,28 +79,6 @@ def test_space_json_rejects_bool_and_fractional_ids(pair):
 def test_space_json_rejects_a_string_or_mapping_where_a_list_belongs(payload, message):
     with pytest.raises(ValidationError, match=message):
         LabelSpace.from_json(json.dumps(payload))
-
-
-def test_build_label_space_first_occurrence_order():
-    annotations = [
-        ("s0", 1, 0),
-        ("s1", 0, 2),
-        ("s2", 1, 0),  # repeat — must not add a second action
-        ("s3", 0, 0),
-    ]
-    space = build_label_space(annotations)
-    assert space.actions == ((1, 0), (0, 2), (0, 0))
-    assert space.verbs == ("verb_0", "verb_1")
-    assert space.nouns == ("noun_0", "noun_1", "noun_2")
-
-
-def test_build_label_space_validates_ids():
-    with pytest.raises(ValidationError):
-        build_label_space([("s0", -1, 0)])
-    with pytest.raises(ValidationError):
-        build_label_space([("s0", 2, 0)], verbs=["v0", "v1"])
-    with pytest.raises(ValidationError):
-        build_label_space([("s0", 0, 5)], nouns=["n0"])
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +222,7 @@ def test_structured_head_gradients_through_loss():
         return multi_task_loss(out, labels)
 
     report = grad_check(forward, params)
-    assert report.passed, report.summary()
+    assert report.passed, [e for e in report.entries if not e.passed]
 
 
 def test_head_params_round_trip():

@@ -5,7 +5,7 @@ import pytest
 
 from vnact.errors import ShapeError, ValidationError
 from vnact.gradcheck import grad_check
-from vnact.heads import build_label_space
+from vnact.heads import LabelSpace
 from vnact.hftsn import HfBlockParams, StageParams, backbone_forward, consensus, hf_block
 from vnact.models import create_model
 from vnact.ops import mean_along
@@ -73,7 +73,7 @@ def test_hf_block_gradients():
         return mean_along(hadamard(out, Tensor(probe)), None)
 
     report = grad_check(forward, params)
-    assert report.passed, report.summary()
+    assert report.passed, [e for e in report.entries if not e.passed]
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def test_backbone_params_round_trip():
     back = StageParams.from_dict("bb.stage1", d)
     assert back.kernel is stage.kernel and back.bias is stage.bias
     # A model missing a backbone stage's parameter is refused by name.
-    space = build_label_space([("s0", 0, 0)], verbs=["v0"], nouns=["n0"])
+    space = LabelSpace(verbs=("v0",), nouns=("n0",), actions=((0, 0),))
     model = create_model("hf_tsn", {"input_channels": 3, "stage_channels": [4, 5], "segments": 2,
                                     "hf_positions": []}, space, seed=3)
     params = model.params()
@@ -137,7 +137,7 @@ def test_backbone_params_round_trip():
 
 
 def test_config_validation():
-    space = build_label_space([("s0", 0, 0)], verbs=["v0"], nouns=["n0"])
+    space = LabelSpace(verbs=("v0",), nouns=("n0",), actions=((0, 0),))
 
     def create(**config):
         return create_model("hf_tsn", {"input_channels": 2, "hf_positions": [], **config},
@@ -180,9 +180,8 @@ def test_consensus_constant_segments_fixed_point():
 
 
 def small_setup(t=3):
-    space = build_label_space(
-        [("s0", 0, 0), ("s1", 0, 1), ("s2", 1, 2)],
-        verbs=["v0", "v1"], nouns=["n0", "n1", "n2"])
+    space = LabelSpace(verbs=("v0", "v1"), nouns=("n0", "n1", "n2"),
+                       actions=((0, 0), (0, 1), (1, 2)))
     config = {"input_channels": 2, "stage_channels": [3, 4], "segments": t,
               "hf_positions": [0, 1]}
     return create_model("hf_tsn", config, space, seed=4)
@@ -240,4 +239,4 @@ def test_hf_tsn_end_to_end_gradients():
         return mean_along(hadamard(out.action, Tensor(probe)), None)
 
     report = grad_check(forward, params)
-    assert report.passed, report.summary()
+    assert report.passed, [e for e in report.entries if not e.passed]

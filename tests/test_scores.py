@@ -14,7 +14,6 @@ from vnact.scores import (
     compute_metrics,
     decode,
     hit_rate,
-    macro_precision_recall,
     read_score_json,
     topk_accuracy,
     write_score_json,
@@ -157,6 +156,12 @@ def test_top1_never_exceeds_top5():
         assert topk_accuracy(table, labels, task, 1) <= topk_accuracy(table, labels, task, 4)
 
 
+def macro_precision_recall(table, labels, task):
+    """compute_metrics' macro precision and recall of one task, as fractions."""
+    row = compute_metrics(table, labels).values[task]
+    return row["precision"] / 100.0, row["recall"] / 100.0
+
+
 def test_macro_precision_recall_brute_force():
     rng = np.random.default_rng(12)
     table = random_table(rng, 60)
@@ -203,8 +208,10 @@ def test_metrics_validation():
     empty = ScoreTable(split="t", label_space_hash=SPACE.space_hash())
     with pytest.raises(ValidationError):
         topk_accuracy(empty, labels, "verb", 1)
-    with pytest.raises(ValidationError):
-        macro_precision_recall(empty, labels, "verb")
+    with pytest.raises(ValidationError, match="empty score table"):
+        compute_metrics(empty, labels)
+    with pytest.raises(ValidationError, match="unlabeled segments"):
+        compute_metrics(table, {})
 
 
 def test_compute_metrics_report_and_csv(tmp_path):
@@ -246,7 +253,7 @@ def test_metrics_reject_a_label_outside_the_classes(label):
     table = random_table(np.random.default_rng(21), 2)
     labels = {"seg_000": (0, 0, 0), "seg_001": (label, 0, 0)}
     for metric in (lambda: topk_accuracy(table, labels, "verb", 1),
-                   lambda: macro_precision_recall(table, labels, "verb")):
+                   lambda: compute_metrics(table, labels)):
         with pytest.raises(ValidationError, match="'verb' label lies outside the 3 classes"):
             metric()
 
@@ -390,6 +397,14 @@ def test_submission_json_schema(tmp_path):
     (lambda p: p.write_text(json.dumps(
         {"version": "1.0", "split": "t", "label_space": "x",
          "results": {"s": {"verb": ["high"], "noun": [0.0], "action": [0.0]}}})), "not numeric"),
+    (lambda p: p.write_text(json.dumps(
+        {"version": "1.0", "split": "t", "label_space": "x",
+         "results": {"s": {"verb": ["1.5", 0.0], "noun": [0.0], "action": [0.0]}}})),
+     "task 'verb' is not numeric"),
+    (lambda p: p.write_text(json.dumps(
+        {"version": "1.0", "split": "t", "label_space": "x",
+         "results": {"s": {"verb": [True, 0.0], "noun": [0.0], "action": [0.0]}}})),
+     "must be a JSON number, not a string or a bool"),
 ])
 def test_read_score_json_malformed(tmp_path, mutate, message_part):
     path = tmp_path / "scores.json"

@@ -168,3 +168,33 @@ def test_dataset_validation():
     with pytest.raises(ValidationError):
         SyntheticDataset(space=SPACE, segment_ids=data.segment_ids, inputs=data.inputs,
                          verbs=data.verbs[:2], nouns=data.nouns, actions=data.actions)
+
+
+def _swap_noun(nouns):
+    out = nouns.copy()
+    out[0] = (out[0] + 1) % SPACE.num_nouns
+    return out
+
+
+@pytest.mark.parametrize("name, change, message", [
+    ("verbs", lambda a: a.astype(np.float64), "must hold"),
+    ("verbs", lambda a: a + 0.5, "must hold"),
+    ("actions", lambda a: a > 2, "must hold"),
+    ("actions", lambda a: np.full_like(a, -1), "outside the 8 actions"),
+    ("actions", lambda a: a + SPACE.num_actions, "outside the 8 actions"),
+    ("verbs", lambda a: a + SPACE.num_verbs, "are not action"),
+    ("nouns", _swap_noun, "are not action"),
+], ids=["integral-floats", "fractions", "bools", "negative-action", "action-past-the-end",
+        "verb-past-the-end", "foreign-pair"])
+def test_dataset_rejects_labels_that_are_not_their_actions_ids(tmp_path, name, change, message):
+    data = make_synthetic(SPACE, 6, 2, 1, 4, 4, 0.0, seed=25)
+    labels = {"verbs": data.verbs, "nouns": data.nouns, "actions": data.actions}
+    labels[name] = change(labels[name])
+    with pytest.raises(ValidationError, match=message):
+        SyntheticDataset(space=SPACE, segment_ids=data.segment_ids, inputs=data.inputs, **labels)
+    data.save(tmp_path / "ds")
+    with np.load(tmp_path / "ds" / "data.npz") as saved:
+        arrays = {k: saved[k] for k in saved.files}
+    np.savez(tmp_path / "ds" / "data.npz", **{**arrays, name: labels[name]})
+    with pytest.raises(ValidationError, match=message):
+        SyntheticDataset.load(tmp_path / "ds")

@@ -19,7 +19,7 @@ from tracer import _held_arrays  # noqa: E402
 from vnact import Tape, Tensor, create_model, multi_task_loss, ops  # noqa: E402
 from vnact.errors import TapeError  # noqa: E402
 from vnact.synthetic import default_label_space, make_two_stream_synthetic  # noqa: E402
-from vnact.training import PRESETS, apply_overrides, run_stage  # noqa: E402
+from vnact.training import PRESETS, AugmentationConfig, apply_overrides, run_stage  # noqa: E402
 from vnact.tensor import add, scale  # noqa: E402
 
 CONFIG = {"app": {"input_channels": 2, "stage_channels": [2, 3], "memory": 2},
@@ -89,7 +89,7 @@ def test_frozen_backbone_kernels_leave_no_trace(monkeypatch):
         return result
 
     monkeypatch.setattr(ops, "apply_op", recording)
-    run_stage(model, data, schedule, seed=3)
+    run_stage(model, data, schedule, aug=AugmentationConfig(), seed=3)
 
     def reads_frozen(inputs):
         return [frozen[id(root(t.data))] for t in inputs if id(root(t.data)) in frozen]

@@ -392,7 +392,7 @@ def small_data(seed=31, n=24):
 def test_run_stage_zero_epochs_leaves_params_untouched():
     model = small_model()
     before = {k: v.data.copy() for k, v in model.params().items()}
-    log = run_stage(model, small_data(), tiny_schedule(epochs=0), seed=1)
+    log = run_stage(model, small_data(), tiny_schedule(epochs=0), aug=AugmentationConfig(), seed=1)
     assert log.rows == []
     for k, v in model.params().items():
         assert np.array_equal(v.data, before[k])
@@ -401,7 +401,8 @@ def test_run_stage_zero_epochs_leaves_params_untouched():
 def test_run_stage_updates_only_trainable_groups():
     model = small_model()
     before = {k: v.data.copy() for k, v in model.params().items()}
-    run_stage(model, small_data(), tiny_schedule(epochs=1, trainable_groups=("heads",)), seed=2)
+    run_stage(model, small_data(), tiny_schedule(epochs=1, trainable_groups=("heads",)),
+              aug=AugmentationConfig(), seed=2)
     after = model.params()
     changed = {k for k in after if not np.array_equal(after[k].data, before[k])}
     assert changed  # the heads moved
@@ -414,7 +415,15 @@ def test_run_stage_updates_only_trainable_groups():
 
 def test_run_stage_rejects_unknown_group():
     with pytest.raises(ValidationError):
-        run_stage(small_model(), small_data(), tiny_schedule(trainable_groups=("fusion",)))
+        run_stage(small_model(), small_data(), tiny_schedule(trainable_groups=("fusion",)),
+                  aug=AugmentationConfig())
+
+
+def test_run_stage_rejects_a_negative_eval_every():
+    data = small_data()
+    with pytest.raises(ValidationError, match="eval_every must be nonnegative"):
+        run_stage(small_model(), data, tiny_schedule(), aug=AugmentationConfig(),
+                  eval_dataset=data, eval_every=-1)
 
 
 def test_run_stage_is_deterministic():
@@ -434,7 +443,7 @@ def test_run_stage_reduces_training_loss():
     sched = tiny_schedule(epochs=5, optimizer="adam", base_lr=1e-3,
                           trainable_groups=("heads", "lsta", "backbone",
                                             "backbone_last_stage"))
-    log = run_stage(model, small_data(seed=37, n=32), sched, seed=38)
+    log = run_stage(model, small_data(seed=37, n=32), sched, aug=AugmentationConfig(), seed=38)
     losses = [r["train_loss"] for r in log.rows]
     assert len(losses) == 5
     assert losses[-1] < losses[0]
@@ -462,10 +471,10 @@ def test_run_stage_restores_frozen_parameters(monkeypatch, fail_at_step):
     monkeypatch.setattr(training, "optimizer_step", step)
     schedule = tiny_schedule(epochs=2, trainable_groups=trainable)
     if fail_at_step is None:
-        run_stage(model, small_data(seed=43), schedule, seed=44)
+        run_stage(model, small_data(seed=43), schedule, aug=AugmentationConfig(), seed=44)
     else:
         with pytest.raises(NonFiniteError, match="injected"):
-            run_stage(model, small_data(seed=43), schedule, seed=44)
+            run_stage(model, small_data(seed=43), schedule, aug=AugmentationConfig(), seed=44)
     after = model.params()
     assert all(t.grad_enabled for t in after.values())
     for name, t in after.items():
@@ -481,7 +490,7 @@ def test_run_stage_restores_frozen_parameters(monkeypatch, fail_at_step):
 def test_run_stage_log_and_csv(tmp_path):
     model = small_model(seed=39)
     data = small_data(seed=40, n=16)
-    log = run_stage(model, data, tiny_schedule(epochs=2), seed=41,
+    log = run_stage(model, data, tiny_schedule(epochs=2), aug=AugmentationConfig(), seed=41,
                     eval_dataset=data, eval_every=2)
     assert [r["epoch"] for r in log.rows] == [1, 2]
     assert "eval_acc_action" in log.rows[1]

@@ -6,6 +6,10 @@ Each tree is imported in its own subprocess with ``PYTHONPATH=<tree>/src``.
 For each of the five model families the subprocess records, at batch 2 in
 train mode with dropout, the scores, the loss and every parameter gradient,
 once at default init and once with every all-zero parameter moved off zero.
+The same is recorded for a desk-sized ``lsta_gru`` (memory 16, GRUs of 16)
+at batch 2 and 3: its head and GRU products have K >= 16 and, on the
+3-verb label space, N = 3, where a BLAS may round a row differently with
+the row count, so these records show a change to how products are blocked.
 Per family it also runs a 2-epoch ``run_stage`` under an SGD preset
 (``hf_tsn``, every group trainable) and an Adam preset (``lsta_stage1``, the
 backbone frozen), with scale jitter, flips and an eval set at
@@ -52,24 +56,26 @@ CONFIGS = {
     "two_stream": {"app": SMALL,
                    "motion": {"flow_channels": CHANNELS, "stage_channels": [2, 3], "memory": 2}},
 }
+# Desk-sized memory and GRUs; the backbone stays small.
+DESK_LSTA_GRU = {**SMALL, "memory": 16, "gru_hidden": 16}
 INPUTS = {"lsta": ("frames",), "lsta_gru": ("frames",), "hf_tsn": ("frames",),
           "motion": ("flow",), "two_stream": ("frames", "flow")}
 PRESETS = ("hf_tsn", "lsta_stage1")  # SGD, Adam
 
 
-def _gradient_records(family, moved, records) -> None:
+def _gradient_records(prefix, family, config, batch, moved, records) -> None:
     import vnact
     from vnact.synthetic import default_label_space
 
     space = default_label_space(3, 4, 6, seed=0)
-    model = vnact.create_model(family, CONFIGS[family], space, 1)
+    model = vnact.create_model(family, config, space, 1)
     rng = np.random.default_rng(2)
     if moved:
         model.set_params({
             name: vnact.Tensor(t.data + rng.normal(0.0, 0.05, size=t.shape), grad_enabled=True)
             if not np.any(t.data) else t for name, t in model.params().items()})
-    inputs = {key: rng.normal(size=(2, T, CHANNELS, H, W)) for key in INPUTS[family]}
-    actions = rng.integers(0, space.num_actions, size=2)
+    inputs = {key: rng.normal(size=(batch, T, CHANNELS, H, W)) for key in INPUTS[family]}
+    actions = rng.integers(0, space.num_actions, size=batch)
     pairs = np.asarray(space.actions)
     labels = (pairs[actions, 0], pairs[actions, 1], actions)
     params = model.params()
@@ -77,7 +83,6 @@ def _gradient_records(family, moved, records) -> None:
         triple = model.forward(inputs, train=True, rng=rng, dropout_p=0.5)
         loss = vnact.multi_task_loss(triple, labels)
     grads = tape.backward(loss)
-    prefix = f"{family}/{'moved' if moved else 'default'}"
     for task in ("verb", "noun", "action"):
         records[f"{prefix}/scores/{task}"] = getattr(triple, task).data
     records[f"{prefix}/loss"] = loss.data
@@ -163,9 +168,13 @@ def dump(out_path: str, src: str) -> None:
     for family in CONFIGS:
         _checkpoint_records(family, records)
         for moved in (False, True):
-            _gradient_records(family, moved, records)
+            _gradient_records(f"{family}/{'moved' if moved else 'default'}", family,
+                              CONFIGS[family], 2, moved, records)
         for preset in PRESETS:
             _stage_records(family, preset, records)
+    for batch in (2, 3):
+        _gradient_records(f"lsta_gru/desk/batch{batch}", "lsta_gru", DESK_LSTA_GRU, batch, False,
+                          records)
     np.savez(out_path, **records)
 
 
