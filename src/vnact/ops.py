@@ -9,19 +9,24 @@ Convolution uses cross-correlation semantics with zero padding; reductions
 use numpy's fixed deterministic accumulation so replays are bit-identical.
 
 conv2d and conv3d are one same-padded correlation over the trailing axes
-(im2col, one matmul, col2im). im2col copies each sample once into a row
-with one trailing zero slot and gathers the columns with ``np.take``
+(im2col, matmul, col2im), run over the batch in tiles whose column matrix
+holds about ``_TILE_ENTRIES`` floats (2 MiB, an L2 cache), so no
+temporary grows with the batch. im2col copies each sample once into a
+row with one trailing zero slot and gathers the columns with ``np.take``
 through a cached index table, one per (channels, extent, kernel), that
 sends every padding entry to the zero slot. col2im scatters back through
 the same table with ``np.bincount``, which adds in memory order, so every
 pixel starts at 0.0 and receives its kernel offsets in nested order: the
 bits of a per-pixel loop. The backward rules keep the unpadded input and
-rebuild the columns when run, rather than hold a 9× or 27× copy of the
-input until backward. A rule skips the gradient of an input or kernel
-that is not grad-enabled (raw frames and flow, frozen parameters): no
-matmul and no col2im runs for it. ``avg_pool2x2`` adds its four strided
-quarters in place, in the order numpy's mean uses, so the faster forward
-gives the same bits; its backward writes g·0.25 into the four quarters.
+rebuild each tile's columns when run, rather than hold a 9× or 27× copy
+of the input until backward; the kernel gradient adds the per-sample
+products in sample order, across tiles too, as a whole-batch
+``sum(axis=0)`` does, so tiling keeps every bit. A rule skips the
+gradient of an input or kernel that is not grad-enabled (raw frames and
+flow, frozen parameters): no matmul and no col2im runs for it.
+``avg_pool2x2`` adds its four strided quarters in place, in the order
+numpy's mean uses, so the faster forward gives the same bits; its
+backward writes g·0.25 into the four quarters.
 
 ``cross_entropy``, ``bias_relu`` (a backbone stage's bias add and relu;
 its ``conv2d`` stays its own node), ``hf_mix`` (an HF block), the cell
@@ -34,6 +39,7 @@ hold the parameters and call these rules; they record no node themselves.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Optional
 
 import numpy as np
@@ -42,8 +48,8 @@ from scipy.special import expit, logsumexp as _logsumexp, softmax as _softmax
 from .errors import NonFiniteError, ShapeError, ValidationError
 from .tensor import Tensor, _unbroadcast, add, apply_op, hadamard
 
-# Column entries scattered per np.bincount call in _col2im.
-_SCATTER_ENTRIES = 1 << 18
+# Column entries per batch tile of a convolution: 2 MiB of float64.
+_TILE_ENTRIES = 1 << 18
 
 # ---------------------------------------------------------------------------
 # linear algebra
@@ -107,21 +113,15 @@ def _im2col(xb: np.ndarray, ks: tuple, pads: tuple) -> np.ndarray:
 
 
 def _col2im(gcols: np.ndarray, shape: tuple, ks: tuple, pads: tuple) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: (B, C·∏k, ∏S) columns back to a (B, C, *S) array,
-    scattered a few samples at a time so the shifted index stays small."""
+    """Adjoint of :func:`_im2col`: (B, C·∏k, ∏S) columns back to a (B, C, *S) array."""
     if not any(pads):
         return gcols.reshape(shape)
     b, c, *spatial = shape
     index = _column_index(c, tuple(spatial), ks, pads)
     slots = c * index.shape[1] + 1
-    out = np.empty((b, slots - 1))
-    step = max(1, _SCATTER_ENTRIES // index.size)
-    for start in range(0, b, step):
-        part = gcols[start:start + step]
-        shifted = index + slots * np.arange(len(part))[:, None, None]
-        sums = np.bincount(shifted.ravel(), part.ravel(), len(part) * slots)
-        out[start:start + len(part)] = sums.reshape(len(part), slots)[:, :-1]
-    return out.reshape(shape)
+    shifted = index + slots * np.arange(b)[:, None, None]
+    sums = np.bincount(shifted.ravel(), gcols.ravel(), b * slots)
+    return sums.reshape(b, slots)[:, :-1].reshape(shape)
 
 
 def _correlate(kind: str, x: Tensor, kernel: Tensor):
@@ -143,23 +143,36 @@ def _correlate(kind: str, x: Tensor, kernel: Tensor):
         raise ShapeError(f"same-padding {kind} needs odd kernel extents, got {kernel.shape[2:]}")
     ks, pads = tuple(ks), tuple(k // 2 for k in ks)
     lead = x.shape[: -nd - 1]
-    shape = (int(np.prod(lead)), c, *spatial)
-    xd, kflat = x.data, kernel.data.reshape(co, -1)
-    out = np.matmul(kflat, _im2col(xd.reshape(shape), ks, pads))
+    b, size = math.prod(lead), math.prod(spatial)
+    xb, kflat = x.data.reshape(b, c, *spatial), kernel.data.reshape(co, -1)
+    step = max(1, min(b, _TILE_ENTRIES // (kflat.shape[1] * size)))
+    tiles = [slice(start, start + step) for start in range(0, b, step)]
+    out = np.empty((b, co, size))
+    for t in tiles:
+        np.matmul(kflat, _im2col(xb[t], ks, pads), out=out[t])
 
     need_gx, need_gk = x.grad_enabled, kernel.grad_enabled
 
     def bwd(g):
-        gb = g.reshape(shape[0], co, -1)
-        gx = gk = None
-        if need_gk:
-            # The rebuilt columns die here, before the same-sized input-gradient
-            # columns are allocated, so the allocator reuses their pages.
-            gk = np.matmul(gb, _im2col(xd.reshape(shape), ks, pads).transpose(0, 2, 1))
-            gk = gk.sum(axis=0).reshape(kernel.shape)
-        if need_gx:
-            gx = _col2im(np.matmul(kflat.T, gb), shape, ks, pads).reshape(x.shape)
-        return gx, gk
+        gb = g.reshape(b, co, size)
+        gx = np.empty(xb.shape) if need_gx else None
+        # Row 0 carries the running kernel gradient into the next tile's sum;
+        # numpy's sum(axis=0) adds rows in order (for more than one entry a row).
+        prods = np.empty((step + 1, co, kflat.shape[1])) if need_gk else None
+        gk = None
+        for t in tiles:
+            n = len(gb[t])
+            if need_gk:
+                np.matmul(gb[t], _im2col(xb[t], ks, pads).transpose(0, 2, 1), out=prods[1:n + 1])
+                if gk is None:
+                    gk = prods[1:n + 1].sum(axis=0)
+                else:
+                    prods[0] = gk
+                    gk = prods[:n + 1].sum(axis=0)
+            if need_gx:
+                gx[t] = _col2im(np.matmul(kflat.T, gb[t]), (n, c, *spatial), ks, pads)
+        return (None if gx is None else gx.reshape(x.shape),
+                None if gk is None else gk.reshape(kernel.shape))
 
     return out.reshape(*lead, co, *spatial), bwd
 

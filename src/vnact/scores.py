@@ -295,6 +295,9 @@ def read_score_json(path, space: Optional[LabelSpace] = None) -> ScoreTable:
             except ValidationError as exc:
                 raise FormatError(f"score file {path}: segment '{seg}' task '{task}' is not numeric "
                                   f"(every score must be a JSON number, not a string or a bool)") from exc
+            if not np.isfinite(arr).all():
+                raise FormatError(f"score file {path}: segment '{seg}' task '{task}' holds a "
+                                  f"non-finite value (NaN or Infinity)")
             expected = extents.setdefault(task, arr.shape[0])
             if arr.shape[0] != expected:
                 source = "label space expects" if space is not None else "earlier segments have"

@@ -12,17 +12,46 @@ the recording discipline live here. Every backward rule lives here (add,
 hadamard, scale) or in :mod:`vnact.ops` (all others): no other module calls
 :func:`apply_op`, no rule reads what another node's rule writes, and a rule
 that needs only its inputs' shapes keeps those, not the inputs' arrays.
+
+Importing this module pins glibc's allocator for the whole process (on
+other C libraries it does nothing): ``M_MMAP_THRESHOLD`` is set to 32 MiB
+and ``M_TRIM_THRESHOLD`` to 64 MiB, the values glibc's own dynamic rule
+reaches after its largest possible free. Left dynamic, the threshold
+stays at the largest block freed so far, so a step's few-MB activations
+are mapped and unmapped afresh each time and fault their pages back in:
+thousands of page faults per training step in a fresh process.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
+import os
 import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError, TapeError
+
+# mallopt parameters of glibc's malloc.h.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _pin_allocator() -> None:
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return
+    if not libc.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_pin_allocator()
 
 _uid_counter = itertools.count(1)
 

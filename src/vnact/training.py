@@ -235,7 +235,8 @@ class CropSpec:
 
 def eval_multiview(frame: np.ndarray, spec: CropSpec, crop_size: int) -> List[np.ndarray]:
     """Deterministic evaluation views of (..., H, W): four corner crops and the
-    center crop, in TL, TR, BL, BR, center order, then the same five flipped."""
+    center crop, in TL, TR, BL, BR, center order, then the same five flipped.
+    Each view is a slice of ``frame``, not a copy."""
     h, w = frame.shape[-2:]
     if crop_size > min(h, w):
         raise ValidationError(f"crop {crop_size} larger than frame {h}x{w}")
@@ -243,10 +244,10 @@ def eval_multiview(frame: np.ndarray, spec: CropSpec, crop_size: int) -> List[np
     anchors = [(0, 0), (0, w - c), (h - c, 0), (h - c, w - c), ((h - c) // 2, (w - c) // 2)]
     if spec.mode == "center":
         anchors = anchors[-1:]
-    crops = [np.ascontiguousarray(frame[..., top:top + c, left:left + c]) for top, left in anchors]
+    crops = [frame[..., top:top + c, left:left + c] for top, left in anchors]
     if spec.mode == "center":
         return crops
-    return crops + [np.ascontiguousarray(v[..., ::-1]) for v in crops]
+    return crops + [v[..., ::-1] for v in crops]
 
 
 # ---------------------------------------------------------------------------

@@ -459,6 +459,39 @@ def test_conv_kernel_gradient_without_input_gradient(monkeypatch):
         assert gks[0].tobytes() == gks[1].tobytes()
 
 
+@pytest.mark.parametrize("x_grad, k_grad", [(True, True), (False, True), (True, False)])
+@pytest.mark.parametrize("conv, x_shape, k_shape", [
+    (conv2d, (10, 8, 3, 16, 16), (5, 3, 3, 3)),         # 37 samples per tile: 3 tiles
+    (conv3d, (40, 2, 4, 8, 8), (3, 2, 3, 3, 3)),        # 18 samples per tile: 3 tiles
+])
+def test_conv_tiles_keep_the_bits_of_one_tile(monkeypatch, conv, x_shape, k_shape,
+                                              x_grad, k_grad):
+    """A batch split into batch tiles gives, byte for byte, the forward and
+    both adjoints of the same call run as one tile, on non-dyadic data where
+    any change in the order of the additions shows in the low bits."""
+    from vnact import ops
+
+    nd = len(k_shape) - 2
+    per_sample = int(np.prod(k_shape[1:])) * int(np.prod(x_shape[-nd:]))
+    samples = int(np.prod(x_shape[:-nd - 1]))
+    assert -(-samples // (ops._TILE_ENTRIES // per_sample)) >= 3
+    rng = np.random.default_rng(13)
+    x_data, k_data = rng.normal(size=x_shape), rng.normal(size=k_shape)
+    probe = Tensor(rng.normal(size=x_shape[:-nd - 1] + k_shape[:1] + x_shape[-nd:]))
+    runs = []
+    for tile in (ops._TILE_ENTRIES, samples * per_sample):
+        monkeypatch.setattr(ops, "_TILE_ENTRIES", tile)
+        x, k = Tensor(x_data, grad_enabled=x_grad), Tensor(k_data, grad_enabled=k_grad)
+        with Tape() as tape:
+            out = conv(x, k)
+            loss = mean_along(hadamard(out, probe), None)
+        grads = tape.backward(loss)
+        assert (x.uid in grads, k.uid in grads) == (x_grad, k_grad)
+        runs.append([out.data.tobytes()] + [grads[t.uid].data.tobytes()
+                                            for t in (x, k) if t.uid in grads])
+    assert runs[0] == runs[1]
+
+
 def im2col_reference(xb, ks):
     """Columns read through a strided view of the zero-padded input."""
     b, c, *spatial = xb.shape

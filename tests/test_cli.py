@@ -377,6 +377,24 @@ def test_score_file_of_strings_or_bools_exits_one(tmp_path, capsys, verb):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_metrics_on_a_score_file_with_non_finite_scores_exits_one(workspace, tmp_path, capsys,
+                                                                   value):
+    scores = tmp_path / "scores.json"
+    assert main(["eval", "--model", str(workspace["run"] / "model"),
+                 "--dataset", str(workspace["data"] / "test"),
+                 "--out", str(scores), "--frames-t", "3"]) == 0
+    payload = json.loads(scores.read_text())
+    next(iter(payload["results"].values()))["verb"][0] = value
+    scores.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["metrics", "--scores", str(scores),
+                 "--dataset", str(workspace["data"] / "test")]) == 1
+    captured = capsys.readouterr()
+    assert "holds a non-finite value" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_metrics_on_a_split_with_inconsistent_labels_exits_one(workspace, tmp_path, capsys):
     scores = tmp_path / "scores.json"
     assert main(["eval", "--model", str(workspace["run"] / "model"),

@@ -30,7 +30,7 @@ def test_golden_tree_against_itself_is_all_equal():
     for family in ("lsta", "lsta_gru", "hf_tsn", "motion", "two_stream"):
         for record in ("default/loss", "moved/loss", "hf_tsn/log", "lsta_stage1/log",
                        "hf_tsn/metrics", "hf_tsn/score_json", "hf_tsn/decode/pair",
-                       "lsta_stage1/average/action"):
+                       "lsta_stage1/average/action", "hf_tsn/tenview_score_json"):
             assert f" {family}/{record}\n" in out
         for record in ("groups", "checkpoint/model.json", "checkpoint/params/manifest.json"):
             assert f" {family}/{record}\n" in out
@@ -39,6 +39,8 @@ def test_golden_tree_against_itself_is_all_equal():
     for batch in (2, 3):
         for record in ("loss", "scores/verb", "grad/head_gru.w_verb"):
             assert f" lsta_gru/desk/batch{batch}/{record}" in out
+    for record in ("loss", "scores/action", "grad/backbone.stage0.kernel"):
+        assert f" hf_tsn/tiled/batch32/{record}" in out
 
 
 def test_golden_reports_a_perturbed_backward(tmp_path):

@@ -405,6 +405,12 @@ def test_submission_json_schema(tmp_path):
         {"version": "1.0", "split": "t", "label_space": "x",
          "results": {"s": {"verb": [True, 0.0], "noun": [0.0], "action": [0.0]}}})),
      "must be a JSON number, not a string or a bool"),
+    (lambda p: p.write_text('{"version": "1.0", "split": "t", "label_space": "x", "results": '
+                            '{"s": {"verb": [NaN, 1.0], "noun": [0.0], "action": [0.0]}}}'),
+     "task 'verb' holds a non-finite value"),
+    (lambda p: p.write_text('{"version": "1.0", "split": "t", "label_space": "x", "results": '
+                            '{"s": {"verb": [0.0], "noun": [Infinity], "action": [-Infinity]}}}'),
+     "task 'noun' holds a non-finite value"),
 ])
 def test_read_score_json_malformed(tmp_path, mutate, message_part):
     path = tmp_path / "scores.json"

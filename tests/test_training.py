@@ -298,6 +298,41 @@ def test_eval_multiview_validation():
         eval_multiview(np.zeros((1, 3, 3)), CropSpec("center"), 4)
 
 
+def test_eval_multiview_views_share_the_frame():
+    frame = np.random.default_rng(5).normal(size=(2, 3, 2, 6, 7))
+    for mode, count in (("lsta_10view", 10), ("center", 1)):
+        views = eval_multiview(frame, CropSpec(mode), 4)
+        assert len(views) == count
+        assert all(np.shares_memory(v, frame) for v in views)
+
+
+def test_tenview_evaluate_keeps_the_bits_of_copied_crops(monkeypatch, tmp_path):
+    """The model copies each view into its input tensor, so a two-stream
+    ``lsta_10view`` table from crop views writes the same bytes as one from
+    contiguous copies of the same crops, for frames and flow alike."""
+    from vnact import training
+    from vnact.models import create_model
+    from vnact.scores import write_score_json
+    from vnact.synthetic import make_two_stream_synthetic
+
+    space = default_label_space(3, 4, 6, seed=0)
+    data = make_two_stream_synthetic(space, 5, 4, 2, 4, 8, 8, 0.5, 11, split_tag="test")
+    small = {"stage_channels": [2, 3], "memory": 2}
+    model = create_model("two_stream", {"app": {"input_channels": 2, **small},
+                                        "motion": {"flow_channels": 4, **small}}, space, 3)
+    views = training.eval_multiview
+    written = []
+    for copied in (False, True):
+        if copied:
+            monkeypatch.setattr(training, "eval_multiview", lambda *args: [
+                np.ascontiguousarray(v) for v in views(*args)])
+        table = evaluate(model, data, frames_t=3, batch_size=4, crop=CropSpec("lsta_10view"),
+                         crop_size=6)
+        write_score_json(tmp_path / "scores.json", table)
+        written.append((tmp_path / "scores.json").read_bytes())
+    assert written[0] == written[1]
+
+
 # ---------------------------------------------------------------------------
 # optimizers
 

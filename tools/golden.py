@@ -10,13 +10,20 @@ The same is recorded for a desk-sized ``lsta_gru`` (memory 16, GRUs of 16)
 at batch 2 and 3: its head and GRU products have K >= 16 and, on the
 3-verb label space, N = 3, where a BLAS may round a row differently with
 the row count, so these records show a change to how products are blocked.
+An ``hf_tsn`` at batch 32 on T=8 frames of 16×16 (256 frames per batch,
+parameters moved off zero) records the same: every convolution of its
+backbone splits the batch into several tiles, so these records show a
+change to how a convolution tiles its batch or adds up its tiles.
 Per family it also runs a 2-epoch ``run_stage`` under an SGD preset
 (``hf_tsn``, every group trainable) and an Adam preset (``lsta_stage1``, the
 backbone frozen), with scale jitter, flips and an eval set at
 ``eval_every=1``, and records the final parameters and every ``log.rows``
 entry. From the eval table of that run's final model it records the
 ``compute_metrics`` values, the ``write_score_json`` bytes, ``decode`` in
-both modes, and ``average_tables`` of the table at init and that table.
+both modes, and ``average_tables`` of the table at init and that table;
+it also records the ``write_score_json`` bytes of the final model's
+``lsta_10view`` table (crop 6), which for ``two_stream`` crops frames and
+flow alike.
 Per family it also records the schedule group of every parameter, in
 ``params()`` order, and the bytes of every file of the checkpoint that
 ``save`` writes at init (``model.json``, ``manifest.json``, each ``.tnsf``).
@@ -28,7 +35,7 @@ any differs and 2 when a tree fails to run. No hashes are stored: BLAS
 builds round differently, so two trees are always compared on one machine.
 Only long-standing API is used (``create_model``, ``group_of``,
 ``save``, ``Tape``, ``multi_task_loss``, ``run_stage``, ``evaluate``,
-``apply_overrides``, ``PRESETS``, ``AugmentationConfig``, the
+``apply_overrides``, ``PRESETS``, ``AugmentationConfig``, ``CropSpec``, the
 synthetic-data makers and the ``vnact.scores`` functions above), so a
 change can be compared with its parent.
 """
@@ -58,12 +65,15 @@ CONFIGS = {
 }
 # Desk-sized memory and GRUs; the backbone stays small.
 DESK_LSTA_GRU = {**SMALL, "memory": 16, "gru_hidden": 16}
+# Desk-sized clips: 8 frames of 16x16, so a batch of 32 spans several conv tiles.
+TILED_FRAMES = (8, 16, 16)
+TILED_HF_TSN = {**CONFIGS["hf_tsn"], "segments": TILED_FRAMES[0]}
 INPUTS = {"lsta": ("frames",), "lsta_gru": ("frames",), "hf_tsn": ("frames",),
           "motion": ("flow",), "two_stream": ("frames", "flow")}
 PRESETS = ("hf_tsn", "lsta_stage1")  # SGD, Adam
 
 
-def _gradient_records(prefix, family, config, batch, moved, records) -> None:
+def _gradient_records(prefix, family, config, batch, moved, records, frames=(T, H, W)) -> None:
     import vnact
     from vnact.synthetic import default_label_space
 
@@ -74,7 +84,8 @@ def _gradient_records(prefix, family, config, batch, moved, records) -> None:
         model.set_params({
             name: vnact.Tensor(t.data + rng.normal(0.0, 0.05, size=t.shape), grad_enabled=True)
             if not np.any(t.data) else t for name, t in model.params().items()})
-    inputs = {key: rng.normal(size=(batch, T, CHANNELS, H, W)) for key in INPUTS[family]}
+    inputs = {key: rng.normal(size=(batch, frames[0], CHANNELS, *frames[1:]))
+              for key in INPUTS[family]}
     actions = rng.integers(0, space.num_actions, size=batch)
     pairs = np.asarray(space.actions)
     labels = (pairs[actions, 0], pairs[actions, 1], actions)
@@ -138,6 +149,18 @@ def _stage_records(family, preset, records) -> None:
     records[f"{prefix}/log"] = np.array([json.dumps(row, sort_keys=True) for row in log.rows])
     table = training.evaluate(model, splits[1], frames_t=T, batch_size=4)
     _score_records(prefix, at_init, table, splits[1], records)
+    tenview = training.evaluate(model, splits[1], frames_t=T, batch_size=4,
+                                crop=training.CropSpec("lsta_10view"), crop_size=6)
+    records[f"{prefix}/tenview_score_json"] = _score_json_bytes(tenview)
+
+
+def _score_json_bytes(table) -> np.ndarray:
+    from vnact import scores
+
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "scores.json"
+        scores.write_score_json(path, table)
+        return np.frombuffer(path.read_bytes(), dtype=np.uint8)
 
 
 def _score_records(prefix, at_init, table, dataset, records) -> None:
@@ -145,10 +168,7 @@ def _score_records(prefix, at_init, table, dataset, records) -> None:
 
     metrics = scores.compute_metrics(table, dataset.labels_by_segment()).values
     records[f"{prefix}/metrics"] = np.array(json.dumps(metrics, sort_keys=True))
-    with tempfile.TemporaryDirectory() as workdir:
-        path = Path(workdir) / "scores.json"
-        scores.write_score_json(path, table)
-        records[f"{prefix}/score_json"] = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+    records[f"{prefix}/score_json"] = _score_json_bytes(table)
     for mode in ("direct", "pair"):
         decoded = scores.decode(table, dataset.space, mode=mode)
         records[f"{prefix}/decode/{mode}"] = np.array(json.dumps(decoded, sort_keys=True))
@@ -175,6 +195,8 @@ def dump(out_path: str, src: str) -> None:
     for batch in (2, 3):
         _gradient_records(f"lsta_gru/desk/batch{batch}", "lsta_gru", DESK_LSTA_GRU, batch, False,
                           records)
+    _gradient_records("hf_tsn/tiled/batch32", "hf_tsn", TILED_HF_TSN, 32, True, records,
+                      frames=TILED_FRAMES)
     np.savez(out_path, **records)
 
 
