@@ -1,8 +1,11 @@
 """Command-line surface.
 
 Subcommands: make-synthetic, train, eval, gradcheck, ensemble, metrics,
-submit; each declares only the flags it reads. Exit codes: 0 success,
-1 usage, validation or format error, 2 numerical failure.
+submit; each declares only the flags it reads, and every setting has one
+source: make-synthetic takes flags only, and train takes its recipe
+(preset, model, overrides, init_from, augmentation) from its JSON config.
+Exit codes: 0 success, 1 usage, validation or format error, 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 import time
 from typing import Dict, Optional
 
-from .errors import NumericalError, ValidationError, _known_keys, _typed
+from .errors import NumericalError, ValidationError, _known_keys
 from .init import derive_seed
 from .models import FAMILIES, TwoStreamModel, create_model, load_model
 from .scores import (
@@ -38,9 +41,7 @@ from .training import (
 )
 
 
-def _load_config(path: Optional[str]) -> Dict:
-    if not path:
-        return {}
+def _load_config(path: str) -> Dict:
     if not os.path.exists(path):
         raise ValidationError(f"config file {path} does not exist")
     with open(path) as fh:
@@ -61,45 +62,22 @@ def _section(cfg: Dict, key: str) -> Optional[Dict]:
     return value
 
 
-def _pick(flag, config_value, default):
-    if flag is not None:
-        return flag
-    if config_value is not None:
-        return config_value
-    return default
-
-
 # ---------------------------------------------------------------------------
 # make-synthetic
 
 
-# make-synthetic settings: each comes from the flag of the same name, else the
-# config key of the same name, else this default, converted to its type.
-_SYNTHETIC_DEFAULTS = {"verbs": 6, "nouns": 8, "actions": 12, "train_samples": 500,
-                       "test_samples": 200, "t_len": 8, "channels": 3, "height": 16,
-                       "width": 16, "noise_sigma": 0.5, "flow_channels": 4}
-
-
 def cmd_make_synthetic(args) -> int:
-    cfg = _load_config(args.config)
-    _known_keys(cfg, ("seed", "two_stream", *_SYNTHETIC_DEFAULTS), "make-synthetic config keys")
-    seed = _typed(_pick(args.seed, cfg.get("seed"), 0), int, "seed")
-    dims = {key: _typed(_pick(getattr(args, key), cfg.get(key), default), type(default), key)
-            for key, default in _SYNTHETIC_DEFAULTS.items()}
-    dims["two_stream"] = _typed(_pick(args.two_stream or None, cfg.get("two_stream"), False),
-                                bool, "two_stream")
-    space = default_label_space(dims["verbs"], dims["nouns"], dims["actions"], seed=seed)
+    space = default_label_space(args.verbs, args.nouns, args.actions, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
-    for split, count in (("train", dims["train_samples"]), ("test", dims["test_samples"])):
-        split_seed = derive_seed(seed, f"data:{split}")
-        common = (space, count, dims["t_len"], dims["channels"])
-        if dims["two_stream"]:
-            ds = make_two_stream_synthetic(*common[:4], dims["flow_channels"], dims["height"],
-                                           dims["width"], dims["noise_sigma"], split_seed,
-                                           split_tag=split)
+    for split, count in (("train", args.train_samples), ("test", args.test_samples)):
+        split_seed = derive_seed(args.seed, f"data:{split}")
+        if args.two_stream:
+            ds = make_two_stream_synthetic(space, count, args.t_len, args.channels,
+                                           args.flow_channels, args.height, args.width,
+                                           args.noise_sigma, split_seed, split_tag=split)
         else:
-            ds = make_synthetic(*common, dims["height"], dims["width"], dims["noise_sigma"],
-                                split_seed, split_tag=split)
+            ds = make_synthetic(space, count, args.t_len, args.channels, args.height, args.width,
+                                args.noise_sigma, split_seed, split_tag=split)
         ds.save(os.path.join(args.out_dir, split))
         print(f"wrote {split}: {count} samples, modalities {sorted(ds.inputs)}")
     print(f"label space: {space.num_verbs} verbs, {space.num_nouns} nouns, "
@@ -150,21 +128,14 @@ def _build_model_config(family: str, model_cfg: Dict, dataset: SyntheticDataset,
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
-    _known_keys(cfg, ("preset", "seed", "model", "overrides", "init_from", "augmentation"),
+    _known_keys(cfg, ("preset", "model", "overrides", "init_from", "augmentation"),
                 "train config keys")
-    seed = _typed(_pick(args.seed, cfg.get("seed"), 0), int, "seed")
-    preset_name = _pick(args.preset, cfg.get("preset"), None)
+    preset_name = cfg.get("preset")
     if preset_name is None:
-        raise ValidationError("train needs a preset (--preset or config 'preset')")
+        raise ValidationError("train config needs a 'preset'")
     if not isinstance(preset_name, str) or preset_name not in PRESETS:
         raise ValidationError(f"unknown preset '{preset_name}' (have {sorted(PRESETS)})")
-    overrides = dict(_section(cfg, "overrides") or {})
-    for flag, key in ((args.epochs, "epochs"), (args.frames_t, "frames_T"),
-                      (args.batch_size, "batch_size")):
-        if flag is not None:
-            overrides[key] = flag
-    memory_d = overrides.pop("memory_D", None)
-    schedule = apply_overrides(PRESETS[preset_name], overrides)
+    schedule = apply_overrides(PRESETS[preset_name], _section(cfg, "overrides") or {})
     aug_cfg = _section(cfg, "augmentation") or {}
     _known_keys(aug_cfg, [f.name for f in dataclasses.fields(AugmentationConfig)], "augmentation keys")
     aug = AugmentationConfig(**aug_cfg)
@@ -174,8 +145,8 @@ def cmd_train(args) -> int:
     train_ds = SyntheticDataset.load(train_dir)
     test_ds = SyntheticDataset.load(test_dir) if os.path.isdir(test_dir) else None
 
-    model_cfg = dict(_section(cfg, "model") or {})
-    family = _pick(args.family, model_cfg.get("family"), None)
+    model_cfg = _section(cfg, "model") or {}
+    family = model_cfg.get("family")
     init_from = _section(cfg, "init_from") or {}
     _known_keys(init_from, ("model", "app", "motion"), "init_from keys")
     for key, path in init_from.items():
@@ -183,7 +154,6 @@ def cmd_train(args) -> int:
             raise ValidationError(f"config 'init_from.{key}' must be a path, got {path!r}")
     if any(init_from.values()):
         ignored = [f"model.{key}" for key in model_cfg if key != "family"]
-        ignored += ["overrides.memory_D"] if memory_d is not None else []
         if ignored:
             raise ValidationError(f"config keys {ignored} would be ignored: init_from takes "
                                   f"the model config from its checkpoints")
@@ -196,11 +166,9 @@ def cmd_train(args) -> int:
                                             load_model(init_from["motion"]))
     else:
         if family is None:
-            raise ValidationError("train needs a model family (--family or config model.family)")
-        if memory_d is not None:
-            model_cfg["memory"] = _typed(memory_d, int, "memory_D")
+            raise ValidationError("train config needs a model family (model.family)")
         built_cfg = _build_model_config(family, model_cfg, train_ds, schedule.frames_T)
-        model = create_model(family, built_cfg, train_ds.space, derive_seed(seed, "init"))
+        model = create_model(family, built_cfg, train_ds.space, derive_seed(args.seed, "init"))
     if family is not None and family != model.family:
         raise ValidationError(
             f"config family '{family}' conflicts with checkpoint family '{model.family}'")
@@ -208,14 +176,14 @@ def cmd_train(args) -> int:
         raise ValidationError("dataset and model label spaces differ")
 
     started = time.time()
-    log = run_stage(model, train_ds, schedule, seed=seed, aug=aug,
+    log = run_stage(model, train_ds, schedule, seed=args.seed, aug=aug,
                     eval_dataset=test_ds, eval_every=args.eval_every)
     elapsed = time.time() - started
 
     os.makedirs(args.out_dir, exist_ok=True)
     model.save(os.path.join(args.out_dir, "model"))
     log.to_csv(os.path.join(args.out_dir, "log.csv"))
-    summary = {"preset": preset_name, "seed": seed, "epochs": schedule.epochs,
+    summary = {"preset": preset_name, "seed": args.seed, "epochs": schedule.epochs,
                "seconds": round(elapsed, 3)}
     if log.rows:
         last = log.rows[-1]
@@ -328,36 +296,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vnact", description="Verb/noun/action video recognition toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def seed_and_config(p):
-        p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-        p.add_argument("--config", default=None, help="JSON config file")
-
     p = sub.add_parser("make-synthetic", help="generate a labeled synthetic dataset")
-    seed_and_config(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--verbs", type=int, default=None)
-    p.add_argument("--nouns", type=int, default=None)
-    p.add_argument("--actions", type=int, default=None)
-    p.add_argument("--train-samples", type=int, default=None)
-    p.add_argument("--test-samples", type=int, default=None)
-    p.add_argument("--t-len", type=int, default=None)
-    p.add_argument("--channels", type=int, default=None)
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--noise-sigma", type=float, default=None)
+    p.add_argument("--verbs", type=int, default=6)
+    p.add_argument("--nouns", type=int, default=8)
+    p.add_argument("--actions", type=int, default=12)
+    p.add_argument("--train-samples", type=int, default=500)
+    p.add_argument("--test-samples", type=int, default=200)
+    p.add_argument("--t-len", type=int, default=8)
+    p.add_argument("--channels", type=int, default=3)
+    p.add_argument("--height", type=int, default=16)
+    p.add_argument("--width", type=int, default=16)
+    p.add_argument("--noise-sigma", type=float, default=0.5)
     p.add_argument("--two-stream", action="store_true")
-    p.add_argument("--flow-channels", type=int, default=None)
+    p.add_argument("--flow-channels", type=int, default=4)
     p.set_defaults(func=cmd_make_synthetic)
 
-    p = sub.add_parser("train", help="train one stage")
-    seed_and_config(p)
+    p = sub.add_parser("train", help="train one stage; the JSON config sets the preset, "
+                                     "model and overrides")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", required=True, help="JSON train config")
     p.add_argument("--dataset", required=True, help="directory with train/ and test/ splits")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--preset", default=None, choices=sorted(PRESETS))
-    p.add_argument("--family", default=None, choices=sorted(FAMILIES))
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--frames-t", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--eval-every", type=int, default=0)
     p.set_defaults(func=cmd_train)
 

@@ -2,9 +2,11 @@
 pooling, reductions, the loss and the fused backbone and recurrent rules, one
 rule per concept.
 
-All operations accept the per-sample ranks used throughout the package
-(feature rows, C×H×W maps, C×T×H×W stacks) and, where noted, extra leading
-axes that are treated as batch dimensions (``matmul`` takes (..., K)).
+The models call every operation on batched arrays only: (B, F) feature
+rows, (B, C, H, W) maps and (B, C, T, H, W) stacks. An operation works on
+the trailing axes it names and treats the leading ones as batch
+(``matmul`` takes (..., K)); ``cross_entropy`` and ``gru_step`` take
+exactly (B, ·) rows.
 Convolution uses cross-correlation semantics with zero padding; reductions
 use numpy's fixed deterministic accumulation so replays are bit-identical.
 

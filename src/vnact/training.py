@@ -115,7 +115,7 @@ def apply_overrides(schedule: StageSchedule, overrides: Dict) -> StageSchedule:
     them would violate the decay_epochs < epochs invariant.
     """
     _known_keys(overrides, (f.name for f in dataclasses.fields(StageSchedule) if f.name != "name"),
-                "schedule overrides")
+                "override keys")
     fixed = dict(overrides)
     if "epochs" in fixed and "decay_epochs" not in fixed:
         epochs = _typed(fixed["epochs"], int, "epochs")
@@ -137,24 +137,20 @@ def lr_at(s: StageSchedule, epoch: int) -> float:
 # frame sampling and augmentation
 
 
-def sample_frames(n_available: int, t: int, mode: str = "eval",
+def sample_frames(n_available: int, t: int,
                   rng: Optional[np.random.Generator] = None) -> List[int]:
-    """Split [0, n) into t equal segments; pick each segment's center
-    (eval) or a uniform random frame within it (train). Indices are
+    """Split [0, n) into t equal segments; pick each segment's center, or a
+    uniform random frame within it when ``rng`` is given. Indices are
     nondecreasing; duplicates appear when fewer frames than segments."""
     if t < 1:
         raise ValidationError(f"segment count must be positive, got {t}")
     if n_available < 1:
         raise ValidationError(f"need at least one frame, got {n_available}")
-    if mode not in ("train", "eval"):
-        raise ValidationError(f"mode must be train or eval, got '{mode}'")
-    if mode == "train" and rng is None:
-        raise ValidationError("train-mode sampling requires an rng")
     out = []
     for i in range(t):
         lo = i * n_available / t
         hi = (i + 1) * n_available / t
-        if mode == "eval":
+        if rng is None:
             out.append(int(np.floor((lo + hi) / 2.0)))
         else:
             first = int(np.floor(lo))
@@ -200,23 +196,19 @@ def bilinear_resize(arr: np.ndarray, height: int, width: int) -> np.ndarray:
     return top * (1 - fy) + bot * fy
 
 
-def augment_clip(clip: np.ndarray, aug: AugmentationConfig, rng: np.random.Generator,
+def augment_clip(clip: np.ndarray, box: Optional[Tuple[int, int, int, int]],
                  flip: bool) -> np.ndarray:
-    """Apply scale jitter and, if ``flip``, a horizontal flip to one clip (T, C, H, W).
+    """Crop ``box`` = (top, left, height, width) out of one clip (T, C, H, W) and
+    resize it back to H×W (None keeps the whole frame), then flip it
+    horizontally if ``flip``.
 
-    The caller draws the flip decision so paired modalities of one sample
-    share it.
+    The caller draws the box and the flip once per sample, so paired
+    modalities of one sample share them.
     """
     out = clip
-    if aug.scale_jitter is not None:
-        lo, hi = aug.scale_jitter
-        h, w = out.shape[-2:]
-        s = rng.uniform(lo, hi)
-        ch = max(1, int(round(h * s)))
-        cw = max(1, int(round(w * s)))
-        top = int(rng.integers(0, h - ch + 1))
-        left = int(rng.integers(0, w - cw + 1))
-        out = bilinear_resize(out[..., top:top + ch, left:left + cw], h, w)
+    if box is not None:
+        top, left, ch, cw = box
+        out = bilinear_resize(out[..., top:top + ch, left:left + cw], *clip.shape[-2:])
     if flip:
         out = out[..., ::-1]
     return np.ascontiguousarray(out)
@@ -315,28 +307,33 @@ def optimizer_step(
 # evaluation and the stage loop
 
 
-def _gather_frames(arr: np.ndarray, t: int, rng: Optional[np.random.Generator]) -> np.ndarray:
-    """Per-sample temporal sampling of (B, T_data, C, H, W) down to t frames."""
-    b, t_data = arr.shape[:2]
-    if rng is None:
-        idx = np.asarray(sample_frames(t_data, t), dtype=np.int64)
-        return arr[:, idx]
-    rows = np.stack([np.asarray(sample_frames(t_data, t, "train", rng), dtype=np.int64)
-                     for _ in range(b)])
-    return arr[np.arange(b)[:, None], rows]
-
-
 def _prepare_batch(inputs: Dict[str, np.ndarray], frames_t: int, aug: AugmentationConfig,
                    rng: np.random.Generator):
+    """Sample ``frames_t`` frames of each (B, T, C, H, W) input and augment them.
+    Each sample's frame indices, crop box and flip are drawn once and applied
+    to every modality, so paired frames and flow stay aligned in time and
+    space, and ``rng`` is drawn as for a batch of one modality."""
+    keys = sorted(inputs)
+    b, t_data = inputs[keys[0]].shape[:2]
+    h, w = inputs[keys[0]].shape[-2:]
+    for k in keys:
+        if inputs[k].shape[1] != t_data or inputs[k].shape[-2:] != (h, w):
+            raise ValidationError(f"modalities disagree on T or HxW: {keys[0]} "
+                                  f"{inputs[keys[0]].shape}, {k} {inputs[k].shape}")
     jitter_rng = rng if aug.temporal_jitter else None
-    sampled = {k: _gather_frames(v, frames_t, jitter_rng) for k, v in inputs.items()}
-    keys = sorted(sampled)
-    b = sampled[keys[0]].shape[0]
+    rows = np.array([sample_frames(t_data, frames_t, jitter_rng) for _ in range(b)],
+                    dtype=np.int64)
+    sampled = {k: inputs[k][np.arange(b)[:, None], rows] for k in keys}
     out = {k: np.empty_like(sampled[k]) for k in keys}
     for i in range(b):
         flip = bool(rng.random() < aug.horizontal_flip)
+        box = None
+        if aug.scale_jitter is not None:
+            s = rng.uniform(*aug.scale_jitter)
+            ch, cw = max(1, int(round(h * s))), max(1, int(round(w * s)))
+            box = (int(rng.integers(0, h - ch + 1)), int(rng.integers(0, w - cw + 1)), ch, cw)
         for k in keys:
-            out[k][i] = augment_clip(sampled[k][i], aug, rng, flip=flip)
+            out[k][i] = augment_clip(sampled[k][i], box, flip=flip)
     return out
 
 
@@ -359,7 +356,7 @@ def evaluate(model, dataset, frames_t: Optional[int] = None, batch_size: int = 3
         idx = list(range(start, min(n, start + batch_size)))
         inputs, _ = dataset.batch(idx)
         t_target = frames_t or next(iter(inputs.values())).shape[1]
-        sampled = {k: _gather_frames(v, t_target, None) for k, v in inputs.items()}
+        sampled = {k: v[:, sample_frames(v.shape[1], t_target)] for k, v in inputs.items()}
         # Without a CropSpec the whole frame is the one view; dividing by 1 is exact.
         views = {k: [v] if crop is None else eval_multiview(v, crop, crop_size)
                  for k, v in sampled.items()}

@@ -1,5 +1,8 @@
 """End-to-end runs of every CLI subcommand on tiny configurations."""
 
+import argparse
+import ast
+import dataclasses
 import json
 import os
 import shutil
@@ -10,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vnact.cli import main
+from vnact import cli
+from vnact.cli import build_parser, main
 from vnact.models import create_model
 from vnact.scores import read_score_json
 from vnact.synthetic import SyntheticDataset
-from vnact.training import PRESETS, apply_overrides
+from vnact.training import PRESETS, StageSchedule, apply_overrides
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -102,9 +106,11 @@ def test_train_writes_artifacts(workspace):
 
 def test_train_errors_map_to_exit_code_one(workspace, tmp_path, capsys):
     data = workspace["data"]
+    no_family = tmp_path / "no_family.json"
+    no_family.write_text(json.dumps({"preset": "lsta_stage1"}))
     assert main(["train", "--dataset", str(data), "--out-dir", str(tmp_path),
-                 "--preset", "lsta_stage1"]) == 1  # no family anywhere
-    assert "error:" in capsys.readouterr().err
+                 "--config", str(no_family)]) == 1
+    assert "train config needs a model family" in capsys.readouterr().err
 
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"preset": "lsta_stage1",
@@ -112,9 +118,10 @@ def test_train_errors_map_to_exit_code_one(workspace, tmp_path, capsys):
                                "overrides": {"epochs": 1, "warmup": 5}}))
     assert main(["train", "--dataset", str(data), "--out-dir", str(tmp_path),
                  "--config", str(cfg)]) == 1  # unknown override key
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_trainable_base_config()))
     assert main(["train", "--dataset", str(tmp_path / "nowhere"),
-                 "--out-dir", str(tmp_path), "--preset", "lsta_stage1",
-                 "--family", "lsta"]) == 1  # missing dataset
+                 "--out-dir", str(tmp_path), "--config", str(good)]) == 1  # missing dataset
 
     bad_json = tmp_path / "nonjson.json"
     bad_json.write_text("{oops")
@@ -137,8 +144,8 @@ def test_train_wrong_shape_base_config_trains(workspace, tmp_path):
 
 @pytest.mark.parametrize("entry, message", [
     ({"model": {"family": "lsta", "memory": 8}}, "config keys ['model.memory'] would be ignored"),
-    ({"overrides": {"epochs": 1, "frames_T": 3, "batch_size": 4, "memory_D": 6}},
-     "config keys ['overrides.memory_D'] would be ignored"),
+    ({"model": {"family": "lsta", "memory": 8, "stage_channels": [3]}},
+     "config keys ['model.memory', 'model.stage_channels'] would be ignored"),
     ({"model": {"family": "motion"}}, "config family 'motion' conflicts with checkpoint family 'lsta'"),
 ])
 def test_train_from_a_checkpoint_refuses_model_settings_it_would_ignore(workspace, tmp_path,
@@ -175,22 +182,22 @@ def test_train_from_two_streams_refuses_another_family(workspace, tmp_path, caps
     ({"overrides": [1, 2]}, "'overrides' must be an object"),
     ({"init_from": "x"}, "'init_from' must be an object"),
     ({"augmentation": {"scale_jitter": [2]}}, "config 'scale_jitter' must be [float, float], got [2]"),
-    ({"seed": "x"}, "config 'seed' must be int"),
+    ({"seed": 5}, "unknown train config keys ['seed']"),
     ({"preset": ["a"]}, "unknown preset"),
     ({"init_from": {"model": 5}}, "'init_from.model' must be a path"),
     ({"augmentation": {"horizontal_flip": "x"}}, "config 'horizontal_flip' must be float"),
     ({"augmentation": {"scale_jitter": 5}}, "config 'scale_jitter' must be [float, float], got 5"),
-    ({"overrides": {"memory_D": "x"}}, "config 'memory_D' must be int"),
+    ({"overrides": {"memory_D": 6}}, "unknown override keys ['memory_D']"),
     ({"overrides": {"epochs": "x"}}, "config 'epochs' must be int, got 'x'"),
     ({"overrides": {"trainable_groups": 5}}, "config 'trainable_groups' must be list of str, got 5"),
     ({"augmentation": {"temporal_jitter": "false"}}, "config 'temporal_jitter' must be bool"),
     ({"augmentation": {"horizontal_flip": True}}, "config 'horizontal_flip' must be float"),
-    ({"seed": 3.7}, "config 'seed' must be int"),
-    ({"seed": True}, "config 'seed' must be int"),
+    ({"preset": None}, "train config needs a 'preset'"),
+    ({"model": {"family": None}}, "train config needs a model family (model.family)"),
     ({"overrides": {"batch_size": 2.5}}, "config 'batch_size' must be int, got 2.5"),
     ({"overrides": {"epochs": True}}, "config 'epochs' must be int, got True"),
     ({"overrides": {"dropout_p": False}}, "config 'dropout_p' must be float, got False"),
-    ({"seed": "3"}, "config 'seed' must be int, got '3'"),
+    ({"model": {"family": "lstm"}}, "unknown model family 'lstm'"),
     ({"overrides": {"epochs": 5.0}}, "config 'epochs' must be int, got 5.0"),
     ({"overrides": {"trainable_groups": "heads"}},
      "config 'trainable_groups' must be list of str, got 'heads'"),
@@ -208,8 +215,7 @@ def test_train_from_two_streams_refuses_another_family(workspace, tmp_path, caps
     ({"augmentaion": {"horizontal_flip": 0.5}}, "unknown train config keys ['augmentaion']"),
     ({"init_from": {"modle": "r1/model"}}, "unknown init_from keys ['modle']"),
     ({"model": {"memroy": 8}}, "unknown model config keys ['memroy']"),
-    ({"model": {"family": "hf_tsn"}, "overrides": {"memory_D": 3}},
-     "unknown model config keys ['memory']"),
+    ({"model": {"family": "hf_tsn", "memory": 3}}, "unknown model config keys ['memory']"),
     ({"model": {"family": "two_stream", "app": 5}}, "config 'app' must be an object, got int"),
 ])
 def test_train_config_values_of_the_wrong_shape_exit_one(workspace, tmp_path, capsys,
@@ -227,58 +233,16 @@ def test_train_config_values_of_the_wrong_shape_exit_one(workspace, tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("entry, message", [
-    ({"seed": "x"}, "config 'seed' must be int"),
-    ({"verbs": "three"}, "config 'verbs' must be int"),
-    ({"train_samples": [4]}, "config 'train_samples' must be int"),
-    ({"noise_sigma": "x"}, "config 'noise_sigma' must be float"),
-    ({"flow_channels": {"n": 4}}, "config 'flow_channels' must be int"),
-    ({"two_stream": "false"}, "config 'two_stream' must be bool"),
-    ({"seed": 3.7}, "config 'seed' must be int"),
-    ({"seed": True}, "config 'seed' must be int"),
-    ({"noise_sigma": True}, "config 'noise_sigma' must be float"),
-    ({"seed": "3"}, "config 'seed' must be int, got '3'"),
-    ({"verbs": 6.0}, "config 'verbs' must be int, got 6.0"),
-])
-def test_make_synthetic_config_scalars_of_the_wrong_type_exit_one(tmp_path, capsys,
-                                                                  entry, message):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(entry))
-    assert main(["make-synthetic", "--out-dir", str(tmp_path / "data"),
-                 "--config", str(cfg)]) == 1
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "data").exists()
-
-
-def test_make_synthetic_unknown_config_key_exits_one(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"train_sample": 3}))
-    assert main(["make-synthetic", "--out-dir", str(tmp_path / "data"),
-                 "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert "unknown make-synthetic config keys ['train_sample']" in err and "Traceback" not in err
-    assert not (tmp_path / "data").exists()
-
-
-def test_train_memory_d_override_sets_the_model_memory(workspace, tmp_path):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"preset": "lsta_stage1", "model": {"family": "lsta"},
-                               "overrides": {"epochs": 1, "frames_T": 3, "batch_size": 4,
-                                             "trainable_groups": ["heads", "lsta"],
-                                             "memory_D": 5}}))
-    assert main(["train", "--dataset", str(workspace["data"]), "--out-dir", str(tmp_path / "out"),
-                 "--config", str(cfg)]) == 0
-    meta = json.loads((tmp_path / "out" / "model" / "model.json").read_text())
-    assert meta["config"]["memory"] == 5
-
-
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
 def test_shipped_config_trains(tmp_path, monkeypatch, path):
     """Every file under configs/ passes the key and type checks of ``vnact train``
-    at every level, and its overrides, model section or checkpoints give a run."""
+    at every level, and its overrides, model section or checkpoints give a run
+    (shrunk to one epoch of batch 4 through its overrides)."""
     cfg = json.loads(path.read_text())
     make_tiny_dataset(tmp_path / "data", two_stream=True)
     apply_overrides(PRESETS[cfg["preset"]], cfg["overrides"])
+    cfg["overrides"].update(epochs=1, batch_size=4)
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
     monkeypatch.chdir(tmp_path)
     space = SyntheticDataset.load(tmp_path / "data" / "train").space
     for key, (family, config) in {"app": ("lsta", {"input_channels": 2}),
@@ -286,8 +250,31 @@ def test_shipped_config_trains(tmp_path, monkeypatch, path):
         if key in cfg.get("init_from", {}):
             create_model(family, {**config, "stage_channels": [3, 4], "memory": 3}, space,
                          seed=0).save(cfg["init_from"][key])
-    assert main(["train", "--dataset", "data", "--out-dir", "out", "--config", str(path),
-                 "--epochs", "1", "--batch-size", "4"]) == 0
+    assert main(["train", "--dataset", "data", "--out-dir", "out", "--config", "config.json"]) == 0
+
+
+def _train_config_keys():
+    """The keys ``vnact train`` reads from its config: the top level it names
+    to ``_known_keys``, the schedule overrides (compared without case, so
+    ``frames_T`` meets ``--frames-t``) and ``model.family``."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    top = {elt.value for node in ast.walk(tree)
+           if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_known_keys"
+           and ast.literal_eval(node.args[2]) == "train config keys"
+           for elt in node.args[1].elts}
+    assert "preset" in top
+    overrides = {f.name.lower() for f in dataclasses.fields(StageSchedule) if f.name != "name"}
+    return top | overrides | {"family"}
+
+
+def test_every_cli_setting_has_one_source():
+    """No setting can be given both as a flag and as a config key: train reads
+    its recipe from the config, and make-synthetic reads no config at all."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {name: {a.dest.lower() for a in p._actions} for name, p in sub.choices.items()}
+    assert "config" not in dests["make-synthetic"]
+    assert sorted(dests["train"] & _train_config_keys()) == []
+    assert dests["train"] == {"help", "seed", "config", "dataset", "out_dir", "eval_every"}
 
 
 def test_train_can_resume_from_checkpoint(workspace, tmp_path):
@@ -571,6 +558,12 @@ def test_gradcheck_command_smoke(capsys):
     ["metrics", "--scores", "s.json", "--dataset", "d", "--seed", "1"],
     ["submit", "--scores", "s.json", "--out", "o.json", "--config", "c.json"],
     ["no-such-command"],
+    ["make-synthetic", "--out-dir", "d", "--config", "c.json"],
+    ["make-synthetic", "--out-dir", "d", "--verbs", "6.0"],
+    ["make-synthetic", "--out-dir", "d", "--noise-sigma", "x"],
+    ["train", "--dataset", "d", "--out-dir", "o"],  # --config is required
+    ["train", "--dataset", "d", "--out-dir", "o", "--config", "c.json", "--preset", "hf_tsn"],
+    ["train", "--dataset", "d", "--out-dir", "o", "--config", "c.json", "--epochs", "1"],
 ])
 def test_usage_errors_exit_one(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -17,6 +17,7 @@ from vnact.training import (
     OptimizerState,
     StageSchedule,
     TrainingLog,
+    _prepare_batch,
     apply_overrides,
     augment_clip,
     bilinear_resize,
@@ -199,7 +200,7 @@ def test_sample_frames_train_stays_within_segments():
     rng = np.random.default_rng(0)
     for n, t in [(20, 4), (7, 3), (16, 16), (5, 8)]:
         for _ in range(50):
-            idx = sample_frames(n, t, "train", rng)
+            idx = sample_frames(n, t, rng)
             assert len(idx) == t
             assert all(0 <= i < n for i in idx)
             assert all(a <= b for a, b in zip(idx, idx[1:]))
@@ -215,9 +216,7 @@ def test_sample_frames_validation():
     with pytest.raises(ValidationError):
         sample_frames(4, 0)
     with pytest.raises(ValidationError):
-        sample_frames(4, 2, "test")
-    with pytest.raises(ValidationError):
-        sample_frames(4, 2, "train")  # rng required
+        sample_frames(0, 4, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +235,37 @@ def test_bilinear_resize_identity_and_ramp():
 def test_augment_clip_flip_and_identity_jitter():
     rng = np.random.default_rng(2)
     clip = rng.normal(size=(3, 2, 6, 6))
-    flipped = augment_clip(clip, AugmentationConfig(), np.random.default_rng(0), flip=True)
+    flipped = augment_clip(clip, None, flip=True)
     assert np.array_equal(flipped, clip[..., ::-1])
-    same = augment_clip(clip, AugmentationConfig(scale_jitter=(1.0, 1.0)),
-                        np.random.default_rng(0), flip=False)
+    same = augment_clip(clip, (0, 0, 6, 6), flip=False)
     assert np.array_equal(same, clip)
+    corner = augment_clip(clip, (2, 3, 1, 1), flip=False)
+    assert np.array_equal(corner, np.broadcast_to(clip[..., 2:3, 3:4], clip.shape))
+
+
+def test_paired_modalities_share_each_samples_draws():
+    """Frames and flow of one sample get the same frame indices, crop box and
+    flip: both encode the time index along t and the column index along x,
+    so any draw that differs between them shows as unequal outputs."""
+    b, t, h, w = 6, 16, 8, 10
+    ramp = np.arange(t, dtype=float)[:, None, None, None] * 100.0 + np.arange(w, dtype=float)
+    ramp = np.broadcast_to(ramp, (b, t, 1, h, w))
+    inputs = {"frames": np.repeat(ramp, 3, axis=2), "flow": np.repeat(ramp, 2, axis=2)}
+    aug = AugmentationConfig(scale_jitter=(0.5, 1.0), horizontal_flip=0.5, temporal_jitter=True)
+    out = _prepare_batch(inputs, 4, aug, np.random.default_rng(7))
+    for i in range(b):
+        assert np.array_equal(out["frames"][i, :, :2], out["flow"][i])
+    # The draws are not all the identity: some sample is jittered, cropped or flipped.
+    plain = inputs["frames"][:, sample_frames(t, 4)]
+    assert not np.array_equal(out["frames"], plain)
+
+
+def test_prepare_batch_rejects_modalities_of_different_extents():
+    aug = AugmentationConfig()
+    for flow_shape in ((2, 5, 2, 4, 4), (2, 4, 2, 4, 6)):
+        inputs = {"frames": np.zeros((2, 4, 3, 4, 4)), "flow": np.zeros(flow_shape)}
+        with pytest.raises(ValidationError, match="modalities disagree on T or HxW"):
+            _prepare_batch(inputs, 2, aug, np.random.default_rng(0))
 
 
 def test_augmentation_config_validation():
