@@ -201,11 +201,8 @@ def _entry_family(family: str, seed: int) -> Entry:
     space = default_label_space(3, 4, 6, seed=0)
     model = create_model(family, _FAMILY_CONFIGS[family], space, seed)
     t, h, w = 2, 4, 4
-    inputs = {}
-    if family != "motion":
-        inputs["frames"] = rng.normal(size=(1, t, 2, h, w))
-    if family in ("motion", "two_stream"):
-        inputs["flow"] = rng.normal(size=(1, t, 2, h, w))
+    # Every input of every battery config has 2 channels.
+    inputs = {key: rng.normal(size=(1, t, 2, h, w)) for key in model.modalities}
     actions = rng.integers(0, space.num_actions, size=1)
     pairs = np.asarray(space.actions)
     labels = (pairs[actions, 0], pairs[actions, 1], actions)

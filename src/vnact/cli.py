@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 from .errors import NumericalError, ValidationError, _known_keys
 from .init import derive_seed
-from .models import FAMILIES, TwoStreamModel, create_model, load_model
+from .models import TwoStreamModel, create_model, load_model, model_class
 from .scores import (
     TASKS,
     average_tables,
@@ -89,40 +89,26 @@ def cmd_make_synthetic(args) -> int:
 # train
 
 
-_DEFAULT_STAGES = [8, 12, 16]
-
-
-def _stream_defaults(cfg: Dict, key_channels: str, dataset: SyntheticDataset,
-                     modality: str) -> Dict:
-    out = dict(cfg)
-    if modality not in dataset.inputs:
-        raise ValidationError(f"dataset has no '{modality}' modality for this model family")
-    out.setdefault(key_channels, int(dataset.inputs[modality].shape[2]))
-    out.setdefault("stage_channels", list(_DEFAULT_STAGES))
-    out.setdefault("memory", 16)
-    return out
-
-
 def _build_model_config(family: str, model_cfg: Dict, dataset: SyntheticDataset,
                         frames_t: int) -> Dict:
+    """A fresh model's config: the train config's model section plus the keys
+    the data fixes, which that section may not set: the channel count of each
+    input the family reads, and its clip-length key, from ``frames_t``."""
+    cls = model_class(family)
+    fixed = {path: (key, f"the '{key}' input's channel count")
+             for key, path in cls.modalities.items()}
+    if cls.clip_length_key:
+        fixed[cls.clip_length_key] = (None, "the schedule's frames_T")
     cfg = {k: v for k, v in model_cfg.items() if k != "family"}
-    if family in ("lsta", "lsta_gru"):
-        cfg = _stream_defaults(cfg, "input_channels", dataset, "frames")
-        if family == "lsta_gru":
-            cfg.setdefault("gru_hidden", cfg["memory"])
-    elif family == "hf_tsn":
-        cfg.setdefault("input_channels", int(dataset.inputs["frames"].shape[2])
-                       if "frames" in dataset.inputs else 3)
-        cfg.setdefault("stage_channels", list(_DEFAULT_STAGES))
-        cfg.setdefault("segments", frames_t)
-        cfg.setdefault("hf_positions", list(range(len(cfg["stage_channels"]))))
-    elif family == "motion":
-        cfg = _stream_defaults(cfg, "flow_channels", dataset, "flow")
-    elif family == "two_stream":
-        cfg["app"] = _stream_defaults(_section(cfg, "app") or {}, "input_channels", dataset, "frames")
-        cfg["motion"] = _stream_defaults(_section(cfg, "motion") or {}, "flow_channels", dataset, "flow")
-    else:
-        raise ValidationError(f"unknown model family '{family}' (have {sorted(FAMILIES)})")
+    for path, (modality, source) in fixed.items():
+        stream, _, key = path.rpartition(".")
+        section = cfg
+        if stream:
+            section = cfg[stream] = dict(_section(cfg, stream) or {})
+        if key in section:
+            raise ValidationError(f"config key 'model.{path}' repeats {source}; remove it")
+        section[key] = (frames_t if modality is None
+                        else int(dataset.view([modality]).inputs[modality].shape[2]))
     return cfg
 
 

@@ -9,7 +9,8 @@ group, which group_of(name) returns. forward() reads the structs and
 scores inputs into a verb/noun/action triple. Inputs arrive as a dict of batched (B, T, C, H, W) arrays:
 "frames" for appearance clips, "flow" for stacked-displacement clips; the
 scores come back as (B, K) logits per task. There is no unbatched form: a
-single clip is a batch of one.
+single clip is a batch of one. Each family declares the inputs it reads
+in ``modalities``; every other module reads that declaration.
 """
 
 from __future__ import annotations
@@ -72,16 +73,6 @@ def _backbone_layers(in_channels: int, stage_channels, seed: int) -> list:
             for s in range(len(stage_channels))]
 
 
-def _get_input(inputs: Dict, key: str) -> Tensor:
-    if key not in inputs:
-        raise ValidationError(f"model expects input '{key}', got {sorted(inputs)}")
-    x = inputs[key]
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    if t.ndim != 5:
-        raise ShapeError(f"input '{key}' must be (B, T, C, H, W), got {t.shape}")
-    return t
-
-
 class ModelBase:
     """Shared parameter plumbing for all families. Each family class
     defines ``forward(inputs, train=False, rng=None, dropout_p=0.0)``, which
@@ -92,6 +83,10 @@ class ModelBase:
     ``<prefix>.<field>``, all in that group."""
 
     family = "base"
+    # Input key -> where its channel count sits in the config ("stream.key"
+    # inside a stream config), in the order forward reads them.
+    modalities: Dict[str, str] = {}
+    clip_length_key = None  # the config key that must equal the clip length
 
     def __init__(self, config: dict, space: LabelSpace, layers: List[Tuple[str, str, ParamStruct]]):
         self.config = dict(config)
@@ -131,6 +126,18 @@ class ModelBase:
             raise ValidationError(f"unknown parameter '{name}'")
         return self._groups[name]
 
+    def _inputs(self, inputs: Dict) -> List[Tensor]:
+        """The batched (B, T, C, H, W) inputs the family reads, in ``modalities`` order."""
+        out = []
+        for key in self.modalities:
+            if key not in inputs:
+                raise ValidationError(f"model expects input '{key}', got {sorted(inputs)}")
+            x = inputs[key]
+            out.append(x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64)))
+            if out[-1].ndim != 5:
+                raise ShapeError(f"input '{key}' must be (B, T, C, H, W), got {out[-1].shape}")
+        return out
+
     def _backbone(self, prefix: str, config: dict) -> list:
         return [self._layers[f"{prefix}.stage{s}"] for s in range(len(config["stage_channels"]))]
 
@@ -155,6 +162,7 @@ class LstaModel(ModelBase):
     """Appearance stream: backbone features rolled through the attentive cell."""
 
     family = "lsta"
+    modalities = {"frames": "input_channels"}
 
     @classmethod
     def create(cls, config: dict, space: LabelSpace, seed: int) -> "LstaModel":
@@ -165,7 +173,8 @@ class LstaModel(ModelBase):
         ])
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
-        feats = backbone_forward(_get_input(inputs, "frames"), self._backbone("backbone", self.config))
+        (frames,) = self._inputs(inputs)
+        feats = backbone_forward(frames, self._backbone("backbone", self.config))
         *_, state = rollout(feats, self._layers["lsta"])
         return self._head("head", mean_along(state.c, (-2, -1)), train, rng, dropout_p)
 
@@ -178,6 +187,7 @@ class LstaGruModel(ModelBase):
     """
 
     family = "lsta_gru"
+    modalities = {"frames": "input_channels"}
 
     @classmethod
     def create(cls, config: dict, space: LabelSpace, seed: int) -> "LstaGruModel":
@@ -192,7 +202,8 @@ class LstaGruModel(ModelBase):
         ])
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
-        feats = backbone_forward(_get_input(inputs, "frames"), self._backbone("backbone", self.config))
+        (frames,) = self._inputs(inputs)
+        feats = backbone_forward(frames, self._backbone("backbone", self.config))
         lsta_desc, gru_desc = run_lsta_gru(
             feats, self._layers["lsta"], self._layers["gru_a"], self._layers["gru_b"])
         return fuse_scores(self._head("head_lsta", lsta_desc, train, rng, dropout_p),
@@ -203,6 +214,8 @@ class HfTsnModel(ModelBase):
     """Segment consensus network with temporal-interaction blocks."""
 
     family = "hf_tsn"
+    modalities = {"frames": "input_channels"}
+    clip_length_key = "segments"
 
     @classmethod
     def create(cls, config: dict, space: LabelSpace, seed: int) -> "HfTsnModel":
@@ -218,7 +231,7 @@ class HfTsnModel(ModelBase):
         ])
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
-        frames = _get_input(inputs, "frames")
+        (frames,) = self._inputs(inputs)
         t_len = frames.shape[1]
         if t_len != self.config["segments"]:
             raise ShapeError(f"clip has {t_len} segments, config expects {self.config['segments']}")
@@ -233,6 +246,7 @@ class MotionModel(ModelBase):
     """Motion stream: attention-sharpened flow features into a ConvLSTM."""
 
     family = "motion"
+    modalities = {"flow": "flow_channels"}
 
     @classmethod
     def create(cls, config: dict, space: LabelSpace, seed: int) -> "MotionModel":
@@ -244,8 +258,9 @@ class MotionModel(ModelBase):
         ])
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
+        (flow,) = self._inputs(inputs)
         feats = motion_spatial_attention(
-            backbone_forward(_get_input(inputs, "flow"), self._backbone("backbone", self.config)),
+            backbone_forward(flow, self._backbone("backbone", self.config)),
             self._layers["attn"])
         *_, state = rollout(feats, self._layers["convlstm"])
         return self._head("head", mean_along(state.c, (-2, -1)), train, rng, dropout_p)
@@ -260,6 +275,7 @@ class TwoStreamModel(ModelBase):
     """
 
     family = "two_stream"
+    modalities = {"frames": "app.input_channels", "flow": "motion.flow_channels"}
 
     @classmethod
     def create(cls, config: dict, space: LabelSpace, seed: int) -> "TwoStreamModel":
@@ -293,7 +309,7 @@ class TwoStreamModel(ModelBase):
         return cls(config, app.space, layers + [("fusion", "fusion", fusion)])
 
     def forward(self, inputs, train=False, rng=None, dropout_p=0.0) -> ScoreTriple:
-        frames, flow = _get_input(inputs, "frames"), _get_input(inputs, "flow")
+        frames, flow = self._inputs(inputs)
         app_feats = backbone_forward(frames, self._backbone("app.backbone", self.config["app"]))
         mot_feats = motion_spatial_attention(
             backbone_forward(flow, self._backbone("motion.backbone", self.config["motion"])),
@@ -310,10 +326,14 @@ FAMILIES = {
 }
 
 
-def create_model(family: str, config: dict, space: LabelSpace, seed: int) -> ModelBase:
+def model_class(family: str) -> type:
     if not isinstance(family, str) or family not in FAMILIES:
         raise ValidationError(f"unknown model family '{family}' (have {sorted(FAMILIES)})")
-    return FAMILIES[family].create(config, space, seed)
+    return FAMILIES[family]
+
+
+def create_model(family: str, config: dict, space: LabelSpace, seed: int) -> ModelBase:
+    return model_class(family).create(config, space, seed)
 
 
 def load_model(directory) -> ModelBase:

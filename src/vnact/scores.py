@@ -212,10 +212,21 @@ def decode(table: ScoreTable, space: LabelSpace, mode: str = "direct"):
 # canonical JSON serialization
 
 
-def _scores_block(results: Dict[str, Dict[str, np.ndarray]], tasks: Sequence[str]) -> str:
+def write_score_json(path, table: ScoreTable) -> None:
+    """Canonical score file: fixed key order, floats at 17 significant digits."""
+    _write_scores(path, table, "", TASKS)
+
+
+def write_submission_json(path, table: ScoreTable) -> None:
+    """Score file minus the action block, plus the challenge tag."""
+    _write_scores(path, table, "\"challenge\":\"action_recognition\",", ("verb", "noun"))
+
+
+def _write_scores(path, table: ScoreTable, tag: str, tasks: Sequence[str]) -> None:
+    """``table``'s ``tasks`` in the canonical layout, with ``tag`` after the version."""
     keys = [json.dumps(task) for task in tasks]
     seg_parts = []
-    for seg, row in results.items():
+    for seg, row in table.results.items():
         task_parts = []
         for key, task in zip(keys, tasks):
             arr = np.asarray(row[task]).ravel()
@@ -225,34 +236,11 @@ def _scores_block(results: Dict[str, Dict[str, np.ndarray]], tasks: Sequence[str
             nums = ",".join(format(v, ".17g") for v in arr.tolist())
             task_parts.append(f"{key}:[{nums}]")
         seg_parts.append(f"{json.dumps(seg)}:{{{','.join(task_parts)}}}")
-    return "{" + ",".join(seg_parts) + "}"
-
-
-def write_score_json(path, table: ScoreTable) -> None:
-    """Canonical score file: fixed key order, floats at 17 significant digits."""
-    body = (
-        "{"
-        f"\"version\":\"1.0\",\"split\":{json.dumps(table.split)},"
-        f"\"label_space\":{json.dumps(table.label_space_hash)},"
-        f"\"results\":{_scores_block(table.results, TASKS)}"
-        "}"
-    )
+    body = (f"{{\"version\":\"1.0\",{tag}\"split\":{json.dumps(table.split)},"
+            f"\"label_space\":{json.dumps(table.label_space_hash)},"
+            f"\"results\":{{{','.join(seg_parts)}}}}}\n")
     with open(path, "w") as fh:
-        fh.write(body + "\n")
-
-
-def write_submission_json(path, table: ScoreTable) -> None:
-    """Score file minus the action block, plus the challenge tag."""
-    body = (
-        "{"
-        "\"version\":\"1.0\",\"challenge\":\"action_recognition\","
-        f"\"split\":{json.dumps(table.split)},"
-        f"\"label_space\":{json.dumps(table.label_space_hash)},"
-        f"\"results\":{_scores_block(table.results, ('verb', 'noun'))}"
-        "}"
-    )
-    with open(path, "w") as fh:
-        fh.write(body + "\n")
+        fh.write(body)
 
 
 def read_score_json(path, space: Optional[LabelSpace] = None) -> ScoreTable:

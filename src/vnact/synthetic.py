@@ -119,6 +119,14 @@ class SyntheticDataset:
         inputs = {k: arr[idx] for k, arr in self.inputs.items()}
         return inputs, (self.verbs[idx], self.nouns[idx], self.actions[idx])
 
+    def view(self, modalities) -> "SyntheticDataset":
+        """The same samples holding only the inputs named in ``modalities``
+        (shared, not copied); naming one this dataset lacks is a ValidationError."""
+        missing = sorted(set(modalities) - set(self.inputs))
+        if missing:
+            raise ValidationError(f"dataset has no {missing} input (it holds {sorted(self.inputs)})")
+        return replace(self, inputs={k: self.inputs[k] for k in modalities})
+
     def labels_by_segment(self) -> Dict[str, tuple]:
         return {seg: (int(self.verbs[i]), int(self.nouns[i]), int(self.actions[i]))
                 for i, seg in enumerate(self.segment_ids)}

@@ -341,8 +341,8 @@ def evaluate(model, dataset, frames_t: Optional[int] = None, batch_size: int = 3
              crop: Optional[CropSpec] = None, crop_size: Optional[int] = None) -> ScoreTable:
     """Deterministic scoring of a dataset into a ScoreTable.
 
-    Frames are center-sampled down to ``frames_t``; with a CropSpec the
-    per-view score triples are averaged in the documented view order.
+    Only the inputs the model reads are fetched, center-sampled down to
+    ``frames_t``; with a CropSpec the per-view score triples are averaged in view order.
     """
     if batch_size < 1:
         raise ValidationError(f"batch_size must be positive, got {batch_size}")
@@ -350,6 +350,7 @@ def evaluate(model, dataset, frames_t: Optional[int] = None, batch_size: int = 3
         raise ValidationError(f"frames_t must be positive, got {frames_t}")
     if crop is not None and (crop_size is None or crop_size < 1):
         raise ValidationError(f"crop evaluation requires a positive crop_size, got {crop_size}")
+    dataset = dataset.view(model.modalities)
     table = ScoreTable(split=dataset.split_tag, label_space_hash=dataset.space.space_hash())
     n = len(dataset)
     for start in range(0, n, batch_size):
@@ -401,8 +402,9 @@ def run_stage(
     """Run one schedule: epochs of shuffled minibatches through forward,
     multi-task loss, backward and the optimizer, updating only the
     schedule's trainable groups. Deterministic given (model, data, aug,
-    seed). ``eval_every`` > 0 scores ``eval_dataset`` every that many
-    epochs and after the last; 0 never does.
+    seed). ``eval_every`` > 0 scores ``eval_dataset`` (then required) every
+    that many epochs and after the last; 0 never does. Only the inputs the
+    model reads are fetched and prepared.
 
     Frozen groups enter the stage as constants: each non-trainable
     parameter is swapped for a tensor over the same buffer that is not
@@ -411,6 +413,10 @@ def run_stage(
     put back when the stage ends, also when it raises."""
     if eval_every < 0:
         raise ValidationError(f"eval_every must be nonnegative, got {eval_every}")
+    if eval_every and eval_dataset is None:
+        raise ValidationError(f"eval_every {eval_every} needs an eval dataset, got none")
+    dataset = dataset.view(model.modalities)
+    eval_dataset = None if eval_dataset is None else eval_dataset.view(model.modalities)
     missing = set(schedule.trainable_groups) - model.groups()
     if missing:
         raise ValidationError(f"model has no parameter groups {sorted(missing)}")
@@ -455,16 +461,9 @@ def run_stage(
                 acc_sum += np.array([hit_rate(x, np.asarray(y), 1)
                                      for x, y in zip(triple.detached(), labels)]) * bs
                 seen += bs
-            row = {
-                "epoch": epoch,
-                "lr": lr,
-                "train_loss": loss_sum / max(1, seen),
-                "train_acc_verb": acc_sum[0] / max(1, seen),
-                "train_acc_noun": acc_sum[1] / max(1, seen),
-                "train_acc_action": acc_sum[2] / max(1, seen),
-            }
-            if eval_dataset is not None and eval_every and (
-                    epoch % eval_every == 0 or epoch == schedule.epochs):
+            row = {"epoch": epoch, "lr": lr, "train_loss": loss_sum / max(1, seen),
+                   **{f"train_acc_{task}": acc / max(1, seen) for task, acc in zip(TASKS, acc_sum)}}
+            if eval_every and (epoch % eval_every == 0 or epoch == schedule.epochs):
                 table = evaluate(model, eval_dataset, frames_t=schedule.frames_T,
                                  batch_size=schedule.batch_size)
                 labels = eval_dataset.labels_by_segment()

@@ -36,14 +36,17 @@ CONFIGS = ROOT / "configs"
 
 def shipped_models(space):
     """One model per family from the shipped configs' model sections, with
-    make-synthetic's default channels; two_stream joins the app and motion
-    streams."""
-    model = {f: json.loads((CONFIGS / f"{name}.json").read_text())["model"]
-             for f, name in (("lsta", "app_lsta"), ("lsta_gru", "lsta_gru"),
-                             ("hf_tsn", "hf_tsn"), ("motion", "motion"))}
+    make-synthetic's default channels and HF-TSN's segments from its
+    frames_T, as `vnact train` fills them in; two_stream joins the app and
+    motion streams."""
+    shipped = {f: json.loads((CONFIGS / f"{name}.json").read_text())
+               for f, name in (("lsta", "app_lsta"), ("lsta_gru", "lsta_gru"),
+                               ("hf_tsn", "hf_tsn"), ("motion", "motion"))}
+    model = {family: cfg["model"] for family, cfg in shipped.items()}
     for family, cfg in model.items():
         del cfg["family"]
         cfg.update({"flow_channels": 4} if family == "motion" else {"input_channels": 3})
+    model["hf_tsn"]["segments"] = shipped["hf_tsn"]["overrides"]["frames_T"]
     model["two_stream"] = {"app": model["lsta"], "motion": model["motion"]}
     return {family: create_model(family, cfg, space, seed=1) for family, cfg in model.items()}
 

@@ -37,8 +37,7 @@ def make_tiny_dataset(root, two_stream=False, seed=3):
 def train_tiny(dataset_dir, out_dir, extra=()):
     cfg = {
         "preset": "lsta_stage1",
-        "model": {"family": "lsta", "input_channels": 2,
-                  "stage_channels": [3, 4], "memory": 4},
+        "model": {"family": "lsta", "stage_channels": [3, 4], "memory": 4},
         "overrides": {"epochs": 2, "frames_T": 3, "batch_size": 4,
                       "dropout_p": 0.0,
                       "trainable_groups": ["heads", "lsta"]},
@@ -130,7 +129,8 @@ def test_train_errors_map_to_exit_code_one(workspace, tmp_path, capsys):
 
 
 def _trainable_base_config():
-    return {"preset": "lsta_stage1", "model": {"family": "lsta"},
+    return {"preset": "lsta_stage1",
+            "model": {"family": "lsta", "stage_channels": [3, 4], "memory": 4},
             "overrides": {"epochs": 1, "frames_T": 3, "batch_size": 4,
                           "trainable_groups": ["heads", "lsta"]}}
 
@@ -233,6 +233,51 @@ def test_train_config_values_of_the_wrong_shape_exit_one(workspace, tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("model, message", [
+    ({"family": "lsta", "input_channels": 2, "stage_channels": [3, 4], "memory": 4},
+     "config key 'model.input_channels' repeats the 'frames' input's channel count"),
+    ({"family": "two_stream", "app": {"stage_channels": [3, 4], "memory": 4},
+      "motion": {"flow_channels": 4, "stage_channels": [3, 4], "memory": 4}},
+     "config key 'model.motion.flow_channels' repeats the 'flow' input's channel count"),
+    ({"family": "hf_tsn", "stage_channels": [3, 4], "segments": 3, "hf_positions": [0, 1]},
+     "config key 'model.segments' repeats the schedule's frames_T"),
+    ({"family": "lsta", "stage_channels": [3, 4]}, "model config lacks key 'memory'"),
+    ({"family": "hf_tsn", "stage_channels": [3, 4]}, "model config lacks key 'hf_positions'"),
+])
+def test_train_model_section_sets_sizes_and_no_key_the_data_fixes(tmp_path, capsys, model,
+                                                                   message):
+    """The model section states every size (only the fusion widths have
+    defaults), and none of the keys the data fixes: each input's channel
+    count comes from the dataset and HF-TSN's segments from frames_T."""
+    make_tiny_dataset(tmp_path / "data", two_stream=True)
+    cfg = {"preset": "lsta_stage1", "model": model,
+           "overrides": {"epochs": 1, "frames_T": 3, "batch_size": 4}}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert main(["train", "--dataset", str(tmp_path / "data"), "--out-dir", str(tmp_path / "out"),
+                 "--config", str(tmp_path / "config.json")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_fills_channels_from_the_data_and_segments_from_frames_t(tmp_path):
+    make_tiny_dataset(tmp_path / "data", two_stream=True)
+    for family, model in (("hf_tsn", {"stage_channels": [3, 4], "hf_positions": [0]}),
+                          ("two_stream", {"app": {"stage_channels": [3], "memory": 2},
+                                          "motion": {"stage_channels": [3], "memory": 2}})):
+        cfg = {"preset": "lsta_stage1", "model": {"family": family, **model},
+               "overrides": {"epochs": 1, "frames_T": 3, "batch_size": 4,
+                             "trainable_groups": ["heads"]}}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["train", "--dataset", str(tmp_path / "data"), "--out-dir",
+                     str(tmp_path / family), "--config", str(tmp_path / "config.json")]) == 0
+        written = json.loads((tmp_path / family / "model" / "model.json").read_text())["config"]
+        if family == "hf_tsn":
+            assert (written["input_channels"], written["segments"]) == (2, 3)
+        else:
+            assert (written["app"]["input_channels"], written["motion"]["flow_channels"]) == (2, 4)
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
 def test_shipped_config_trains(tmp_path, monkeypatch, path):
     """Every file under configs/ passes the key and type checks of ``vnact train``
@@ -326,7 +371,7 @@ def test_metrics_prints_the_csv_it_writes(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("preset, model", [
     ("lsta_stage1", {"family": "lsta", "stage_channels": [3, 4], "memory": True}),
     ("lsta_stage1", {"family": "lsta", "stage_channels": [3, 3.7], "memory": 4}),
-    ("hf_tsn", {"family": "hf_tsn", "stage_channels": [3, 4], "segments": 2.9}),
+    ("hf_tsn", {"family": "hf_tsn", "stage_channels": [3, 4], "hf_positions": [0, 1.5]}),
 ])
 def test_train_rejects_bool_and_fractional_model_config_values(workspace, tmp_path, capsys,
                                                                 preset, model):
@@ -404,6 +449,15 @@ def test_train_negative_eval_every_exits_one(workspace, tmp_path, capsys):
     assert train_tiny(workspace["data"], tmp_path / "run", ["--eval-every", "-1"]) == 1
     err = capsys.readouterr().err
     assert "eval_every must be nonnegative" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "model").exists()
+
+
+def test_train_eval_every_without_a_test_split_exits_one(workspace, tmp_path, capsys):
+    """With no test/ split there is nothing to evaluate, so --eval-every is an error."""
+    shutil.copytree(workspace["data"] / "train", tmp_path / "data" / "train")
+    assert train_tiny(tmp_path / "data", tmp_path / "run", ["--eval-every", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "eval_every 1 needs an eval dataset" in err and "Traceback" not in err
     assert not (tmp_path / "run" / "model").exists()
 
 

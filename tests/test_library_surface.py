@@ -1,6 +1,6 @@
 """Every top-level function and class of the library, and every method, has a
-caller outside the tests, and every tape rule lives in ``tensor.py`` or
-``ops.py``.
+caller outside the tests, every tape rule lives in ``tensor.py`` or
+``ops.py``, and only ``models`` and ``synthetic`` name an input.
 
 A top-level definition counts as used when its own module reads its bare
 name, or when another library module imports it with a relative
@@ -164,3 +164,28 @@ def test_rule_guard_sees_a_planted_apply_op_call():
 
 def test_every_tape_rule_lives_in_tensor_or_ops():
     assert apply_op_callers(library_sources()) == []
+
+
+# models declares which inputs each family reads; synthetic makes them.
+MODALITY_MODULES = {"models", "synthetic"}
+
+
+def modality_literals(sources: dict) -> list:
+    """``module: literal`` of each "frames" or "flow" string constant in a
+    module other than models and synthetic, given module name -> source text."""
+    return sorted(f"{name}: {node.value}" for name, text in sources.items()
+                  if name not in MODALITY_MODULES for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Constant) and node.value in ("frames", "flow"))
+
+
+def test_modality_guard_sees_a_planted_literal():
+    sources = {"cli": "def f(ds):\n    return ds.inputs['frames']\n",
+               "battery": "x = {'flows': 1, 'frame': 2}\n",
+               "models": "inputs = {'frames': 'input_channels'}\n",
+               "synthetic": "key = 'flow'\n"}
+    assert modality_literals(sources) == ["cli: frames"]
+
+
+def test_only_models_and_synthetic_name_an_input():
+    """Every other module reads a family's ``modalities`` declaration."""
+    assert modality_literals(library_sources()) == []

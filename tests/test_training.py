@@ -486,6 +486,81 @@ def test_run_stage_rejects_a_negative_eval_every():
                   eval_dataset=data, eval_every=-1)
 
 
+def test_run_stage_needs_an_eval_dataset_to_evaluate():
+    with pytest.raises(ValidationError, match="eval_every 1 needs an eval dataset, got none"):
+        run_stage(small_model(), small_data(), tiny_schedule(), aug=AugmentationConfig(),
+                  eval_every=1)
+
+
+def _trained(model, train, test, monkeypatch):
+    """log.rows and final parameters of a 2-epoch stage with an eval every
+    epoch, and the input keys ``_prepare_batch`` and the model were handed."""
+    from vnact import training
+
+    handed = {"prepare": set(), "forward": set()}
+    prepare, forward = training._prepare_batch, model.forward
+
+    def recording_prepare(inputs, *args):
+        handed["prepare"] |= {tuple(sorted(inputs))}
+        return prepare(inputs, *args)
+
+    def recording_forward(inputs, **kwargs):
+        handed["forward"] |= {tuple(sorted(inputs))}
+        return forward(inputs, **kwargs)
+
+    monkeypatch.setattr(training, "_prepare_batch", recording_prepare)
+    monkeypatch.setattr(model, "forward", recording_forward)
+    schedule = tiny_schedule(epochs=2, trainable_groups=tuple(sorted(model.groups())))
+    aug = AugmentationConfig(scale_jitter=(0.6, 1.0), horizontal_flip=0.5)
+    log = run_stage(model, train, schedule, aug=aug, seed=5, eval_dataset=test, eval_every=1)
+    monkeypatch.undo()
+    return log.rows, {k: v.data.tobytes() for k, v in model.params().items()}, handed
+
+
+@pytest.mark.parametrize("family, config, key", [
+    ("motion", {"flow_channels": 4, "stage_channels": [3], "memory": 3}, "flow"),
+    ("lsta", {"input_channels": 2, "stage_channels": [3], "memory": 3}, "frames"),
+])
+def test_training_prepares_only_the_inputs_the_model_reads(monkeypatch, family, config, key):
+    """On frames+flow data a one-stream model is handed only its declared
+    input, by ``_prepare_batch`` and in training and evaluation alike, and
+    trains to the bits it trains to on that data with the other input
+    dropped: every draw is made per sample, not per input."""
+    from dataclasses import replace
+
+    from vnact.models import create_model
+    from vnact.synthetic import make_two_stream_synthetic
+
+    train, test = (make_two_stream_synthetic(SPACE, n, 5, 2, 4, 8, 8, 0.5, seed, split_tag=tag)
+                   for n, seed, tag in ((10, 50, "train"), (6, 51, "test")))
+    rows, params, handed = _trained(create_model(family, config, SPACE, 52), train, test,
+                                    monkeypatch)
+    assert handed == {"prepare": {(key,)}, "forward": {(key,)}}
+    alone = [replace(ds, inputs={key: ds.inputs[key]}) for ds in (train, test)]
+    rows_alone, params_alone, _ = _trained(create_model(family, config, SPACE, 52), *alone,
+                                           monkeypatch)
+    assert rows == rows_alone
+    assert params == params_alone
+
+
+def test_a_dataset_without_the_models_input_is_refused_before_the_first_batch(monkeypatch):
+    from vnact import training
+    from vnact.models import create_model
+    from vnact.synthetic import make_two_stream_synthetic
+
+    model = create_model("motion", {"flow_channels": 4, "stage_channels": [3], "memory": 3},
+                         SPACE, 0)
+    monkeypatch.setattr(training, "_prepare_batch", lambda *args: pytest.fail("batch prepared"))
+    frames_only = small_data(n=4)
+    both = make_two_stream_synthetic(SPACE, 4, 4, 2, 4, 8, 8, 0.5, 53)
+    for train, test in ((frames_only, None), (both, frames_only)):
+        with pytest.raises(ValidationError, match=r"dataset has no \['flow'\] input"):
+            run_stage(model, train, tiny_schedule(), aug=AugmentationConfig(),
+                      eval_dataset=test, eval_every=0 if test is None else 1)
+    with pytest.raises(ValidationError, match=r"dataset has no \['flow'\] input"):
+        evaluate(model, frames_only)
+
+
 def test_run_stage_is_deterministic():
     results = []
     for _ in range(2):
