@@ -222,7 +222,7 @@ def _entry_family(family: str, seed: int) -> Entry:
     return f"family_{family}", forward, model.params()
 
 
-def standard_battery(seed: int = 0, instances: int = 3) -> List[Entry]:
+def standard_battery(seed: int, instances: int) -> List[Entry]:
     """The acceptance battery: op-level entries × instances, one end-to-end
     loss per model family."""
     makers = [
@@ -247,6 +247,6 @@ def standard_battery(seed: int = 0, instances: int = 3) -> List[Entry]:
     return entries
 
 
-def run_battery(seed: int = 0, instances: int = 3) -> List[Tuple[str, GradReport]]:
+def run_battery(seed: int, instances: int) -> List[Tuple[str, GradReport]]:
     return [(name, grad_check(fwd, params))
             for name, fwd, params in standard_battery(seed, instances)]

@@ -89,7 +89,7 @@ def lsta_step(
     x: Tensor,
     state: LstaState,
     params: LstaParams,
-    bias: Optional[GateBias] = None,
+    bias: Optional[GateBias],
 ):
     """One attentive recurrence step on x (..., C, H, W).
 
@@ -128,7 +128,7 @@ def convlstm_step(
     x: Tensor,
     state: LstaState,
     params: ConvLstmParams,
-    bias: Optional[GateBias] = None,
+    bias: Optional[GateBias],
 ) -> LstaState:
     """One convolutional LSTM step: the plain four-gate update, no attention."""
     z = conv2d(concat([x, state.h], -3), params.gate_kernel)

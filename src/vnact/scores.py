@@ -171,7 +171,7 @@ def compute_metrics(table: ScoreTable, labels: Dict[str, tuple]) -> MetricsRepor
 # decoding
 
 
-def decode(table: ScoreTable, space: LabelSpace, mode: str = "direct"):
+def decode(table: ScoreTable, space: LabelSpace, mode: str):
     """Per-segment (verb, noun, action) predictions.
 
     direct: the top action, and the pair it was built from, so predictions

@@ -68,7 +68,7 @@ def noun_template(noun: int, height: int, width: int) -> np.ndarray:
 
 
 def clean_clip(verb: int, noun: int, space: LabelSpace, t_len: int, channels: int,
-               height: int, width: int, verb_gain: float = 1.0, noun_gain: float = 1.0) -> np.ndarray:
+               height: int, width: int, verb_gain: float, noun_gain: float) -> np.ndarray:
     """Noiseless clip (T, C, H, W) for a (verb, noun) pair."""
     clip = np.zeros((t_len, channels, height, width))
     wave = verb_gain * verb_template(verb, space.num_verbs, t_len)
@@ -89,7 +89,7 @@ class SyntheticDataset:
     verbs: np.ndarray
     nouns: np.ndarray
     actions: np.ndarray
-    split_tag: str = "custom"
+    split_tag: str
 
     def __post_init__(self):
         n = len(self.segment_ids)
@@ -135,8 +135,7 @@ class SyntheticDataset:
         os.makedirs(directory, exist_ok=True)
         with open(os.path.join(directory, "label_space.json"), "w") as fh:
             fh.write(self.space.to_json())
-        meta = {"split_tag": self.split_tag, "segment_ids": self.segment_ids,
-                "modalities": sorted(self.inputs)}
+        meta = {"split_tag": self.split_tag, "segment_ids": self.segment_ids}
         with open(os.path.join(directory, "meta.json"), "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
         arrays = {f"input_{k}": v for k, v in self.inputs.items()}
@@ -191,7 +190,7 @@ def _render_modality(space, verbs, nouns, t_len, channels, height, width,
 
 def make_synthetic(space: LabelSpace, n_samples: int, t_len: int, channels: int,
                    height: int, width: int, noise_sigma: float, seed: int,
-                   split_tag: str = "custom") -> SyntheticDataset:
+                   split_tag: str) -> SyntheticDataset:
     """Generate labeled appearance clips (input key ``frames``); same seed, same bits."""
     if space.num_actions == 0:
         raise ValidationError("label space has no actions")
@@ -209,8 +208,7 @@ def make_synthetic(space: LabelSpace, n_samples: int, t_len: int, channels: int,
 
 def make_two_stream_synthetic(space: LabelSpace, n_samples: int, t_len: int,
                               channels: int, flow_channels: int, height: int, width: int,
-                              noise_sigma: float, seed: int,
-                              split_tag: str = "custom") -> SyntheticDataset:
+                              noise_sigma: float, seed: int, split_tag: str) -> SyntheticDataset:
     """:func:`make_synthetic`'s appearance clips, checked and drawn the same way,
     plus flow clips (input key ``flow``) sharing their labels."""
     if flow_channels < 2 or flow_channels % 2:
@@ -223,8 +221,7 @@ def make_two_stream_synthetic(space: LabelSpace, n_samples: int, t_len: int,
     return replace(ds, inputs={**ds.inputs, "flow": flow})
 
 
-def default_label_space(num_verbs: int = 6, num_nouns: int = 8, num_actions: int = 12,
-                        seed: int = 0) -> LabelSpace:
+def default_label_space(num_verbs: int, num_nouns: int, num_actions: int, seed: int) -> LabelSpace:
     """A label space whose actions cover every verb and noun at least once."""
     if num_actions < max(num_verbs, num_nouns):
         raise ValidationError("need at least max(V, N) actions to cover both vocabularies")

@@ -260,7 +260,7 @@ def optimizer_step(
     params: Dict[str, Tensor],
     grads: Dict[str, np.ndarray],
     lr: float,
-    state: Optional[OptimizerState] = None,
+    state: Optional[OptimizerState],
 ):
     """One update of every parameter that has a gradient; the other entries
     keep their exact Tensor objects. SGD uses momentum 0.9, Adam the betas
@@ -337,13 +337,16 @@ def _prepare_batch(inputs: Dict[str, np.ndarray], frames_t: int, aug: Augmentati
     return out
 
 
-def evaluate(model, dataset, frames_t: Optional[int] = None, batch_size: int = 32,
+def evaluate(model, dataset, frames_t: Optional[int], batch_size: int = 32,
              crop: Optional[CropSpec] = None, crop_size: Optional[int] = None) -> ScoreTable:
     """Deterministic scoring of a dataset into a ScoreTable.
 
     Only the inputs the model reads are fetched, center-sampled down to
-    ``frames_t``; with a CropSpec the per-view score triples are averaged in view order.
+    ``frames_t`` (None: the clip length the model's family fixes, if any, else
+    the dataset's T); with a CropSpec the per-view score triples are averaged in view order.
     """
+    if frames_t is None and model.clip_length_key:
+        frames_t = model.config[model.clip_length_key]
     if batch_size < 1:
         raise ValidationError(f"batch_size must be positive, got {batch_size}")
     if frames_t is not None and frames_t < 1:
@@ -376,7 +379,6 @@ def evaluate(model, dataset, frames_t: Optional[int] = None, batch_size: int = 3
 class TrainingLog:
     """Per-epoch rows of one stage run."""
 
-    stage: str
     rows: List[Dict] = field(default_factory=list)
 
     COLUMNS = ("epoch", "lr", "train_loss", "train_acc_verb", "train_acc_noun",
@@ -395,7 +397,7 @@ def run_stage(
     dataset,
     schedule: StageSchedule,
     aug: AugmentationConfig,
-    seed: int = 0,
+    seed: int,
     eval_dataset=None,
     eval_every: int = 0,
 ) -> TrainingLog:
@@ -426,7 +428,7 @@ def run_stage(
     try:
         rng = rng_for(seed, f"stage:{schedule.name}")
         state: Optional[OptimizerState] = None
-        log = TrainingLog(stage=schedule.name)
+        log = TrainingLog()
         n = len(dataset)
         for epoch in range(1, schedule.epochs + 1):
             lr = lr_at(schedule, epoch)

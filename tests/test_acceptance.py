@@ -94,7 +94,7 @@ def test_attention_normalization():
         x = Tensor(rng.normal(scale=2.0, size=(b, c, h, w)))
         state = LstaState(c=Tensor(rng.normal(size=(b, d, h, w))),
                           h=Tensor(rng.normal(size=(b, d, h, w))))
-        _, alpha = lsta_step(x, state, params)
+        _, alpha = lsta_step(x, state, params, bias=None)
         sums = alpha.data.sum(axis=(-2, -1))
         worst = max(worst, float(np.max(np.abs(sums - 1.0))))
     report("attention normalization", worst <= 1e-12,
@@ -131,8 +131,8 @@ def test_identity_reductions():
     sa = LstaState.zeros((1, da, 5, 5))
     sm = LstaState.zeros((1, dm, 5, 5))
     for t in range(t_len):
-        sa, _ = lsta_step(Tensor(app.data[:, t]), sa, lsta)
-        sm = convlstm_step(Tensor(mot.data[:, t]), sm, clstm)
+        sa, _ = lsta_step(Tensor(app.data[:, t]), sa, lsta, bias=None)
+        sm = convlstm_step(Tensor(mot.data[:, t]), sm, clstm, bias=None)
     fusion_ok = (np.array_equal(app_desc.data, mean_along(sa.c, (-2, -1)).data)
                  and np.array_equal(mot_desc.data, mean_along(sm.c, (-2, -1)).data))
 

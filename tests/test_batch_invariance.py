@@ -95,7 +95,8 @@ FAMILY_CONFIGS = {
 def reordered(data, order):
     return SyntheticDataset(data.space, [data.segment_ids[i] for i in order],
                             {k: v[order] for k, v in data.inputs.items()},
-                            data.verbs[order], data.nouns[order], data.actions[order])
+                            data.verbs[order], data.nouns[order], data.actions[order],
+                            data.split_tag)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
@@ -105,16 +106,16 @@ def test_evaluate_scores_do_not_depend_on_the_batch(family):
     space = default_label_space(6, 8, 12, seed=0)
     model = create_model(family, FAMILY_CONFIGS[family], space, seed=1)
     if family in ("motion", "two_stream"):
-        data = make_two_stream_synthetic(space, 33, 4, 3, 4, 8, 8, 0.5, seed=2)
+        data = make_two_stream_synthetic(space, 33, 4, 3, 4, 8, 8, 0.5, seed=2, split_tag="custom")
         if family == "motion":
             data = SyntheticDataset(data.space, data.segment_ids, {"flow": data.inputs["flow"]},
-                                    data.verbs, data.nouns, data.actions)
+                                    data.verbs, data.nouns, data.actions, data.split_tag)
     else:
-        data = make_synthetic(space, 33, 4, 3, 8, 8, 0.5, seed=2)
-    ref = evaluate(model, data, batch_size=32)
+        data = make_synthetic(space, 33, 4, 3, 8, 8, 0.5, seed=2, split_tag="custom")
+    ref = evaluate(model, data, frames_t=None, batch_size=32)
     order = np.random.default_rng(0).permutation(len(data))
-    tables = [evaluate(model, data, batch_size=b) for b in (1, 2, 7)]
-    tables.append(evaluate(model, reordered(data, order), batch_size=32))
+    tables = [evaluate(model, data, frames_t=None, batch_size=b) for b in (1, 2, 7)]
+    tables.append(evaluate(model, reordered(data, order), frames_t=None, batch_size=32))
     for table in tables:
         for seg in data.segment_ids:
             for task in TASKS:

@@ -79,7 +79,7 @@ def test_lsta_step_matches_numpy_oracle():
     x = rng.normal(size=(c, hw, hw))
     c0 = rng.normal(size=(d, hw, hw))
     h0 = rng.normal(size=(d, hw, hw)) * 0.5
-    state, alpha = lsta_step(Tensor(x), LstaState(Tensor(c0), Tensor(h0)), params)
+    state, alpha = lsta_step(Tensor(x), LstaState(Tensor(c0), Tensor(h0)), params, bias=None)
     p = {k: getattr(params, k).data for k in ("attn_kernel", "gate_kernel", "gate_bias", "pool_kernel")}
     c_ref, h_ref, a_ref = lsta_oracle(x, c0, h0, p)
     assert np.allclose(state.c.data, c_ref, rtol=1e-12, atol=1e-12)
@@ -92,7 +92,7 @@ def test_lsta_attention_normalizes_per_sample():
     params = random_lsta_params(rng, c=2, d=3)
     x = rng.normal(size=(4, 2, 6, 6))
     state = LstaState.zeros((4, 3, 6, 6))
-    _, alpha = lsta_step(Tensor(x), state, params)
+    _, alpha = lsta_step(Tensor(x), state, params, bias=None)
     sums = alpha.data.sum(axis=(-2, -1))
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
@@ -117,7 +117,7 @@ def test_zero_gate_bias_changes_nothing_bitwise():
     x = Tensor(rng.normal(size=(2, 4, 4)))
     st = LstaState.zeros((2, 4, 4))
     zero = GateBias(Tensor(np.zeros((8, 4, 4))))
-    plain, _ = lsta_step(x, st, params)
+    plain, _ = lsta_step(x, st, params, bias=None)
     biased, _ = lsta_step(x, st, params, bias=zero)
     assert np.array_equal(plain.c.data, biased.c.data)
     assert np.array_equal(plain.h.data, biased.h.data)
@@ -179,7 +179,7 @@ def test_convlstm_matches_oracle_and_differs_from_attentive():
     )
     x = rng.normal(size=(c, hw, hw))
     c0, h0 = rng.normal(size=(d, hw, hw)), rng.normal(size=(d, hw, hw)) * 0.5
-    state = convlstm_step(Tensor(x), LstaState(Tensor(c0), Tensor(h0)), params)
+    state = convlstm_step(Tensor(x), LstaState(Tensor(c0), Tensor(h0)), params, bias=None)
 
     z = conv_same(np.concatenate([x, h0], axis=0), params.gate_kernel.data)
     z = z + params.gate_bias.data.reshape(4 * d, 1, 1)
@@ -277,7 +277,7 @@ def test_run_lsta_gru_matches_manual_unroll():
     pb = {k: getattr(gru_b, k).data for k in (
         "w_update", "b_update", "w_reset", "b_reset", "w_cand", "b_cand")}
     for t in range(3):
-        state, _ = lsta_step(Tensor(frames[:, t]), state, lsta)
+        state, _ = lsta_step(Tensor(frames[:, t]), state, lsta, bias=None)
         pooled = state.h.data[0].mean(axis=(-2, -1))
         ha = gru_oracle(pooled, ha, pa)
         hb = gru_oracle(pooled, hb, pb)
@@ -323,7 +323,7 @@ def test_lsta_step_gradients():
 
     def forward(p):
         cell = LstaParams(p["attn_kernel"], p["gate_kernel"], p["gate_bias"], p["pool_kernel"])
-        state, _ = lsta_step(p["x"], LstaState(p["c0"], p["h0"]), cell)
+        state, _ = lsta_step(p["x"], LstaState(p["c0"], p["h0"]), cell, bias=None)
         return mean_along(
             add(hadamard(state.c, Tensor(probe_c)), hadamard(state.h, Tensor(probe_h))), None
         )
@@ -492,7 +492,7 @@ def test_desk_training_step_records_few_tape_nodes(monkeypatch, family, limit):
     if family == "lsta_gru":
         model = create_model(family, {"input_channels": 3, "gru_hidden": 16, **DESK_STAGES},
                              space, seed=1)
-        data = make_synthetic(space, 2, 8, 3, 16, 16, 0.5, seed=2)
+        data = make_synthetic(space, 2, 8, 3, 16, 16, 0.5, seed=2, split_tag="custom")
         schedule = apply_overrides(PRESETS["lsta_stage1"], {
             "epochs": 1, "frames_T": 8, "batch_size": 2,
             "trainable_groups": ("heads", "lsta", "grus", "backbone", "backbone_last_stage")})
@@ -500,13 +500,13 @@ def test_desk_training_step_records_few_tape_nodes(monkeypatch, family, limit):
         model = create_model(family, {"input_channels": 3, "segments": 8, "hf_positions": [0, 1, 2],
                                       "stage_channels": DESK_STAGES["stage_channels"]},
                              space, seed=1)
-        data = make_synthetic(space, 2, 8, 3, 16, 16, 0.5, seed=2)
+        data = make_synthetic(space, 2, 8, 3, 16, 16, 0.5, seed=2, split_tag="custom")
         schedule = apply_overrides(PRESETS["hf_tsn"], {"epochs": 1, "frames_T": 8, "batch_size": 2})
     else:
         model = create_model(family, {"app": {"input_channels": 3, **DESK_STAGES},
                                       "motion": {"flow_channels": 4, **DESK_STAGES}},
                              space, seed=1)
-        data = make_two_stream_synthetic(space, 2, 8, 3, 4, 16, 16, 0.5, seed=2)
+        data = make_two_stream_synthetic(space, 2, 8, 3, 4, 16, 16, 0.5, seed=2, split_tag="custom")
         schedule = apply_overrides(PRESETS["two_stream"],
                                    {"epochs": 1, "frames_T": 8, "batch_size": 2})
     sizes = []

@@ -278,6 +278,28 @@ def test_train_fills_channels_from_the_data_and_segments_from_frames_t(tmp_path)
             assert (written["app"]["input_channels"], written["motion"]["flow_channels"]) == (2, 4)
 
 
+def test_eval_without_frames_t_samples_the_models_clip_length(tmp_path):
+    """An hf_tsn model trained with frames_T 4 on clips of 8 frames scores the
+    test split without --frames-t, writing the bytes --frames-t 4 writes."""
+    assert main(["make-synthetic", "--out-dir", str(tmp_path / "data"), "--verbs", "3",
+                 "--nouns", "3", "--actions", "5", "--train-samples", "4", "--test-samples", "3",
+                 "--t-len", "8", "--channels", "2", "--height", "8", "--width", "8"]) == 0
+    cfg = {"preset": "hf_tsn",
+           "model": {"family": "hf_tsn", "stage_channels": [3, 4], "hf_positions": [0]},
+           "overrides": {"epochs": 1, "frames_T": 4, "batch_size": 4}}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert main(["train", "--dataset", str(tmp_path / "data"), "--out-dir", str(tmp_path / "run"),
+                 "--config", str(tmp_path / "config.json")]) == 0
+    written = []
+    for flags in ([], ["--frames-t", "4"]):
+        out = tmp_path / f"scores{len(flags)}.json"
+        assert main(["eval", "--model", str(tmp_path / "run" / "model"),
+                     "--dataset", str(tmp_path / "data" / "test"), "--out", str(out),
+                     *flags]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
 def test_shipped_config_trains(tmp_path, monkeypatch, path):
     """Every file under configs/ passes the key and type checks of ``vnact train``

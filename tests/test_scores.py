@@ -301,7 +301,7 @@ def test_decode_validation():
         decode(table, SPACE, mode="beam")
     other = LabelSpace(verbs=("v",), nouns=("n",), actions=((0, 0),))
     with pytest.raises(ValidationError):
-        decode(table, other)
+        decode(table, other, mode="direct")
 
 
 # ---------------------------------------------------------------------------

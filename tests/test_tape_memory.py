@@ -73,7 +73,7 @@ def test_frozen_backbone_kernels_leave_no_trace(monkeypatch):
     is frozen: its convolutions still run, but no recorded node reads it."""
     space = default_label_space(3, 4, 6, seed=0)
     model = create_model("two_stream", CONFIG, space, seed=1)
-    data = make_two_stream_synthetic(space, 4, 3, 2, 2, 4, 4, 0.5, seed=2)
+    data = make_two_stream_synthetic(space, 4, 3, 2, 2, 4, 4, 0.5, seed=2, split_tag="custom")
     schedule = apply_overrides(PRESETS["two_stream"], {"epochs": 1, "batch_size": 4,
                                                        "frames_T": 3})
     frozen = {id(root(t.data)): name for name, t in model.params().items()

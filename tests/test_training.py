@@ -7,7 +7,7 @@ import pytest
 
 from vnact.errors import NonFiniteError, ShapeError, ValidationError
 from vnact.init import derive_seed
-from vnact.models import LstaModel
+from vnact.models import HfTsnModel, LstaModel
 from vnact.synthetic import default_label_space, make_synthetic
 from vnact.tensor import Tensor
 from vnact.training import (
@@ -366,7 +366,7 @@ def test_sgd_first_step_is_plain_descent():
     # The velocity starts at zero, so momentum only acts from the second step.
     p = {"w": Tensor(np.array([1.0, -2.0]), grad_enabled=True)}
     g = {"w": np.array([0.5, 0.25])}
-    new, _ = optimizer_step("sgd", p, g, lr=0.1)
+    new, _ = optimizer_step("sgd", p, g, lr=0.1, state=None)
     assert np.array_equal(new["w"].data, np.array([1.0 - 0.05, -2.0 - 0.025]))
 
 
@@ -385,7 +385,7 @@ def test_sgd_momentum_accumulates_velocity():
 def test_adam_first_step_is_signed_lr():
     p = {"w": Tensor(np.array([1.0, 1.0]), grad_enabled=True)}
     g = {"w": np.array([3.0, -0.004])}
-    new, _ = optimizer_step("adam", p, g, lr=0.01)
+    new, _ = optimizer_step("adam", p, g, lr=0.01, state=None)
     expect = 1.0 - 0.01 * g["w"] / (np.abs(g["w"]) + 1e-8)
     assert np.allclose(new["w"].data, expect, atol=1e-15)
 
@@ -412,7 +412,7 @@ def test_optimizer_respects_trainable_subset():
     p = {"a": Tensor(np.ones(2), grad_enabled=True),
          "b": Tensor(np.ones(2), grad_enabled=True)}
     # run_stage hands over gradients of the trainable subset only.
-    new, _ = optimizer_step("sgd", p, {"a": np.ones(2)}, lr=0.1)
+    new, _ = optimizer_step("sgd", p, {"a": np.ones(2)}, lr=0.1, state=None)
     assert new["b"] is p["b"]  # entries without a gradient keep the exact object
     assert not np.array_equal(new["a"].data, p["a"].data)
 
@@ -420,13 +420,13 @@ def test_optimizer_respects_trainable_subset():
 def test_optimizer_validation():
     p = {"w": Tensor(np.ones(2), grad_enabled=True)}
     with pytest.raises(ValidationError):
-        optimizer_step("lbfgs", p, {}, lr=0.1)
+        optimizer_step("lbfgs", p, {}, lr=0.1, state=None)
     with pytest.raises(ValidationError):
-        optimizer_step("sgd", p, {"z": np.ones(2)}, lr=0.1)
+        optimizer_step("sgd", p, {"z": np.ones(2)}, lr=0.1, state=None)
     with pytest.raises(ShapeError):
-        optimizer_step("sgd", p, {"w": np.ones(3)}, lr=0.1)
+        optimizer_step("sgd", p, {"w": np.ones(3)}, lr=0.1, state=None)
     with pytest.raises(NonFiniteError):
-        optimizer_step("sgd", p, {"w": np.array([1.0, np.nan])}, lr=0.1)
+        optimizer_step("sgd", p, {"w": np.array([1.0, np.nan])}, lr=0.1, state=None)
     with pytest.raises(ValidationError):
         optimizer_step("adam", p, {"w": np.ones(2)}, lr=0.1,
                        state=OptimizerState(kind="sgd"))
@@ -446,7 +446,7 @@ def small_model(seed=30):
 
 def small_data(seed=31, n=24):
     return make_synthetic(SPACE, n_samples=n, t_len=4, channels=2, height=8, width=8,
-                          noise_sigma=0.25, seed=seed)
+                          noise_sigma=0.25, seed=seed, split_tag="custom")
 
 
 def test_run_stage_zero_epochs_leaves_params_untouched():
@@ -476,20 +476,20 @@ def test_run_stage_updates_only_trainable_groups():
 def test_run_stage_rejects_unknown_group():
     with pytest.raises(ValidationError):
         run_stage(small_model(), small_data(), tiny_schedule(trainable_groups=("fusion",)),
-                  aug=AugmentationConfig())
+                  aug=AugmentationConfig(), seed=0)
 
 
 def test_run_stage_rejects_a_negative_eval_every():
     data = small_data()
     with pytest.raises(ValidationError, match="eval_every must be nonnegative"):
         run_stage(small_model(), data, tiny_schedule(), aug=AugmentationConfig(),
-                  eval_dataset=data, eval_every=-1)
+                  eval_dataset=data, eval_every=-1, seed=0)
 
 
 def test_run_stage_needs_an_eval_dataset_to_evaluate():
     with pytest.raises(ValidationError, match="eval_every 1 needs an eval dataset, got none"):
         run_stage(small_model(), small_data(), tiny_schedule(), aug=AugmentationConfig(),
-                  eval_every=1)
+                  eval_every=1, seed=0)
 
 
 def _trained(model, train, test, monkeypatch):
@@ -552,13 +552,13 @@ def test_a_dataset_without_the_models_input_is_refused_before_the_first_batch(mo
                          SPACE, 0)
     monkeypatch.setattr(training, "_prepare_batch", lambda *args: pytest.fail("batch prepared"))
     frames_only = small_data(n=4)
-    both = make_two_stream_synthetic(SPACE, 4, 4, 2, 4, 8, 8, 0.5, 53)
+    both = make_two_stream_synthetic(SPACE, 4, 4, 2, 4, 8, 8, 0.5, 53, split_tag="custom")
     for train, test in ((frames_only, None), (both, frames_only)):
         with pytest.raises(ValidationError, match=r"dataset has no \['flow'\] input"):
             run_stage(model, train, tiny_schedule(), aug=AugmentationConfig(),
-                      eval_dataset=test, eval_every=0 if test is None else 1)
+                      eval_dataset=test, eval_every=0 if test is None else 1, seed=0)
     with pytest.raises(ValidationError, match=r"dataset has no \['flow'\] input"):
-        evaluate(model, frames_only)
+        evaluate(model, frames_only, frames_t=None)
 
 
 def test_run_stage_is_deterministic():
@@ -672,7 +672,7 @@ def test_evaluate_tenview_averages_views():
     table = evaluate(model, data, frames_t=3, crop=CropSpec("lsta_10view"), crop_size=6)
     assert table.segments() == data.segment_ids
     with pytest.raises(ValidationError):
-        evaluate(model, data, crop=CropSpec("lsta_10view"))
+        evaluate(model, data, crop=CropSpec("lsta_10view"), frames_t=None)
 
 
 def test_evaluate_rejects_a_frame_count_below_one():
@@ -682,3 +682,19 @@ def test_evaluate_rejects_a_frame_count_below_one():
         with pytest.raises(ValidationError, match=f"frames_t must be positive, got {frames_t}"):
             evaluate(model, data, frames_t=frames_t)
     assert evaluate(model, data, frames_t=None).segments() == data.segment_ids
+
+
+def test_evaluate_without_frames_t_samples_the_clip_length_the_family_fixes():
+    """A 4-segment HF-TSN scoring clips of 8 frames: frames_t None samples 4,
+    giving the table of frames_t 4 bit for bit; all 8 frames would be refused."""
+    model = HfTsnModel.create({"input_channels": 2, "stage_channels": [4, 6], "segments": 4,
+                               "hf_positions": [0, 1]}, SPACE, seed=50)
+    data = make_synthetic(SPACE, 5, 8, 2, 8, 8, 0.25, seed=51, split_tag="test")
+    default = evaluate(model, data, frames_t=None, batch_size=2)
+    explicit = evaluate(model, data, frames_t=4, batch_size=2)
+    assert default.segments() == explicit.segments() == data.segment_ids
+    for seg in data.segment_ids:
+        for task in ("verb", "noun", "action"):
+            assert default.results[seg][task].tobytes() == explicit.results[seg][task].tobytes()
+    with pytest.raises(ShapeError, match="clip has 8 segments, config expects 4"):
+        evaluate(model, data, frames_t=8, batch_size=2)

@@ -75,8 +75,8 @@ def test_zero_fusion_matches_uncoupled_streams_bitwise():
     app_state = LstaState.zeros((b, da, hw, hw))
     mot_state = LstaState.zeros((b, dm, hw, hw))
     for step in range(t):
-        app_state, _ = lsta_step(index_select(fa, 1, step), app_state, lsta)
-        mot_state = convlstm_step(index_select(fm, 1, step), mot_state, clstm)
+        app_state, _ = lsta_step(index_select(fa, 1, step), app_state, lsta, bias=None)
+        mot_state = convlstm_step(index_select(fm, 1, step), mot_state, clstm, bias=None)
     assert np.array_equal(app_desc.data, mean_along(app_state.c, (-2, -1)).data)
     assert np.array_equal(mot_desc.data, mean_along(mot_state.c, (-2, -1)).data)
 
