@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -337,6 +339,12 @@ def _prepare_batch(inputs: Dict[str, np.ndarray], frames_t: int, aug: Augmentati
     return out
 
 
+# Threads that score one evaluation batch: one per CPU this process may use,
+# at most two, the only count measured.
+_EVAL_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+
+
 def evaluate(model, dataset, frames_t: Optional[int], batch_size: int = 32,
              crop: Optional[CropSpec] = None, crop_size: Optional[int] = None) -> ScoreTable:
     """Deterministic scoring of a dataset into a ScoreTable.
@@ -344,6 +352,13 @@ def evaluate(model, dataset, frames_t: Optional[int], batch_size: int = 32,
     Only the inputs the model reads are fetched, center-sampled down to
     ``frames_t`` (None: the clip length the model's family fixes, if any, else
     the dataset's T); with a CropSpec the per-view score triples are averaged in view order.
+
+    Each batch is scored in up to ``_EVAL_WORKERS`` parts of consecutive
+    clips, the first on the calling thread and the others on a pool that
+    lives for this call; rows enter the table in segment order. A clip's
+    scores do not depend on the batch it is scored in, so the parts change
+    no byte. When a part raises, the parts not yet started are cancelled and
+    its exception reaches the caller.
     """
     if frames_t is None and model.clip_length_key:
         frames_t = model.config[model.clip_length_key]
@@ -355,10 +370,9 @@ def evaluate(model, dataset, frames_t: Optional[int], batch_size: int = 32,
         raise ValidationError(f"crop evaluation requires a positive crop_size, got {crop_size}")
     dataset = dataset.view(model.modalities)
     table = ScoreTable(split=dataset.split_tag, label_space_hash=dataset.space.space_hash())
-    n = len(dataset)
-    for start in range(0, n, batch_size):
-        idx = list(range(start, min(n, start + batch_size)))
-        inputs, _ = dataset.batch(idx)
+
+    def score(part: range) -> ScoreTriple:
+        inputs, _ = dataset.batch(part)
         t_target = frames_t or next(iter(inputs.values())).shape[1]
         sampled = {k: v[:, sample_frames(v.shape[1], t_target)] for k, v in inputs.items()}
         # Without a CropSpec the whole frame is the one view; dividing by 1 is exact.
@@ -369,9 +383,23 @@ def evaluate(model, dataset, frames_t: Optional[int], batch_size: int = 32,
         for vi in range(count):
             one = model.forward({k: views[k][vi] for k in views}, train=False).detached()
             acc = one if acc is None else ScoreTriple(*(x + y for x, y in zip(acc, one)))
-        triple = ScoreTriple(*(x / count for x in acc))
-        for row, seg in enumerate(dataset.segment_ids[start:start + len(idx)]):
-            table.add(seg, ScoreTriple(*(x[row] for x in triple)))
+        return ScoreTriple(*(x / count for x in acc))
+
+    workers, n = _EVAL_WORKERS, len(dataset)
+    # A pool starts its threads at the first submit, so one worker starts none.
+    pool = ThreadPoolExecutor(max(1, workers - 1))
+    try:
+        for start in range(0, n, batch_size):
+            stop = min(n, start + batch_size)
+            size = -(-(stop - start) // workers)
+            parts = [range(a, min(stop, a + size)) for a in range(start, stop, size)]
+            futures = [pool.submit(score, part) for part in parts[1:]]
+            triples = [score(parts[0])] + [f.result() for f in futures]
+            for part, triple in zip(parts, triples):
+                for row, i in enumerate(part):
+                    table.add(dataset.segment_ids[i], ScoreTriple(*(x[row] for x in triple)))
+    finally:
+        pool.shutdown(cancel_futures=True)
     return table
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vnact import cli
+from vnact import cli, training
 from vnact.cli import build_parser, main
 from vnact.models import create_model
 from vnact.scores import read_score_json
@@ -278,9 +278,12 @@ def test_train_fills_channels_from_the_data_and_segments_from_frames_t(tmp_path)
             assert (written["app"]["input_channels"], written["motion"]["flow_channels"]) == (2, 4)
 
 
-def test_eval_without_frames_t_samples_the_models_clip_length(tmp_path):
+def test_eval_without_frames_t_samples_the_models_clip_length(tmp_path, capsys, monkeypatch):
     """An hf_tsn model trained with frames_T 4 on clips of 8 frames scores the
-    test split without --frames-t, writing the bytes --frames-t 4 writes."""
+    test split without --frames-t, writing the bytes --frames-t 4 writes;
+    --frames-t 8 exits 1 without a traceback, also with a part of each batch
+    scored off the calling thread."""
+    monkeypatch.setattr(training, "_EVAL_WORKERS", 2)
     assert main(["make-synthetic", "--out-dir", str(tmp_path / "data"), "--verbs", "3",
                  "--nouns", "3", "--actions", "5", "--train-samples", "4", "--test-samples", "3",
                  "--t-len", "8", "--channels", "2", "--height", "8", "--width", "8"]) == 0
@@ -298,6 +301,13 @@ def test_eval_without_frames_t_samples_the_models_clip_length(tmp_path):
                      *flags]) == 0
         written.append(out.read_bytes())
     assert written[0] == written[1]
+    capsys.readouterr()
+    assert main(["eval", "--model", str(tmp_path / "run" / "model"),
+                 "--dataset", str(tmp_path / "data" / "test"), "--out", str(tmp_path / "bad.json"),
+                 "--frames-t", "8"]) == 1
+    err = capsys.readouterr().err
+    assert "clip has 8 segments, config expects 4" in err and "Traceback" not in err
+    assert not (tmp_path / "bad.json").exists()
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
