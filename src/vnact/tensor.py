@@ -23,7 +23,8 @@ thousands of page faults per training step in a fresh process.
 
 It also sets ``M_ARENA_MAX`` to 1, so every thread allocates from the main
 arena. :func:`vnact.training.evaluate` scores each batch in parts on two
-threads; by default glibc gives the second thread an arena of its own,
+threads, and :func:`vnact.training.run_stage` trains a batch of 32 or more
+clips as two shards on two threads; by default glibc gives the second thread an arena of its own,
 whose pages no step has touched and whose freed blocks the main thread
 cannot reuse. Unpinned, threaded evaluation raised a desk ``hf-tsn``
 benchmark run's peak RSS 6-12% above single-threaded evaluation's 164 MB;

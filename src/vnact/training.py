@@ -14,7 +14,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -24,7 +26,7 @@ from .errors import NonFiniteError, ShapeError, ValidationError, _check_fields, 
 from .heads import TASKS, ScoreTriple, multi_task_loss
 from .init import rng_for
 from .scores import ScoreTable, hit_rate, topk_accuracy
-from .tensor import Tape, Tensor
+from .tensor import Tape, Tensor, scale
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +341,35 @@ def _prepare_batch(inputs: Dict[str, np.ndarray], frames_t: int, aug: Augmentati
     return out
 
 
-# Threads that score one evaluation batch: one per CPU this process may use,
-# at most two, the only count measured.
-_EVAL_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
+# Threads a batch is spread over: one per CPU this process may use, at most
+# two, the only count measured.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+
+@contextmanager
+def _part_runner():
+    """Yield ``run(fn, parts)``, which returns ``[fn(part) for part in parts]``
+    in part order. With ``_WORKERS`` > 1, part 0 runs on the calling thread and
+    the other parts on a pool of ``_WORKERS`` − 1 threads that lives for the
+    block; with one worker every part runs on the calling thread. A part's
+    exception reaches the caller, an earlier part's first. On leaving the
+    block the parts not yet started are cancelled and the pool is joined, so
+    no thread outlives it. A pool starts its threads at its first submit, so
+    a block whose calls all have one part starts none."""
+    workers = _WORKERS
+    pool = ThreadPoolExecutor(max(1, workers - 1))
+
+    def run(fn, parts):
+        if workers == 1:
+            return [fn(part) for part in parts]
+        futures = [pool.submit(fn, part) for part in parts[1:]]
+        return [fn(parts[0])] + [f.result() for f in futures]
+
+    try:
+        yield run
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def evaluate(model, dataset, frames_t: Optional[int], batch_size: int = 32,
@@ -353,10 +380,10 @@ def evaluate(model, dataset, frames_t: Optional[int], batch_size: int = 32,
     ``frames_t`` (None: the clip length the model's family fixes, if any, else
     the dataset's T); with a CropSpec the per-view score triples are averaged in view order.
 
-    Each batch is scored in up to ``_EVAL_WORKERS`` parts of consecutive
-    clips, the first on the calling thread and the others on a pool that
-    lives for this call; rows enter the table in segment order. A clip's
-    scores do not depend on the batch it is scored in, so the parts change
+    Each batch is scored in ``_WORKERS`` parts of consecutive clips, one per
+    worker of a ``_part_runner`` that lives for this call; rows enter the
+    table in segment order. A clip's scores do not depend on the batch it is
+    scored in, so the part count can follow the CPU count: the parts change
     no byte. When a part raises, the parts not yet started are cancelled and
     its exception reaches the caller.
     """
@@ -385,22 +412,81 @@ def evaluate(model, dataset, frames_t: Optional[int], batch_size: int = 32,
             acc = one if acc is None else ScoreTriple(*(x + y for x, y in zip(acc, one)))
         return ScoreTriple(*(x / count for x in acc))
 
-    workers, n = _EVAL_WORKERS, len(dataset)
-    # A pool starts its threads at the first submit, so one worker starts none.
-    pool = ThreadPoolExecutor(max(1, workers - 1))
-    try:
+    workers, n = _WORKERS, len(dataset)
+    with _part_runner() as run:
         for start in range(0, n, batch_size):
             stop = min(n, start + batch_size)
             size = -(-(stop - start) // workers)
             parts = [range(a, min(stop, a + size)) for a in range(start, stop, size)]
-            futures = [pool.submit(score, part) for part in parts[1:]]
-            triples = [score(parts[0])] + [f.result() for f in futures]
-            for part, triple in zip(parts, triples):
+            for part, triple in zip(parts, run(score, parts)):
                 for row, i in enumerate(part):
                     table.add(dataset.segment_ids[i], ScoreTriple(*(x[row] for x in triple)))
-    finally:
-        pool.shutdown(cancel_futures=True)
     return table
+
+
+def _shards(n: int) -> List[slice]:
+    """Consecutive row slices of a batch of ``n`` clips, one per shard:
+    max(1, min(2, n // 16)) of them, a count that depends on ``n`` alone.
+    Below 16 clips a shard gains less from a second thread than the split
+    costs."""
+    count = max(1, min(2, n // 16))
+    size = -(-n // count)
+    return [slice(a, min(n, a + size)) for a in range(0, n, size)]
+
+
+class _ShardDraws:
+    """The stage generator as one shard's forward sees it: the k-th
+    ``random(shape)`` call returns this shard's rows of the k-th draw at the
+    whole batch's shape. Whichever shard asks first makes that draw, under a
+    lock shared by the batch's shards; every shard asks in the same order,
+    so the generator is drawn as for the whole batch in one piece."""
+
+    def __init__(self, rng: np.random.Generator, n: int, rows: slice, drawn: list,
+                 lock: threading.Lock):
+        self._rng, self._n, self._rows, self._drawn, self._lock = rng, n, rows, drawn, lock
+        self._calls = 0
+
+    def random(self, shape) -> np.ndarray:
+        k, self._calls = self._calls, self._calls + 1
+        with self._lock:
+            if k == len(self._drawn):
+                self._drawn.append(self._rng.random((self._n, *shape[1:])))
+        return self._drawn[k][self._rows]
+
+
+def _sharded_step(run, model, inputs: Dict[str, np.ndarray], labels: tuple,
+                  rng: np.random.Generator, schedule: StageSchedule):
+    """Forward, multi-task loss and backward of one training batch, shard by
+    shard through ``run`` (a ``_part_runner``'s). Returns the gradients by
+    parameter uid, each the sum of the shards' in shard order; the score
+    rows of every task, the shards' concatenated; and the loss
+    Σ (n_s / n)·L_s. Each shard's loss is scaled by n_s / n before its
+    backward, so each sample's loss adjoint is seeded with 1/n as on one
+    whole-batch tape (bit for bit when the halves are even)."""
+    n, drawn, lock = len(labels[0]), [], threading.Lock()
+    shards = _shards(n)
+
+    def shard(rows: slice):
+        draws = _ShardDraws(rng, n, rows, drawn, lock)
+        with Tape() as tape:
+            triple = model.forward({k: v[rows] for k, v in inputs.items()}, train=True,
+                                   rng=draws, dropout_p=schedule.dropout_p)
+            loss = multi_task_loss(triple, tuple(y[rows] for y in labels),
+                                   tasks=schedule.loss_tasks)
+            if len(shards) > 1:
+                loss = scale(loss, (rows.stop - rows.start) / n)
+            lval = loss.item()
+            if not np.isfinite(lval):
+                raise NonFiniteError("loss is non-finite")
+            return triple.detached(), lval, tape.backward(loss)
+
+    done = run(shard, shards)
+    grads: Dict[int, np.ndarray] = {}
+    for _, _, by_uid in done:
+        for uid, g in by_uid.items():
+            grads[uid] = grads[uid] + g.data if uid in grads else g.data
+    scores = [np.concatenate(rows) for rows in zip(*(d[0] for d in done))]
+    return grads, scores, sum(d[1] for d in done)
 
 
 @dataclass
@@ -440,7 +526,15 @@ def run_stage(
     parameter is swapped for a tensor over the same buffer that is not
     grad-enabled, so the tape records no op fed only by frozen parameters
     and data, and backward never reaches them. The original tensors are
-    put back when the stage ends, also when it raises."""
+    put back when the stage ends, also when it raises.
+
+    Each batch trains through ``_sharded_step``: below 32 clips as one
+    shard, else as two halves, the second on the pool thread of a
+    ``_part_runner`` that lives for this call and is joined before the
+    frozen parameters are put back. The shard count depends on the batch
+    size only, so the bits never depend on the CPU or BLAS thread count;
+    from 32 clips they differ from one whole-batch tape's in the last
+    digits, since the batch reductions are summed per shard."""
     if eval_every < 0:
         raise ValidationError(f"eval_every must be nonnegative, got {eval_every}")
     if eval_every and eval_dataset is None:
@@ -458,48 +552,43 @@ def run_stage(
         state: Optional[OptimizerState] = None
         log = TrainingLog()
         n = len(dataset)
-        for epoch in range(1, schedule.epochs + 1):
-            lr = lr_at(schedule, epoch)
-            order = rng.permutation(n)
-            loss_sum = 0.0
-            acc_sum = np.zeros(3)
-            seen = 0
-            for start in range(0, n, schedule.batch_size):
-                idx = order[start:start + schedule.batch_size]
-                raw_inputs, labels = dataset.batch(idx)
-                inputs = _prepare_batch(raw_inputs, schedule.frames_T, aug, rng)
-                params = model.params()
-                try:
-                    with Tape() as tape:
-                        triple = model.forward(inputs, train=True, rng=rng,
-                                               dropout_p=schedule.dropout_p)
-                        loss = multi_task_loss(triple, labels, tasks=schedule.loss_tasks)
-                        lval = loss.item()
-                        if not np.isfinite(lval):
-                            raise NonFiniteError("loss is non-finite")
-                        grads_by_uid = tape.backward(loss)
-                except NonFiniteError as exc:
-                    raise NonFiniteError(
-                        f"stage {schedule.name} epoch {epoch} batch {start // schedule.batch_size}: {exc}"
-                    ) from exc
-                grads = {name: grads_by_uid[params[name].uid].data
-                         for name in trainable if params[name].uid in grads_by_uid}
-                params, state = optimizer_step(schedule.optimizer, params, grads, lr, state)
-                model.set_params(params)
-                bs = len(idx)
-                loss_sum += lval * bs
-                acc_sum += np.array([hit_rate(x, np.asarray(y), 1)
-                                     for x, y in zip(triple.detached(), labels)]) * bs
-                seen += bs
-            row = {"epoch": epoch, "lr": lr, "train_loss": loss_sum / max(1, seen),
-                   **{f"train_acc_{task}": acc / max(1, seen) for task, acc in zip(TASKS, acc_sum)}}
-            if eval_every and (epoch % eval_every == 0 or epoch == schedule.epochs):
-                table = evaluate(model, eval_dataset, frames_t=schedule.frames_T,
-                                 batch_size=schedule.batch_size)
-                labels = eval_dataset.labels_by_segment()
-                row.update({f"eval_acc_{task}": topk_accuracy(table, labels, task, 1)
-                            for task in TASKS})
-            log.rows.append(row)
+        with _part_runner() as run:
+            for epoch in range(1, schedule.epochs + 1):
+                lr = lr_at(schedule, epoch)
+                order = rng.permutation(n)
+                loss_sum = 0.0
+                acc_sum = np.zeros(3)
+                seen = 0
+                for start in range(0, n, schedule.batch_size):
+                    idx = order[start:start + schedule.batch_size]
+                    raw_inputs, labels = dataset.batch(idx)
+                    inputs = _prepare_batch(raw_inputs, schedule.frames_T, aug, rng)
+                    params = model.params()
+                    try:
+                        grads_by_uid, scores, lval = _sharded_step(run, model, inputs, labels,
+                                                                   rng, schedule)
+                    except NonFiniteError as exc:
+                        raise NonFiniteError(f"stage {schedule.name} epoch {epoch} batch "
+                                             f"{start // schedule.batch_size}: {exc}") from exc
+                    grads = {name: grads_by_uid[params[name].uid]
+                             for name in trainable if params[name].uid in grads_by_uid}
+                    params, state = optimizer_step(schedule.optimizer, params, grads, lr, state)
+                    model.set_params(params)
+                    bs = len(idx)
+                    loss_sum += lval * bs
+                    acc_sum += np.array([hit_rate(x, np.asarray(y), 1)
+                                         for x, y in zip(scores, labels)]) * bs
+                    seen += bs
+                row = {"epoch": epoch, "lr": lr, "train_loss": loss_sum / max(1, seen),
+                       **{f"train_acc_{task}": acc / max(1, seen)
+                          for task, acc in zip(TASKS, acc_sum)}}
+                if eval_every and (epoch % eval_every == 0 or epoch == schedule.epochs):
+                    table = evaluate(model, eval_dataset, frames_t=schedule.frames_T,
+                                     batch_size=schedule.batch_size)
+                    labels = eval_dataset.labels_by_segment()
+                    row.update({f"eval_acc_{task}": topk_accuracy(table, labels, task, 1)
+                                for task in TASKS})
+                log.rows.append(row)
         return log
     finally:
         model.set_params({**model.params(), **frozen})

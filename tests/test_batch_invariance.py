@@ -8,6 +8,10 @@ low bits. ``ops._product`` pads every product to a multiple of 4 rows.
 
 ``evaluate`` scores each batch in parts on up to two threads; a table
 scored that way has the bytes of one scored on the calling thread alone.
+``run_stage`` trains each batch of 32 or more clips as two shards, the
+second on a pool thread when two CPUs are usable; its parameters and log
+have the same bytes at one, two and four workers, and a sharded step keeps
+the whole-batch tape's scores and, to rounding, its gradients.
 
 Nor does a training step's gradient or an evaluation table depend on how
 many threads the BLAS runs: the benchmark workloads' steps and tables are
@@ -24,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vnact import ops, training
+from vnact import Tape, multi_task_loss, ops, training
 from vnact.errors import NonFiniteError
 from vnact.heads import TASKS
 from vnact.models import create_model
@@ -34,7 +38,14 @@ from vnact.synthetic import (
     make_synthetic,
     make_two_stream_synthetic,
 )
-from vnact.training import CropSpec, evaluate
+from vnact.training import (
+    PRESETS,
+    AugmentationConfig,
+    CropSpec,
+    apply_overrides,
+    evaluate,
+    run_stage,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -105,17 +116,18 @@ def reordered(data, order):
                             data.split_tag)
 
 
-def family_case(family):
-    """A small model of ``family`` and 33 clips of T=4 at 8x8 for it."""
+def family_case(family, clips=33):
+    """A small model of ``family`` and ``clips`` clips of T=4 at 8x8 for it."""
     space = default_label_space(6, 8, 12, seed=0)
     model = create_model(family, FAMILY_CONFIGS[family], space, seed=1)
     if family in ("motion", "two_stream"):
-        data = make_two_stream_synthetic(space, 33, 4, 3, 4, 8, 8, 0.5, seed=2, split_tag="custom")
+        data = make_two_stream_synthetic(space, clips, 4, 3, 4, 8, 8, 0.5, seed=2,
+                                         split_tag="custom")
         if family == "motion":
             data = SyntheticDataset(data.space, data.segment_ids, {"flow": data.inputs["flow"]},
                                     data.verbs, data.nouns, data.actions, data.split_tag)
     else:
-        data = make_synthetic(space, 33, 4, 3, 8, 8, 0.5, seed=2, split_tag="custom")
+        data = make_synthetic(space, clips, 4, 3, 8, 8, 0.5, seed=2, split_tag="custom")
     return model, data
 
 
@@ -167,7 +179,7 @@ def test_threaded_evaluate_keeps_the_bytes_of_one_thread(monkeypatch, family, ba
     try:
         sys.setswitchinterval(1e-6)
         for workers in (1, 2, 4):
-            monkeypatch.setattr(training, "_EVAL_WORKERS", workers)
+            monkeypatch.setattr(training, "_WORKERS", workers)
             threads.clear()
             table = evaluate(model, data, frames_t=None, batch_size=batch_size, crop=spec,
                              crop_size=None if crop is None else 6)
@@ -184,7 +196,7 @@ def test_a_failing_part_stops_evaluation_and_leaves_no_thread(monkeypatch):
     """At two workers and batch 32, the second part (clips 16-31) raises
     NonFiniteError: the caller gets it, the third part (clip 32 alone) never
     runs, and every pool thread is gone when ``evaluate`` returns."""
-    monkeypatch.setattr(training, "_EVAL_WORKERS", 2)
+    monkeypatch.setattr(training, "_WORKERS", 2)
     model, data = family_case("lsta")
     forward, rows = model.forward, []
 
@@ -203,11 +215,126 @@ def test_a_failing_part_stops_evaluation_and_leaves_no_thread(monkeypatch):
     assert threading.active_count() == before
 
 
+# Each family's desk preset (SGD for hf_tsn, Adam for two_stream and
+# lsta_gru's first stage), cut to one epoch of T=4.
+STAGE_PRESETS = {"hf_tsn": "hf_tsn", "two_stream": "two_stream", "lsta_gru": "lsta_stage1"}
+
+
+def stage_schedule(family, batch_size, **overrides):
+    preset = PRESETS[STAGE_PRESETS[family]]
+    groups = {"lsta_gru": ("heads", "lsta", "grus")}.get(family, preset.trainable_groups)
+    return apply_overrides(preset, {"epochs": 1, "frames_T": 4, "batch_size": batch_size,
+                                    "trainable_groups": groups, **overrides})
+
+
+@pytest.mark.parametrize("family,batch_size", [("hf_tsn", 32), ("two_stream", 32),
+                                               ("lsta_gru", 8)])
+def test_sharded_training_keeps_its_bytes_at_every_worker_count(monkeypatch, family,
+                                                                batch_size):
+    """One epoch over 40 clips (at batch 32: a batch of two 16-clip shards,
+    then one of 8 clips in one shard) leaves the same parameter bytes and
+    log rows at one, two and four workers, with the interpreter switching
+    threads every microsecond. At two workers a shard runs off the calling
+    thread; at batch 8 every batch is one shard, and none does."""
+    written = []
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(training, "_WORKERS", workers)
+        model, data = family_case(family, clips=40)
+        forward, threads = model.forward, []
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", recording)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            log = run_stage(model, data, stage_schedule(family, batch_size),
+                            aug=AugmentationConfig(), seed=3)
+        finally:
+            sys.setswitchinterval(interval)
+        off_main = set(threads) - {threading.get_ident()}
+        assert bool(off_main) == (workers > 1 and batch_size >= 32), (workers, off_main)
+        assert len(threads) == (3 if batch_size >= 32 else 5)
+        written.append((json.dumps(log.rows),
+                        [(name, t.data.tobytes()) for name, t in model.params().items()]))
+    assert written[0] == written[1] == written[2]
+
+
+@pytest.mark.parametrize("family", ["hf_tsn", "two_stream"])
+def test_a_sharded_step_matches_one_whole_batch_tape(monkeypatch, family):
+    """32 clips at dropout 0.7, once on one tape and once as two 16-clip
+    shards on two workers, from generators in the same state: every score
+    row byte-equal (the shards read their rows of the whole batch's masks),
+    every gradient within 1e-12 of the whole tape's, relative to its largest
+    entry, the logged loss within 1e-15, and the generators left in one
+    state."""
+    monkeypatch.setattr(training, "_WORKERS", 2)
+    model, data = family_case(family, clips=32)
+    schedule = stage_schedule(family, 32, dropout_p=0.7)
+    inputs, labels = data.batch(range(32))
+    params = model.params()
+    whole_rng, shard_rng = np.random.default_rng(9), np.random.default_rng(9)
+    with Tape() as tape:
+        triple = model.forward(inputs, train=True, rng=whole_rng, dropout_p=0.7)
+        loss = multi_task_loss(triple, labels, tasks=schedule.loss_tasks)
+    whole = tape.backward(loss)
+    with training._part_runner() as run:
+        grads, scores, lval = training._sharded_step(run, model, inputs, labels, shard_rng,
+                                                     schedule)
+    assert training._shards(32) == [slice(0, 16), slice(16, 32)]
+    for got, want in zip(scores, triple.detached()):
+        assert got.tobytes() == want.tobytes()
+    assert abs(lval - loss.item()) <= 1e-15 * loss.item()
+    assert set(grads) == set(whole) and whole
+    for name, p in params.items():
+        if p.uid in whole:
+            want = whole[p.uid].data
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(grads[p.uid] - want)) <= 1e-12 * scale, name
+    assert whole_rng.random() == shard_rng.random()
+
+
+def test_a_failing_shard_stops_the_stage_and_leaves_no_thread(monkeypatch):
+    """At two workers, the second shard of the first batch (its clips 16-31)
+    raises NonFiniteError: the caller gets it with the stage, epoch and
+    batch, no later batch is prepared, the frozen parameters are the
+    original objects again and every pool thread is gone."""
+    monkeypatch.setattr(training, "_WORKERS", 2)
+    model, data = family_case("hf_tsn", clips=64)
+    before = model.params()
+    prepared = []
+    prepare, forward = training._prepare_batch, model.forward
+
+    def recording_prepare(*args):
+        prepared.append(prepare(*args))
+        return prepared[-1]
+
+    def failing(inputs, **kwargs):
+        if np.array_equal(inputs["frames"][0], prepared[-1]["frames"][16]):
+            raise NonFiniteError("planted")
+        return forward(inputs, **kwargs)
+
+    monkeypatch.setattr(training, "_prepare_batch", recording_prepare)
+    monkeypatch.setattr(model, "forward", failing)
+    threads = threading.active_count()
+    with pytest.raises(NonFiniteError, match="^stage hf_tsn epoch 1 batch 0: planted$"):
+        run_stage(model, data, stage_schedule("hf_tsn", 32, trainable_groups=("heads", "hf")),
+                  aug=AugmentationConfig(), seed=3)
+    assert len(prepared) == 1
+    assert threading.active_count() == threads
+    after = model.params()
+    assert all(after[name] is t for name, t in before.items())
+    assert all(t.grad_enabled for t in after.values())
+
+
 # One taped forward+backward of each benchmark workload's model on the first
-# batch of its training split, frames sampled as at eval, and the table of
-# its test split scored on two threads (two-stream with its ten views);
-# prints one "<workload> <sha256 of the loss and every parameter gradient>
-# <sha256 of the table>" line each.
+# batch of its training split, frames sampled as at eval, the same step on
+# the first 32 clips as two shards on two workers, and the table of its test
+# split scored on two threads (two-stream with its ten views); prints one
+# "<workload> <sha256 of the loss and every parameter gradient> <sha256 of
+# the table> <sha256 of the sharded step's loss and gradients>" line each.
 STEP = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
@@ -215,13 +342,16 @@ import numpy as np
 from vnact import Tape, multi_task_loss, sample_frames, training
 from workloads import WORKLOADS
 
-training._EVAL_WORKERS = 2
+training._WORKERS = 2
+
+def sampled(raw):
+    return {k: v[:, sample_frames(v.shape[1], w.schedule.frames_T)] for k, v in raw.items()}
 
 for name, w in sorted(WORKLOADS.items()):
     space, train, test = w.make_data(7)
     model = w.create(space, 7)[0]
     raw, labels = train.batch(range(w.schedule.batch_size))
-    inputs = {k: v[:, sample_frames(v.shape[1], w.schedule.frames_T)] for k, v in raw.items()}
+    inputs = sampled(raw)
     params = model.params()
     with Tape() as tape:
         triple = model.forward(inputs, train=True, rng=np.random.default_rng(7),
@@ -235,14 +365,25 @@ for name, w in sorted(WORKLOADS.items()):
     table = w.evaluate(model, test)
     scored = hashlib.sha256(b"".join(table.results[seg][task].tobytes()
                                      for seg in table.segments() for task in table.results[seg]))
-    print(name, digest.hexdigest(), scored.hexdigest())
+    raw, labels = train.batch(range(32))
+    with training._part_runner() as run:
+        grads, scores, lval = training._sharded_step(run, model, sampled(raw), labels,
+                                                     np.random.default_rng(7), w.schedule)
+    sharded = hashlib.sha256(np.float64(lval).tobytes())
+    for pname, p in params.items():
+        g = grads.get(p.uid)
+        sharded.update(pname.encode() + (b"-" if g is None else g.tobytes()))
+    for rows in scores:
+        sharded.update(rows.tobytes())
+    print(name, digest.hexdigest(), scored.hexdigest(), sharded.hexdigest())
 """
 
 
 def test_one_and_two_blas_threads_give_a_training_step_the_same_bits():
     """The thread count is set before numpy loads the BLAS, so each count
-    runs in its own process; both print the same digests, of a step and of a
-    table scored on two threads, for all three benchmark workloads."""
+    runs in its own process; both print the same digests, of a step, of a
+    table scored on two threads and of a step trained as two shards on two
+    workers, for all three benchmark workloads."""
     printed = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),

@@ -283,7 +283,7 @@ def test_eval_without_frames_t_samples_the_models_clip_length(tmp_path, capsys, 
     test split without --frames-t, writing the bytes --frames-t 4 writes;
     --frames-t 8 exits 1 without a traceback, also with a part of each batch
     scored off the calling thread."""
-    monkeypatch.setattr(training, "_EVAL_WORKERS", 2)
+    monkeypatch.setattr(training, "_WORKERS", 2)
     assert main(["make-synthetic", "--out-dir", str(tmp_path / "data"), "--verbs", "3",
                  "--nouns", "3", "--actions", "5", "--train-samples", "4", "--test-samples", "3",
                  "--t-len", "8", "--channels", "2", "--height", "8", "--width", "8"]) == 0

@@ -14,6 +14,10 @@ An ``hf_tsn`` at batch 32 on T=8 frames of 16×16 (256 frames per batch,
 parameters moved off zero) records the same: every convolution of its
 backbone splits the batch into several tiles, so these records show a
 change to how a convolution tiles its batch or adds up its tiles.
+``hf_tsn`` (SGD) and ``two_stream`` (Adam, dropout 0.7) also run a 2-epoch
+``run_stage`` at batch 32 on 40 clips of those desk-sized frames, whose
+first batch trains as two shards and whose second as one, and record the
+final parameters and the log rows.
 Per family it also runs a 2-epoch ``run_stage`` under an SGD preset
 (``hf_tsn``, every group trainable) and an Adam preset (``lsta_stage1``, the
 backbone frozen), with scale jitter, flips and an eval set at
@@ -29,8 +33,8 @@ Per family it also records the schedule group of every parameter, in
 ``save`` writes at init (``model.json``, ``manifest.json``, each ``.tnsf``).
 
 The comparison prints one line per record: ``equal`` or ``DIFFERENT`` with
-the sha256 prefix of each side, and for every gradient
-max|g_b - g_a| / max|g_a|. It exits 0 when every record is equal, 1 when
+the sha256 prefix of each side, and for every gradient and final parameter
+max|b - a| / max|a|. It exits 0 when every record is equal, 1 when
 any differs and 2 when a tree fails to run. No hashes are stored: BLAS
 builds round differently, so two trees are always compared on one machine.
 Only long-standing API is used (``create_model``, ``group_of``,
@@ -154,6 +158,29 @@ def _stage_records(family, preset, records) -> None:
     records[f"{prefix}/tenview_score_json"] = _score_json_bytes(tenview)
 
 
+def _sharded_stage_records(family, records) -> None:
+    import vnact
+    from vnact import training
+    from vnact.synthetic import default_label_space, make_synthetic, make_two_stream_synthetic
+
+    space = default_label_space(3, 4, 6, seed=0)
+    t, h, w = TILED_FRAMES
+    if "flow" in INPUTS[family]:
+        train = make_two_stream_synthetic(space, 40, t, CHANNELS, CHANNELS, h, w, 0.5, 7,
+                                          split_tag="train")
+    else:
+        train = make_synthetic(space, 40, t, CHANNELS, h, w, 0.5, 7, split_tag="train")
+    config = TILED_HF_TSN if family == "hf_tsn" else CONFIGS[family]
+    model = vnact.create_model(family, config, space, 3)
+    schedule = training.apply_overrides(training.PRESETS[family], {
+        "epochs": 2, "frames_T": t, "batch_size": 32})
+    log = training.run_stage(model, train, schedule, seed=4, aug=training.AugmentationConfig())
+    prefix = f"{family}/sharded"
+    for name, p in model.params().items():
+        records[f"{prefix}/param/{name}"] = p.data
+    records[f"{prefix}/log"] = np.array([json.dumps(row, sort_keys=True) for row in log.rows])
+
+
 def _score_json_bytes(table) -> np.ndarray:
     from vnact import scores
 
@@ -197,6 +224,8 @@ def dump(out_path: str, src: str) -> None:
                           records)
     _gradient_records("hf_tsn/tiled/batch32", "hf_tsn", TILED_HF_TSN, 32, True, records,
                       frames=TILED_FRAMES)
+    for family in ("hf_tsn", "two_stream"):
+        _sharded_stage_records(family, records)
     np.savez(out_path, **records)
 
 
@@ -235,7 +264,7 @@ def compare(tree_a: str, tree_b: str) -> int:
         da = _digest(a[key]) if key in a else "missing"
         db = _digest(b[key]) if key in b else "missing"
         line = f"{'equal' if da == db else 'DIFFERENT':9s} {da[:16]:16s} {db[:16]:16s} {key}"
-        if "/grad/" in key and key in a and key in b:
+        if ("/grad/" in key or "/param/" in key) and key in a and key in b:
             line += f"  rel {_relative_difference(a[key], b[key])}"
         print(line)
         differ += da != db
